@@ -3,10 +3,14 @@
 Subcommands cover the gradient check, single optimization runs, the
 three studies, stability estimation, the schedule presets, and the
 minimizer oracles.  All randomness flows from ``--seed`` (default 0,
-never wall-clock).  Flags can be preloaded from a flat ``key=value``
-config file via ``--config``; explicit flags win.  Exit codes: 0 on
-success, 1 when an asserted check fails or output cannot be written,
-2 on usage errors.
+never wall-clock).  Every flag is declared once, in :data:`COMMANDS`;
+that table builds the argument parser, reads the ``--config`` file and
+validates every value.  A config file holds flat ``flag=value`` lines
+keyed by the flag names (``-`` and ``_`` interchangeable); explicit
+flags win over the file and the file over the defaults.  Exit codes: 0
+on success, 1 when an asserted check fails or output cannot be written,
+2 on usage errors, including a config key the subcommand does not
+accept.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,46 +51,74 @@ class UsageError(Exception):
     pass
 
 
-def _positive_int(name, value, minimum=1):
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be an integer") from None
-    if number < minimum:
-        raise UsageError(f"{name} must be >= {minimum}")
-    return number
+# Value parsers: each maps (flag name, raw value) to a validated value or
+# raises UsageError.  Raw values are strings from argv or the config file,
+# or the table's own defaults.
 
 
-def _real(name, value, minimum=None, strict=False):
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{name} must be a real number") from None
-    if not np.isfinite(number):
-        raise UsageError(f"{name} must be finite")
-    if minimum is not None:
+def _number(kind, minimum, strict=False, maximum=np.inf):
+    def parse(name, value):
+        try:
+            number = kind(value)
+        except (TypeError, ValueError):
+            noun = "an integer" if kind is int else "a real number"
+            raise UsageError(f"{name} must be {noun}") from None
+        if kind is float and not np.isfinite(number):
+            raise UsageError(f"{name} must be finite")
         if strict and not number > minimum:
             raise UsageError(f"{name} must be > {minimum}")
-        if not strict and not number >= minimum:
+        if not number >= minimum:
             raise UsageError(f"{name} must be >= {minimum}")
-    return number
+        if not number <= maximum:
+            raise UsageError(f"{name} must be <= {maximum}")
+        return number
+
+    return parse
 
 
-def _int_list(name, value):
+def _integers(name, value):
+    """Nonempty comma-separated list of positive integers."""
     try:
-        return [int(part) for part in str(value).split(",") if part != ""]
+        numbers = [int(part) for part in str(value).split(",") if part != ""]
     except ValueError:
         raise UsageError(f"{name} must be a comma-separated list of integers") from None
+    if not numbers:
+        raise UsageError(f"{name} must be nonempty")
+    if min(numbers) < 1:
+        raise UsageError(f"{name} entries must be >= 1")
+    return numbers
 
 
-def _choice(name, value, options):
-    if value not in options:
-        raise UsageError(f"{name} must be one of {', '.join(options)}")
-    return value
+def _choice(*options):
+    def parse(name, value):
+        if value not in options:
+            raise UsageError(f"{name} must be one of {', '.join(options)}")
+        return value
+
+    return parse
+
+
+def _boolean(name, value):
+    word = str(value).lower()
+    if word not in ("true", "false", "1", "0"):
+        raise UsageError(f"{name} must be true, false, 1 or 0")
+    return word in ("true", "1")
+
+
+class Flag(NamedTuple):
+    """One flag: its parser, its default and its help line.
+
+    A callable default is computed from the values of the flags listed
+    before it in the same subcommand.
+    """
+
+    parse: Callable[[str, Any], Any]
+    default: Any
+    help: str
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Flat key=value file, one pair per line, '#' starts a comment."""
+    """Flat flag=value file, one pair per line, '#' starts a comment."""
     values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -96,7 +129,7 @@ def load_config_file(path) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = value.strip()
+                values[key.strip()] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     return values
@@ -108,245 +141,102 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stochastic compositional optimization lab",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def common(p: argparse.ArgumentParser, out_default: bool = False) -> None:
-        p.add_argument("--seed", default=None, help="base random seed (default 0)")
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--threads", default=None, help="worker cap (default 1)")
-        p.add_argument("--radius", default=None, help="domain ball radius (default 10)")
-        if out_default:
-            p.add_argument("--out", default=None, help="output CSV path")
-            p.add_argument("--svg", action="store_true", help="also write an SVG chart")
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(p)
-    p.add_argument("--benchmark", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--points", default=None, help="number of test points (default 20)")
-    p.add_argument("--h", default=None, help="central difference step (default 1e-5)")
-    p.add_argument("--assert", dest="assert_tol", default=None,
-                   help="fail (exit 1) above this max relative error (default 1e-5)")
-
-    p = sub.add_parser("schedule", help="print the published (T, eta, beta) preset")
-    common(p)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--convexity", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--t-max", dest="t_max", default=None)
-
-    p = sub.add_parser("optimize", help="run one optimization and export the trajectory")
-    common(p, out_default=True)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--benchmark", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--T", dest="steps", default=None)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--beta", default=None)
-    p.add_argument("--output-mode", dest="output_mode", default=None)
-    p.add_argument("--sigma", default=None, help="weight curvature for sigma_weighted")
-
-    p = sub.add_parser("tracking", help="tracking-gap study against its ceiling")
-    common(p, out_default=True)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--benchmark", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--T", dest="steps", default=None)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--beta", default=None)
-    p.add_argument("--replicates", default=None)
-    p.add_argument("--tracking-c", dest="tracking_c", default=None)
-    p.add_argument("--log-points", dest="log_points", default=None)
-
-    p = sub.add_parser("stability", help="coupled replacement-sensitivity estimates")
-    common(p, out_default=True)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--benchmark", default=None)
-    p.add_argument("--convexity", default=None)
-    p.add_argument("--n", default=None, help="comma-separated outer sizes")
-    p.add_argument("--m", default=None, help="comma-separated inner sizes")
-    p.add_argument("--T", dest="steps", default=None)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--beta", default=None)
-    p.add_argument("--replicates", default=None)
-    p.add_argument("--uncoupled", action="store_true",
-                   help="redraw the neighbor run's index stream")
-
-    p = sub.add_parser("optimization", help="empirical suboptimality study")
-    common(p, out_default=True)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--benchmark", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--m", default=None)
-    p.add_argument("--T-grid", dest="t_grid", default=None, help="comma-separated T values")
-    p.add_argument("--eta", default=None, help="fixed step size for every T")
-    p.add_argument("--beta", default=None, help="fixed tracking weight for every T")
-    p.add_argument("--eta-exp", dest="eta_exp", default=None, help="use eta = T^-a")
-    p.add_argument("--beta-exp", dest="beta_exp", default=None, help="use beta = T^-b")
-    p.add_argument("--output-mode", dest="output_mode", default=None)
-    p.add_argument("--replicates", default=None)
-
-    p = sub.add_parser("excess-risk", help="population excess-risk study at the presets")
-    common(p, out_default=True)
-    p.add_argument("--variant", default=None)
-    p.add_argument("--benchmark", default=None)
-    p.add_argument("--convexity", default=None)
-    p.add_argument("--sizes", default=None, help="comma-separated n = m values")
-    p.add_argument("--replicates", default=None)
-    p.add_argument("--t-max", dest="t_max", default=None)
-    p.add_argument("--output-mode", dest="output_mode", default=None)
-
-    p = sub.add_parser("oracle", help="print certified empirical and population minimizers")
-    common(p)
-    p.add_argument("--benchmark", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--m", default=None)
-
+    for command, (summary, _, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="flag=value config file")
+        for name, flag in flags.items():
+            options = {"dest": name, "help": flag.help}
+            if flag.parse is _boolean:
+                options.update(action="store_const", const="true")
+            elif flag.default is not None and not callable(flag.default):
+                options["help"] += f" (default {flag.default})"
+            p.add_argument(f"--{name}", **options)
     return parser
 
 
-def _opt(args, config, name, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
+def _resolve(flags, args, config) -> dict[str, Any]:
+    """Validated value of every flag: argv over the config file over the default."""
+    given = {key.replace("_", "-"): value for key, value in config.items()}
+    for key in config:
+        if key.replace("_", "-") not in flags:
+            raise UsageError(f"unknown config key {key!r} for {args.command}")
+    values: dict[str, Any] = {}
+    for name, flag in flags.items():
+        raw = vars(args)[name]
+        if raw is None:
+            raw = given.get(name)
+        if raw is None:
+            raw = flag.default(values) if callable(flag.default) else flag.default
+        values[name] = None if raw is None else flag.parse(name, raw)
+    return values
 
 
-def _common_opts(args, config):
-    seed = _positive_int("seed", _opt(args, config, "seed", 0), minimum=0)
-    threads = _positive_int("threads", _opt(args, config, "threads", 1))
-    radius = _real("radius", _opt(args, config, "radius", 10.0), minimum=0.0, strict=True)
-    return seed, threads, radius
+def _emit(o, header, rows, title, x_values, series, log_axes=True):
+    """Write the CSV to ``--out`` and, with ``--svg``, a chart beside it."""
+    out = o["out"]
+    emit_csv(out, header, rows)
+    if o["svg"]:
+        svg_path = out[: -len(".csv")] + ".svg" if out.endswith(".csv") else out + ".svg"
+        emit_svg(svg_path, title, x_values, series, log_x=log_axes, log_y=log_axes)
 
 
-def _variant(args, config) -> Variant:
-    tag = _choice("variant", _opt(args, config, "variant", "scgd"), ("scgd", "scsc"))
-    return Variant(tag)
-
-
-def _benchmark(args, config) -> str:
-    return _choice(
-        "benchmark",
-        _opt(args, config, "benchmark", "convex"),
-        ("convex", "strongly_convex"),
-    )
-
-
-def _maybe_svg(args, out_path, title, x_values, series, log_x=False, log_y=False):
-    if getattr(args, "svg", False):
-        svg_path = str(out_path)
-        svg_path = svg_path[: -len(".csv")] + ".svg" if svg_path.endswith(".csv") else svg_path + ".svg"
-        emit_svg(svg_path, title, x_values, series, log_x=log_x, log_y=log_y)
-
-
-def cmd_gradcheck(args, config) -> int:
-    seed, _, radius = _common_opts(args, config)
-    benchmark = _benchmark(args, config)
-    n = _positive_int("n", _opt(args, config, "n", 40))
-    m = _positive_int("m", _opt(args, config, "m", 40))
-    points = _positive_int("points", _opt(args, config, "points", 20))
-    h = _real("h", _opt(args, config, "h", 1e-5), minimum=0.0, strict=True)
-    tol = _real("assert", _opt(args, config, "assert_tol", 1e-5), minimum=0.0, strict=True)
-
-    rng = Rng(seed).split("gradcheck")
-    data = sample_dataset(benchmark_law(benchmark), n, m, rng.split("data"))
+def cmd_gradcheck(o) -> int:
+    radius = o["radius"]
+    rng = Rng(o["seed"]).split("gradcheck")
+    data = sample_dataset(benchmark_law(o["benchmark"]), o["n"], o["m"], rng.split("data"))
     gen = rng.split("points").generator()
     worst = 0.0
-    for _ in range(points):
+    for _ in range(o["points"]):
         x = project_ball(gen.uniform(-radius, radius, size=data.p), radius)
-        worst = max(worst, fd_gradient_check(data, x, h))
+        worst = max(worst, fd_gradient_check(data, x, o["h"]))
     print(f"max_relative_error={format_value(worst)}")
-    if worst >= tol:
-        print(f"gradcheck failed: {worst:.3e} >= {tol:.3e}", file=sys.stderr)
+    if worst >= o["assert"]:
+        print(f"gradcheck failed: {worst:.3e} >= {o['assert']:.3e}", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_schedule(args, config) -> int:
-    variant = _variant(args, config)
-    convexity = _choice(
-        "convexity",
-        _opt(args, config, "convexity", "convex"),
-        ("convex", "strongly_convex"),
+def cmd_schedule(o) -> int:
+    steps, eta, beta = schedule_preset(
+        Variant(o["variant"]), o["convexity"], o["n"], o["m"], t_max=o["t-max"]
     )
-    n = _positive_int("n", _opt(args, config, "n", 40))
-    m = _positive_int("m", _opt(args, config, "m", 40))
-    t_max = _opt(args, config, "t_max")
-    if t_max is not None:
-        t_max = _positive_int("t-max", t_max)
-    steps, eta, beta = schedule_preset(variant, convexity, n, m, t_max=t_max)
     print(f"T={steps} eta={format_value(eta)} beta={format_value(beta)}")
     return 0
 
 
-def cmd_optimize(args, config) -> int:
-    seed, _, radius = _common_opts(args, config)
-    variant = _variant(args, config)
-    benchmark = _benchmark(args, config)
-    n = _positive_int("n", _opt(args, config, "n", 40))
-    m = _positive_int("m", _opt(args, config, "m", 40))
-    steps = _positive_int("T", _opt(args, config, "steps", 1000))
-    eta = _real("eta", _opt(args, config, "eta", 1e-3), minimum=0.0)
-    beta = _real("beta", _opt(args, config, "beta", 0.1))
-    if not 0.0 < beta <= 1.0:
-        raise UsageError("beta must lie in (0, 1]")
-    mode = _choice(
-        "output-mode",
-        _opt(args, config, "output_mode", "last"),
-        ("last", "uniform_average", "sigma_weighted", "uniform_random"),
-    )
-    sigma = _opt(args, config, "sigma")
-    if sigma is not None:
-        sigma = _real("sigma", sigma, minimum=0.0, strict=True)
-    out = _opt(args, config, "out", "trajectory.csv")
-
-    rng = Rng(seed).split("optimize")
-    data = sample_dataset(benchmark_law(benchmark), n, m, rng.split("data"))
+def cmd_optimize(o) -> int:
+    rng = Rng(o["seed"]).split("optimize")
+    data = sample_dataset(benchmark_law(o["benchmark"]), o["n"], o["m"], rng.split("data"))
     cfg = OptimizerConfig(
-        variant=variant,
-        steps=steps,
-        eta=eta,
-        beta=beta,
-        domain_radius=radius,
-        output_mode=mode,
-        sigma=sigma,
+        variant=Variant(o["variant"]),
+        steps=o["T"],
+        eta=o["eta"],
+        beta=o["beta"],
+        domain_radius=o["radius"],
+        output_mode=o["output-mode"],
+        sigma=o["sigma"],
         record_tracking=True,
     )
     traj = run(data, cfg, rng.split("run"))
     rows = trajectory_rows(traj, data)
-    emit_csv(out, TRAJECTORY_HEADER, rows)
-    _maybe_svg(
-        args,
-        out,
-        "empirical objective",
-        [r[0] for r in rows],
-        {"f_empirical": [r[1] for r in rows]},
-    )
+    _emit(o, TRAJECTORY_HEADER, rows, "empirical objective",
+          [r[0] for r in rows], {"f_empirical": [r[1] for r in rows]}, log_axes=False)
     record = {
-        "mode": mode,
-        "T": steps,
-        "eta": eta,
-        "beta": beta,
+        "mode": o["output-mode"],
+        "T": o["T"],
+        "eta": o["eta"],
+        "beta": o["beta"],
         "x": [float(v) for v in traj.final_output],
     }
     print(json.dumps(record))
     return 0
 
 
-def cmd_oracle(args, config) -> int:
-    seed, _, radius = _common_opts(args, config)
-    benchmark = _benchmark(args, config)
-    n = _positive_int("n", _opt(args, config, "n", 40))
-    m = _positive_int("m", _opt(args, config, "m", 40))
-    law = benchmark_law(benchmark)
-    data = sample_dataset(law, n, m, Rng(seed).split("oracle-data"))
-    erm = erm_minimizer(data, radius)
-    pop = population_minimizer(law, radius)
+def cmd_oracle(o) -> int:
+    law = benchmark_law(o["benchmark"])
+    data = sample_dataset(law, o["n"], o["m"], Rng(o["seed"]).split("oracle-data"))
+    erm = erm_minimizer(data, o["radius"])
+    pop = population_minimizer(law, o["radius"])
     for tag, cert in (("empirical", erm), ("population", pop)):
         coords = ",".join(format_value(v) for v in cert.x_star)
         print(
@@ -356,245 +246,227 @@ def cmd_oracle(args, config) -> int:
     return 0
 
 
-def cmd_tracking(args, config) -> int:
-    seed, threads, radius = _common_opts(args, config)
-    cfg = StudyConfig(
-        study="tracking",
-        variant=_variant(args, config),
-        benchmark=_benchmark(args, config),
-        n=_positive_int("n", _opt(args, config, "n", 40)),
-        m=_positive_int("m", _opt(args, config, "m", 40)),
-        steps=_positive_int("T", _opt(args, config, "steps", 5000)),
-        eta=_real("eta", _opt(args, config, "eta", 1e-3), minimum=0.0),
-        beta=_real("beta", _opt(args, config, "beta", 0.1), minimum=0.0, strict=True),
-        replicates=_positive_int("replicates", _opt(args, config, "replicates", 50), minimum=2),
-        tracking_c=_real("tracking-c", _opt(args, config, "tracking_c", 2.0), minimum=0.0, strict=True),
-        log_points=_positive_int("log-points", _opt(args, config, "log_points", 40)),
-        seed=seed,
-        threads=threads,
-        domain_radius=radius,
+def _study_config(study, o, **fields) -> StudyConfig:
+    """StudyConfig from the flags every study command shares, plus ``fields``."""
+    return StudyConfig(
+        study=study,
+        variant=Variant(o["variant"]),
+        benchmark=o["benchmark"],
+        replicates=o["replicates"],
+        seed=o["seed"],
+        threads=o["threads"],
+        domain_radius=o["radius"],
+        **fields,
     )
-    result = tracking_study(cfg)
-    out = _opt(args, config, "out", "tracking.csv")
-    emit_csv(out, ["t", "mean_sq_error", "se", "bound"], result.rows)
-    _maybe_svg(
-        args,
-        out,
-        "tracking gap vs ceiling",
-        [r.t for r in result.rows],
-        {
-            "mean_sq_error": [r.mean_sq_error for r in result.rows],
-            "bound": [r.bound for r in result.rows],
-        },
-        log_x=True,
-        log_y=True,
-    )
-    print(f"wrote {out}", file=sys.stderr)
+
+
+def cmd_tracking(o) -> int:
+    result = tracking_study(_study_config(
+        "tracking",
+        o,
+        n=o["n"],
+        m=o["m"],
+        steps=o["T"],
+        eta=o["eta"],
+        beta=o["beta"],
+        tracking_c=o["tracking-c"],
+        log_points=o["log-points"],
+    ))
+    rows = result.rows
+    _emit(o, ["t", "mean_sq_error", "se", "bound"], rows, "tracking gap vs ceiling",
+          [r.t for r in rows],
+          {"mean_sq_error": [r.mean_sq_error for r in rows], "bound": [r.bound for r in rows]})
+    print(f"wrote {o['out']}", file=sys.stderr)
     return 0
 
 
-def cmd_stability(args, config) -> int:
-    seed, threads, radius = _common_opts(args, config)
-    variant = _variant(args, config)
-    benchmark = _benchmark(args, config)
-    convexity = _choice(
-        "convexity",
-        _opt(args, config, "convexity", benchmark),
-        ("convex", "strongly_convex"),
-    )
-    n_list = _int_list("n", _opt(args, config, "n", "40"))
-    m_list = _int_list("m", _opt(args, config, "m", "40"))
-    if not n_list or not m_list:
-        raise UsageError("n and m must be nonempty")
-    for name, values in (("n", n_list), ("m", m_list)):
-        for v in values:
-            if v < 1:
-                raise UsageError(f"{name} must be >= 1")
-    steps = _positive_int("T", _opt(args, config, "steps", 2048))
-    eta = _real("eta", _opt(args, config, "eta", 1e-3), minimum=0.0)
-    beta = _real("beta", _opt(args, config, "beta", 0.1), minimum=0.0, strict=True)
-    replicates = _positive_int("replicates", _opt(args, config, "replicates", 100), minimum=2)
-    coupled = not bool(_opt(args, config, "uncoupled", False))
-    law = benchmark_law(benchmark)
+def cmd_stability(o) -> int:
+    law = benchmark_law(o["benchmark"])
     opt_cfg = OptimizerConfig(
-        variant=variant, steps=steps, eta=eta, beta=beta, domain_radius=radius
+        variant=Variant(o["variant"]),
+        steps=o["T"],
+        eta=o["eta"],
+        beta=o["beta"],
+        domain_radius=o["radius"],
     )
     rows = []
-    for n in n_list:
-        for m in m_list:
-            est = estimate_stability(
-                law,
-                n,
-                m,
-                opt_cfg,
-                replicates,
-                Rng(seed).split(f"stability-{n}-{m}"),
-                coupled=coupled,
-                threads=threads,
-            )
-            rows.append(
-                (
-                    variant.value,
-                    convexity,
-                    n,
-                    m,
-                    steps,
-                    eta,
-                    beta,
-                    replicates,
-                    est.eps_nu,
-                    est.eps_nu_se,
-                    est.eps_omega,
-                    est.eps_omega_se,
-                )
-            )
-    out = _opt(args, config, "out", "stability.csv")
-    emit_csv(out, STABILITY_HEADER, rows)
-    _maybe_svg(
-        args,
-        out,
-        "replacement sensitivity",
-        [row[2] for row in rows],
-        {"eps_nu_hat": [row[8] for row in rows]},
-        log_x=True,
-        log_y=True,
-    )
-    print(f"wrote {out}", file=sys.stderr)
+    for n in o["n"]:
+        for m in o["m"]:
+            rng = Rng(o["seed"]).split(f"stability-{n}-{m}")
+            est = estimate_stability(law, n, m, opt_cfg, o["replicates"], rng,
+                                     coupled=not o["uncoupled"], threads=o["threads"])
+            cell = (o["variant"], o["convexity"], n, m, o["T"], o["eta"], o["beta"], o["replicates"])
+            rows.append(cell + (est.eps_nu, est.eps_nu_se, est.eps_omega, est.eps_omega_se))
+    _emit(o, STABILITY_HEADER, rows, "replacement sensitivity",
+          [row[2] for row in rows], {"eps_nu_hat": [row[8] for row in rows]})
+    print(f"wrote {o['out']}", file=sys.stderr)
     return 0
 
 
-def cmd_optimization(args, config) -> int:
-    seed, threads, radius = _common_opts(args, config)
-    t_values = _int_list("T-grid", _opt(args, config, "t_grid", "256,1024,4096"))
-    if not t_values:
-        raise UsageError("T-grid must be nonempty")
-    for t in t_values:
-        if t < 1:
-            raise UsageError("T must be >= 1")
-    eta_exp = _opt(args, config, "eta_exp")
-    beta_exp = _opt(args, config, "beta_exp")
-    eta_fixed = _opt(args, config, "eta")
-    beta_fixed = _opt(args, config, "beta")
+def cmd_optimization(o) -> int:
     grid = []
-    for t in t_values:
-        if eta_exp is not None:
-            eta = float(t) ** -_real("eta-exp", eta_exp, minimum=0.0, strict=True)
-        else:
-            eta = _real("eta", eta_fixed if eta_fixed is not None else 1e-3, minimum=0.0)
-        if beta_exp is not None:
-            beta = float(t) ** -_real("beta-exp", beta_exp, minimum=0.0, strict=True)
-        else:
-            beta = _real("beta", beta_fixed if beta_fixed is not None else 0.1)
-        if not 0.0 < beta <= 1.0:
-            raise UsageError("beta must lie in (0, 1]")
+    for t in o["T-grid"]:
+        eta = o["eta"] if o["eta-exp"] is None else float(t) ** -o["eta-exp"]
+        beta = o["beta"] if o["beta-exp"] is None else float(t) ** -o["beta-exp"]
         grid.append((t, eta, beta))
-    benchmark = _benchmark(args, config)
-    mode = _choice(
-        "output-mode",
-        _opt(args, config, "output_mode", "uniform_average"),
-        ("last", "uniform_average", "sigma_weighted"),
-    )
-    cfg = StudyConfig(
-        study="optimization",
-        variant=_variant(args, config),
-        benchmark=benchmark,
-        n=_positive_int("n", _opt(args, config, "n", 40)),
-        m=_positive_int("m", _opt(args, config, "m", 40)),
+    result = optimization_study(_study_config(
+        "optimization",
+        o,
+        n=o["n"],
+        m=o["m"],
         step_grid=tuple(grid),
-        replicates=_positive_int("replicates", _opt(args, config, "replicates", 50), minimum=2),
-        seed=seed,
-        threads=threads,
-        domain_radius=radius,
-        output_mode=mode,
-    )
-    result = optimization_study(cfg)
-    out = _opt(args, config, "out", "optimization.csv")
-    emit_csv(out, ["T", "eta", "beta", "gap_mean", "gap_se"], result.rows)
-    _maybe_svg(
-        args,
-        out,
-        "empirical suboptimality",
-        [r.steps for r in result.rows],
-        {"gap_mean": [max(r.gap_mean, 1e-300) for r in result.rows]},
-        log_x=True,
-        log_y=True,
-    )
-    print(f"wrote {out}", file=sys.stderr)
+        output_mode=o["output-mode"],
+    ))
+    rows = result.rows
+    _emit(o, ["T", "eta", "beta", "gap_mean", "gap_se"], rows, "empirical suboptimality",
+          [r.steps for r in rows], {"gap_mean": [max(r.gap_mean, 1e-300) for r in rows]})
+    print(f"wrote {o['out']}", file=sys.stderr)
     return 0
 
 
-def cmd_excess_risk(args, config) -> int:
-    seed, threads, radius = _common_opts(args, config)
-    benchmark = _benchmark(args, config)
-    convexity = _choice(
-        "convexity",
-        _opt(args, config, "convexity", benchmark),
-        ("convex", "strongly_convex"),
-    )
-    sizes = _int_list("sizes", _opt(args, config, "sizes", "20,40,80"))
-    if not sizes:
-        raise UsageError("sizes must be nonempty")
-    for size in sizes:
-        if size < 1:
-            raise UsageError("sizes must be >= 1")
-    t_max = _opt(args, config, "t_max")
-    if t_max is not None:
-        t_max = _positive_int("t-max", t_max)
-    mode = _choice(
-        "output-mode",
-        _opt(args, config, "output_mode", "sigma_weighted" if convexity == "strongly_convex" else "uniform_average"),
-        ("last", "uniform_average", "sigma_weighted"),
-    )
-    cfg = StudyConfig(
-        study="excess_risk",
-        variant=_variant(args, config),
-        convexity=convexity,
-        benchmark=benchmark,
-        size_grid=tuple(sizes),
-        replicates=_positive_int("replicates", _opt(args, config, "replicates", 200), minimum=2),
-        seed=seed,
-        threads=threads,
-        domain_radius=radius,
-        output_mode=mode,
-        t_max=t_max,
-    )
-    result = excess_risk_study(cfg)
-    out = _opt(args, config, "out", "excess.csv")
+def cmd_excess_risk(o) -> int:
+    result = excess_risk_study(_study_config(
+        "excess_risk",
+        o,
+        convexity=o["convexity"],
+        size_grid=tuple(o["sizes"]),
+        output_mode=o["output-mode"],
+        t_max=o["t-max"],
+    ))
     header = ["n", "m", "T", "eta", "beta", "excess_mean", "excess_se", "fitted_slope"]
     rows = [list(row) + [None] for row in result.rows]
     rows.append([None] * 7 + [result.fitted_slope])
-    emit_csv(out, header, rows)
-    _maybe_svg(
-        args,
-        out,
-        "population excess risk",
-        [r.n for r in result.rows],
-        {"excess_mean": [max(r.excess_mean, 1e-300) for r in result.rows]},
-        log_x=True,
-        log_y=True,
-    )
-    print(f"wrote {out}", file=sys.stderr)
+    _emit(o, header, rows, "population excess risk", [r.n for r in result.rows],
+          {"excess_mean": [max(r.excess_mean, 1e-300) for r in result.rows]})
+    print(f"wrote {o['out']}", file=sys.stderr)
     return 0
 
 
-_HANDLERS = {
-    "gradcheck": cmd_gradcheck,
-    "schedule": cmd_schedule,
-    "optimize": cmd_optimize,
-    "oracle": cmd_oracle,
-    "tracking": cmd_tracking,
-    "stability": cmd_stability,
-    "optimization": cmd_optimization,
-    "excess-risk": cmd_excess_risk,
+# The flag table.  Per subcommand: help line, handler, and every flag it
+# accepts, in help order.  Flags shared by several subcommands are bound
+# to names first.
+_COUNT = _number(int, 1)
+_POSITIVE = _number(float, 0.0, strict=True)
+_LAWS = ("convex", "strongly_convex")
+_MODES = ("last", "uniform_average", "sigma_weighted")
+_COMMON = {
+    "seed": Flag(_number(int, 0), 0, "base random seed"),
+    "threads": Flag(_COUNT, 1, "has no effect: replicates run serially"),
+    "radius": Flag(_POSITIVE, 10.0, "domain ball radius"),
+}
+_DATA = {
+    "benchmark": Flag(_choice(*_LAWS), "convex", "benchmark law"),
+    "n": Flag(_COUNT, 40, "number of outer samples"),
+    "m": Flag(_COUNT, 40, "number of inner samples"),
+}
+_VARIANT = Flag(_choice("scgd", "scsc"), "scgd", "optimizer variant")
+_CONVEXITY = Flag(
+    _choice(*_LAWS), lambda v: v["benchmark"], "convexity label (default: the benchmark)"
+)
+_STEPS = {
+    "eta": Flag(_number(float, 0.0), 1e-3, "step size"),
+    "beta": Flag(_number(float, 0.0, strict=True, maximum=1.0), 0.1, "tracking weight in (0, 1]"),
+}
+_T_MAX = Flag(_COUNT, None, "cap on the preset horizon")
+
+
+def _csv(path):
+    return {
+        "out": Flag(lambda name, value: value, path, "output CSV path"),
+        "svg": Flag(_boolean, False, "also write an SVG chart"),
+    }
+
+
+COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
+    "gradcheck": ("finite-difference gradient check", cmd_gradcheck, {
+        **_COMMON,
+        **_DATA,
+        "points": Flag(_COUNT, 20, "number of test points"),
+        "h": Flag(_POSITIVE, 1e-5, "central difference step"),
+        "assert": Flag(_POSITIVE, 1e-5, "fail (exit 1) above this max relative error"),
+    }),
+    "schedule": ("print the published (T, eta, beta) preset", cmd_schedule, {
+        **_COMMON,
+        "variant": _VARIANT,
+        "convexity": Flag(_choice(*_LAWS), "convex", "convexity regime of the preset"),
+        "n": _DATA["n"],
+        "m": _DATA["m"],
+        "t-max": _T_MAX,
+    }),
+    "optimize": ("run one optimization and export the trajectory", cmd_optimize, {
+        **_COMMON,
+        **_csv("trajectory.csv"),
+        "variant": _VARIANT,
+        **_DATA,
+        "T": Flag(_COUNT, 1000, "number of steps"),
+        **_STEPS,
+        "output-mode": Flag(_choice(*_MODES, "uniform_random"), "last", "which iterate to report"),
+        "sigma": Flag(_POSITIVE, None, "weight curvature for sigma_weighted"),
+    }),
+    "tracking": ("tracking-gap study against its ceiling", cmd_tracking, {
+        **_COMMON,
+        **_csv("tracking.csv"),
+        "variant": _VARIANT,
+        **_DATA,
+        "T": Flag(_COUNT, 5000, "number of steps"),
+        **_STEPS,
+        "replicates": Flag(_number(int, 2), 50, "Monte Carlo replicates"),
+        "tracking-c": Flag(_POSITIVE, 2.0, "free constant of the ceiling"),
+        "log-points": Flag(_COUNT, 40, "number of log-spaced report steps"),
+    }),
+    "stability": ("coupled replacement-sensitivity estimates", cmd_stability, {
+        **_COMMON,
+        **_csv("stability.csv"),
+        "variant": _VARIANT,
+        "benchmark": _DATA["benchmark"],
+        "convexity": _CONVEXITY,
+        "n": Flag(_integers, "40", "comma-separated outer sizes"),
+        "m": Flag(_integers, "40", "comma-separated inner sizes"),
+        "T": Flag(_COUNT, 2048, "number of steps"),
+        **_STEPS,
+        "replicates": Flag(_number(int, 2), 100, "Monte Carlo replicates"),
+        "uncoupled": Flag(_boolean, False, "redraw the neighbor run's index stream"),
+    }),
+    "optimization": ("empirical suboptimality study", cmd_optimization, {
+        **_COMMON,
+        **_csv("optimization.csv"),
+        "variant": _VARIANT,
+        **_DATA,
+        "T-grid": Flag(_integers, "256,1024,4096", "comma-separated T values"),
+        **_STEPS,
+        "eta-exp": Flag(_POSITIVE, None, "use eta = T^-a instead of --eta"),
+        "beta-exp": Flag(_POSITIVE, None, "use beta = T^-b instead of --beta"),
+        "output-mode": Flag(_choice(*_MODES), "uniform_average", "which iterate to report"),
+        "replicates": Flag(_number(int, 2), 50, "Monte Carlo replicates"),
+    }),
+    "excess-risk": ("population excess-risk study at the presets", cmd_excess_risk, {
+        **_COMMON,
+        **_csv("excess.csv"),
+        "variant": _VARIANT,
+        "benchmark": _DATA["benchmark"],
+        "convexity": _CONVEXITY,
+        "sizes": Flag(_integers, "20,40,80", "comma-separated n = m values"),
+        "replicates": Flag(_number(int, 2), 200, "Monte Carlo replicates"),
+        "t-max": _T_MAX,
+        "output-mode": Flag(
+            _choice(*_MODES),
+            lambda v: ("sigma_weighted" if v["convexity"] == "strongly_convex"
+                       else "uniform_average"),
+            "which iterate to report (default: sigma_weighted when strongly convex)",
+        ),
+    }),
+    "oracle": ("print certified empirical and population minimizers", cmd_oracle, {
+        **_COMMON,
+        **_DATA,
+    }),
 }
 
 
 def parse_and_dispatch(argv) -> int:
-    parser = _build_parser()
     buffer = io.StringIO()
     try:
         with redirect_stderr(buffer):
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         sys.stderr.write(buffer.getvalue())
         return 0 if exc.code in (0, None) else 2
@@ -602,20 +474,11 @@ def parse_and_dispatch(argv) -> int:
     if args.command is None:
         print("missing subcommand; see scolab --help", file=sys.stderr)
         return 2
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = load_config_file(args.config)
-        except UsageError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    handler = _HANDLERS[args.command]
+    _, handler, flags = COMMANDS[args.command]
     try:
-        return handler(args, config)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        config = load_config_file(args.config) if args.config else {}
+        return handler(_resolve(flags, args, config))
+    except (UsageError, ValueError) as exc:
         # module-level precondition failures surface as usage errors
         print(str(exc), file=sys.stderr)
         return 2

@@ -1,15 +1,14 @@
 """Monte Carlo studies: tracking error, optimization error, excess risk.
 
-Every study is a pure function of its config.  Replicates run on child
-random streams keyed by (grid index, replicate index) and aggregate in
-replicate order, so results are bit-identical across reruns and across
-worker counts.
+Every study is a pure function of its config.  Replicates run one after
+another on child random streams keyed by (grid index, replicate index)
+and aggregate in replicate order, so results are bit-identical across
+reruns.  ``StudyConfig.threads`` is validated but has no effect.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,13 +139,6 @@ class ExcessRiskStudyResult:
     t_max: int | None = None
 
 
-def _map_replicates(job, replicates: int, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, range(replicates)))
-    return [job(rep) for rep in range(replicates)]
-
-
 def _log_step_grid(max_t: int, points: int) -> np.ndarray:
     """Unique integer steps, roughly log-spaced over [1, max_t]."""
     raw = np.geomspace(1, max_t, num=min(points, max_t))
@@ -176,14 +168,10 @@ def tracking_study(cfg: StudyConfig) -> TrackingStudyResult:
         record_tracking=True,
     )
 
-    def job(rep: int) -> np.ndarray:
-        traj = run(data, opt_cfg, root.split(f"rep-{rep}"))
-        return traj.tracking_sq_errors
-
-    errors = _map_replicates(job, cfg.replicates, cfg.threads)
     total = np.zeros(cfg.steps)
     total_sq = np.zeros(cfg.steps)
-    for arr in errors:
+    for rep in range(cfg.replicates):
+        arr = run(data, opt_cfg, root.split(f"rep-{rep}")).tracking_sq_errors
         total += arr
         total_sq += arr * arr
     reps = cfg.replicates
@@ -223,7 +211,8 @@ def optimization_study(cfg: StudyConfig) -> OptimizationStudyResult:
     cert = erm_minimizer(data, cfg.domain_radius)
     sigma = None
     if cfg.output_mode == "sigma_weighted":
-        sigma = compute_constants(data, cfg.domain_radius).sigma
+        # compute_constants' expression for sigma, without its sphere searches
+        sigma = max(float(np.linalg.eigvalsh(data.a_bar.T @ data.a_bar)[0]), 0.0)
 
     rows = []
     for gi, (steps, eta, beta) in enumerate(cfg.step_grid):
@@ -238,11 +227,11 @@ def optimization_study(cfg: StudyConfig) -> OptimizationStudyResult:
             sigma=sigma,
         )
 
-        def job(rep: int) -> float:
+        gaps = []
+        for rep in range(cfg.replicates):
             traj = run(data, opt_cfg, root.split(f"grid-{gi}-rep-{rep}"))
-            return empirical_risk(data, traj.final_output) - cert.value
-
-        gaps = np.asarray(_map_replicates(job, cfg.replicates, cfg.threads))
+            gaps.append(empirical_risk(data, traj.final_output) - cert.value)
+        gaps = np.asarray(gaps)
         rows.append(
             OptimizationRow(
                 steps=steps,
@@ -298,13 +287,13 @@ def excess_risk_study(cfg: StudyConfig) -> ExcessRiskStudyResult:
             sigma=sigma,
         )
 
-        def job(rep: int) -> float:
+        excess = []
+        for rep in range(cfg.replicates):
             rep_rng = root.split(f"grid-{gi}-rep-{rep}")
             data = sample_dataset(law, size, size, rep_rng.split("data"))
             traj = run(data, opt_cfg, rep_rng.split("opt"))
-            return population_risk(law, traj.final_output) - pop.value
-
-        excess = np.asarray(_map_replicates(job, cfg.replicates, cfg.threads))
+            excess.append(population_risk(law, traj.final_output) - pop.value)
+        excess = np.asarray(excess)
         rows.append(
             ExcessRow(
                 n=size,

@@ -11,12 +11,12 @@ larger, noise-dominated displacement.
 
 The replaced position is drawn uniformly per replicate, so the reported
 estimates are average-case readings of the worst-case quantity; scaling
-behavior in n, m, and T is preserved.
+behavior in n, m, and T is preserved.  Replicates run serially in
+replicate order; the ``threads`` arguments are accepted and ignored.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,9 +197,9 @@ def estimate_stability(
 
     Each replicate draws a fresh dataset, a fresh replacement sample and
     a uniform position on its own child stream, then runs one coupled
-    pair per requested side.  Replicates are independent, so they may be
-    evaluated by a thread pool; results are aggregated in replicate
-    order either way.
+    pair per requested side.  Replicates run one after another and are
+    aggregated in replicate order; ``threads`` is accepted for
+    compatibility and has no effect.
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
@@ -207,16 +207,10 @@ def estimate_stability(
         if kind not in ("nu", "omega"):
             raise ValueError(f"unknown neighbor kind {kind!r}")
 
-    def job(rep: int) -> tuple[float, float]:
-        return _stability_replicate(
-            law, n, m, cfg, rng.split(f"rep-{rep}"), tuple(kinds), coupled
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(replicates)))
-    else:
-        results = [job(rep) for rep in range(replicates)]
+    results = [
+        _stability_replicate(law, n, m, cfg, rng.split(f"rep-{rep}"), tuple(kinds), coupled)
+        for rep in range(replicates)
+    ]
     d_nu = np.asarray([r[0] for r in results])
     d_omega = np.asarray([r[1] for r in results])
     if "nu" in kinds:
@@ -285,7 +279,8 @@ def check_generalization_inequality(
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
 
-    def job(rep: int) -> tuple[float, float, float, float]:
+    results = []
+    for rep in range(replicates):
         rep_rng = rng.split(f"gap-rep-{rep}")
         data = sample_dataset(law, n, m, rep_rng.split("data"))
         traj = run(data, cfg, rep_rng.split("opt"))
@@ -293,13 +288,7 @@ def check_generalization_inequality(
         gap = population_risk(law, out) - empirical_risk(data, out)
         variance = law.inner_variance_at(out)
         consts = compute_constants(data, cfg.domain_radius, grid=128)
-        return gap, variance, consts.lip_f, consts.lip_g
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(replicates)))
-    else:
-        results = [job(rep) for rep in range(replicates)]
+        results.append((gap, variance, consts.lip_f, consts.lip_g))
     gaps = np.asarray([r[0] for r in results])
     variances = np.asarray([r[1] for r in results])
     lip_f = max(r[2] for r in results)
