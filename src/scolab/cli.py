@@ -60,9 +60,12 @@ def _number(kind, minimum, strict=False, maximum=np.inf):
     def parse(name, value):
         try:
             number = kind(value)
+            float(number)
         except (TypeError, ValueError):
             noun = "an integer" if kind is int else "a real number"
             raise UsageError(f"{name} must be {noun}") from None
+        except OverflowError:
+            raise UsageError(f"{name} is out of range") from None
         if kind is float and not np.isfinite(number):
             raise UsageError(f"{name} must be finite")
         if strict and not number > minimum:
@@ -80,8 +83,11 @@ def _integers(name, value):
     """Nonempty comma-separated list of positive integers."""
     try:
         numbers = [int(part) for part in str(value).split(",") if part != ""]
+        float(max(numbers, default=0))
     except ValueError:
         raise UsageError(f"{name} must be a comma-separated list of integers") from None
+    except OverflowError:
+        raise UsageError(f"{name} is out of range") from None
     if not numbers:
         raise UsageError(f"{name} must be nonempty")
     if min(numbers) < 1:

@@ -211,8 +211,7 @@ def optimization_study(cfg: StudyConfig) -> OptimizationStudyResult:
     cert = erm_minimizer(data, cfg.domain_radius)
     sigma = None
     if cfg.output_mode == "sigma_weighted":
-        # compute_constants' expression for sigma, without its sphere searches
-        sigma = max(float(np.linalg.eigvalsh(data.a_bar.T @ data.a_bar)[0]), 0.0)
+        sigma = compute_constants(data, cfg.domain_radius).sigma
 
     rows = []
     for gi, (steps, eta, beta) in enumerate(cfg.step_grid):

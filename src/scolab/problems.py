@@ -11,8 +11,10 @@ empirical objective
 
 and averaging over the sampling law gives the population objective.  For
 the bounded-uniform noise model used here every population moment is
-available in closed form, which is what makes the rest of the lab's
-bound checks exact.
+available in closed form, and every supremum over the domain ball
+behind a bound constant is a convex quadratic solved exactly as a
+trust-region subproblem, which is what makes the rest of the lab's bound
+checks exact.
 """
 
 from __future__ import annotations
@@ -364,78 +366,61 @@ class BoundParams:
             raise ValueError("sigma cannot exceed the smoothness constant")
 
 
-_BOUNDARY_SEED = Rng(0x5C0_1AB)
+def _max_quadratic_on_ball(mat: np.ndarray, vec: np.ndarray, const, radius: float) -> np.ndarray:
+    """Exact sup over ||x|| <= radius of ``x' mat x + 2 vec' x + const``, batched.
 
-
-def _sphere_directions(dim: int, count: int) -> np.ndarray:
-    """Deterministic well-spread unit directions used by the boundary sampler."""
-    gen = _BOUNDARY_SEED.split(f"sphere-{dim}-{count}").generator()
-    raw = gen.standard_normal(size=(count, dim))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return raw / norms
-
-
-def _refine_on_sphere(mat: np.ndarray, vec: np.ndarray, radius: float,
-                      xs: np.ndarray, iters: int = 80) -> np.ndarray:
-    """Ascend ``x' mat x + 2 vec' x`` on the sphere from each row of ``xs``.
-
-    The fixed point x <- radius * unit(mat @ x + vec) is the conditional
-    gradient step for maximizing a convex quadratic over the ball, which
-    is monotone, so every row only improves.
+    ``mat`` (..., p, p) is PSD, ``vec`` (..., p) and ``const`` (...).  A
+    convex quadratic peaks on the sphere, where the global maximizer solves
+    ``(lam I - mat) x = vec`` with ``lam >= lambda_max`` (the trust-region
+    subproblem; Moré & Sorensen 1983).  In the eigenbasis
+    ``x_i = w_i / (mu + gap_i)`` with ``mu = lam - lambda_max`` and
+    ``gap_i = lambda_max - lambda_i``; ``||x||`` falls in ``mu``, so the root
+    of ``||x|| = radius`` lies in ``(0, ||vec|| / radius]`` and is found by
+    bisection.  The leftover radius goes along the top eigenvector; it is
+    nonzero only in the hard case (no weight of ``vec`` on the top
+    eigenspace and the rest of ``x`` inside the ball).  The point is
+    rescaled onto the sphere before it is evaluated, so the value is
+    attained by a feasible point.
     """
-    pts = xs.copy()
-    for _ in range(iters):
-        grad = pts @ mat + vec
-        norms = np.linalg.norm(grad, axis=1, keepdims=True)
-        mask = norms[:, 0] > 0.0
-        pts[mask] = radius * grad[mask] / norms[mask]
-    return pts
+    eigvals, eigvecs = np.linalg.eigh(mat)
+    w = np.einsum("...pq,...p->...q", eigvecs, vec)
+    gap = eigvals[..., -1:] - eigvals
+
+    def point(mu):
+        denom = mu[..., None] + gap
+        return np.divide(w, denom, out=np.zeros_like(w), where=denom > 0)
+
+    lo = np.zeros(w.shape[:-1])
+    hi = np.linalg.norm(w, axis=-1) / radius
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        outside = np.linalg.norm(point(mid), axis=-1) > radius
+        lo, hi = np.where(outside, mid, lo), np.where(outside, hi, mid)
+    x = point(hi)
+    left = np.sqrt(np.maximum(radius**2 - np.sum(x * x, axis=-1), 0.0))
+    x[..., -1] += np.copysign(left, w[..., -1])
+    x *= (radius / np.linalg.norm(x, axis=-1))[..., None]
+    vals = np.sum(eigvals * x * x, axis=-1) + 2.0 * np.sum(w * x, axis=-1) + const
+    return np.maximum(vals, const)
 
 
-def _max_quadratic_on_ball(mat: np.ndarray, vec: np.ndarray, const: float,
-                           radius: float, dirs: np.ndarray) -> float:
-    """sup over ||x|| <= radius of the convex quadratic x'mat x + 2 vec'x + const."""
-    xs = radius * dirs
-    # Eigen-directions of the quadratic part are strong candidates.
-    _, eigvecs = np.linalg.eigh(mat)
-    top = eigvecs[:, -1]
-    extra = [top, -top]
-    if np.linalg.norm(vec) > 0:
-        extra.append(vec / np.linalg.norm(vec))
-    xs = np.vstack([xs, radius * np.stack(extra)])
-    xs = _refine_on_sphere(mat, vec, radius, xs)
-    vals = np.einsum("kp,pq,kq->k", xs, mat, xs) + 2.0 * xs @ vec + const
-    return max(float(np.max(vals)), const)
-
-
-def _max_affine_norm_sq(b_mat: np.ndarray, u_vec: np.ndarray, radius: float,
-                        dirs: np.ndarray) -> float:
-    """sup over ||x|| <= radius of ||b_mat @ x + u_vec||^2 (attained on the sphere)."""
-    return _max_quadratic_on_ball(
-        b_mat.T @ b_mat, b_mat.T @ u_vec, float(u_vec @ u_vec), radius, dirs
-    )
-
-
-def compute_constants(dataset: Dataset, domain_radius: float, grid: int = 512) -> BoundParams:
+def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     """Compute every bound constant for the affine-quadratic family.
 
     Closed forms are used wherever they exist (operator norms, Frobenius
-    deviations, extreme eigenvalues of the mean Gram matrix).  The two
-    genuine suprema over the ball, the inner-value variance ``var_g`` and
-    the reachable-set radius behind ``lip_f``, are maximized on the
-    boundary by ``grid`` sampled directions refined with a monotone
-    fixed-point ascent; the maxima of convex quadratics over a ball sit
-    on the sphere, so boundary search is exact up to the refinement.
+    deviations, extreme eigenvalues of the mean Gram matrix).  The genuine
+    suprema over the ball, the inner-value variance ``var_g``, the tracker
+    deviation behind ``d_y`` and the reachable-set radius behind ``lip_f``,
+    are maxima of convex quadratics, solved exactly by one batched
+    trust-region solve.
     """
     if not (np.isfinite(domain_radius) and domain_radius > 0):
         raise ValueError("invalid domain")
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
     a = dataset.inner_a
     a_bar = dataset.a_bar
     b_bar = dataset.b_bar
     m, d, p = a.shape
+    n = dataset.n
 
     lip_g = max(float(np.linalg.norm(a[j], 2)) for j in range(m))
     diffs_a = a - a_bar
@@ -447,48 +432,31 @@ def compute_constants(dataset: Dataset, domain_radius: float, grid: int = 512) -
     sigma = max(float(eigs[0]), 0.0)
     smooth_l = max(float(eigs[-1]), 0.0)
 
-    dirs = _sphere_directions(p, grid)
-
     # var_g: (1/m) sum_j ||(a_j - a_bar) x + (b_j - b_bar)||^2 is one convex
-    # quadratic in x; assemble its moment form and maximize on the sphere.
+    # quadratic in x (its moment form).  The other suprema are of
+    # ||B x + u||^2 for the inner mean map, each of the m inner deviations
+    # and the mean map shifted by each of the n outer targets.
     mom_mat = np.einsum("jdp,jdq->pq", diffs_a, diffs_a) / m
     mom_vec = np.einsum("jdp,jd->p", diffs_a, diffs_b) / m
     mom_const = float(np.mean(np.sum(diffs_b * diffs_b, axis=1)))
-    var_g = max(
-        _max_quadratic_on_ball(mom_mat, mom_vec, mom_const, domain_radius, dirs), 0.0
+    aff_b = np.concatenate([a_bar[None], diffs_a, np.broadcast_to(a_bar, (n, d, p))])
+    aff_u = np.concatenate([b_bar[None], diffs_b, b_bar - dataset.outer_c])
+    sups = _max_quadratic_on_ball(
+        np.concatenate([mom_mat[None], np.einsum("kdp,kdq->kpq", aff_b, aff_b)]),
+        np.concatenate([mom_vec[None], np.einsum("kdp,kd->kp", aff_b, aff_u)]),
+        np.concatenate([[mom_const], np.sum(aff_u * aff_u, axis=1)]),
+        domain_radius,
     )
+    var_g = float(sups[0])
 
     # A-priori tracker deviation: with y0 = 0 the first tracker value is a
     # convex combination of 0 and one inner value, so the gap to the inner
     # mean never exceeds max(sup ||g_j - g_bar||, sup ||g_bar||).
-    sup_mean = np.sqrt(_max_affine_norm_sq(a_bar, b_bar, domain_radius, dirs))
-    sup_dev = 0.0
-    for j in range(m):
-        sup_dev = max(
-            sup_dev,
-            _max_affine_norm_sq(diffs_a[j], diffs_b[j], domain_radius, dirs),
-        )
-    d_y = max(sup_mean, np.sqrt(sup_dev)) ** 2
+    d_y = float(np.max(sups[1 : m + 2]))
 
     # lip_f: largest gradient norm of an outer loss over the reachable set
     # {g_bar(x) : ||x|| <= R} inflated by the tracker deviation sqrt(d_y).
-    # All outer losses share the quadratic part, so candidate boundary
-    # points are scored against every target at once and only the best
-    # few (point, target) pairs are refined.
-    xs0 = domain_radius * dirs
-    u = xs0 @ a_bar.T + b_bar  # (k, d)
-    c = dataset.outer_c
-    dist_sq = (
-        np.sum(u * u, axis=1)[:, None]
-        - 2.0 * u @ c.T
-        + np.sum(c * c, axis=1)[None, :]
-    )
-    per_target = dist_sq.max(axis=0)
-    shortlist = np.argsort(per_target)[::-1][: min(8, c.shape[0])]
-    best = 0.0
-    for i in shortlist:
-        best = max(best, _max_affine_norm_sq(a_bar, b_bar - c[i], domain_radius, dirs))
-    lip_f = float(np.sqrt(best) + np.sqrt(d_y))
+    lip_f = float(np.sqrt(np.max(sups[m + 2 :])) + np.sqrt(d_y))
 
     return BoundParams(
         lip_f=lip_f,
@@ -499,7 +467,7 @@ def compute_constants(dataset: Dataset, domain_radius: float, grid: int = 512) -
         var_g=var_g,
         var_grad_g=var_grad_g,
         d_x=(2.0 * domain_radius) ** 2,
-        d_y=float(d_y),
+        d_y=d_y,
     )
 
 

@@ -287,7 +287,7 @@ def check_generalization_inequality(
         out = traj.final_output
         gap = population_risk(law, out) - empirical_risk(data, out)
         variance = law.inner_variance_at(out)
-        consts = compute_constants(data, cfg.domain_radius, grid=128)
+        consts = compute_constants(data, cfg.domain_radius)
         results.append((gap, variance, consts.lip_f, consts.lip_g))
     gaps = np.asarray([r[0] for r in results])
     variances = np.asarray([r[1] for r in results])

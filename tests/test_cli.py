@@ -51,6 +51,16 @@ class TestUsageErrors:
         assert code == 2
         assert "subcommand" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("schedule", "--n", "1" + "0" * 400),
+        ("optimize", "--seed", "1" + "0" * 400),
+        ("excess-risk", "--sizes", "8," + "1" + "0" * 400),
+    ])
+    def test_integer_beyond_float_range(self, capsys, argv):
+        code, _, err = dispatch(capsys, *argv)
+        assert code == 2
+        assert f"{argv[1].lstrip('-')} is out of range" in err
+
     def test_bad_replicates(self, capsys):
         code, _, err = dispatch(capsys, "tracking", "--replicates", "1")
         assert code == 2

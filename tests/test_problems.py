@@ -7,6 +7,7 @@ from scolab.core import Rng, project_ball
 from scolab.oracle import erm_minimizer
 from scolab.problems import (
     Dataset,
+    _max_quadratic_on_ball,
     InnerSample,
     OuterSample,
     PopulationLaw,
@@ -270,6 +271,119 @@ class TestComputeConstants:
             data = sample_dataset(benchmark_law(kind), 20, 20, RNG.split("sl" + kind))
             params = compute_constants(data, 10.0)
             assert params.sigma <= params.smooth_l + 1e-12
+
+    def test_var_g_exact_in_near_hard_case(self):
+        # Two inner maps a_bar +- D, offsets +-e: var_g = sup ||D x + e||^2.
+        # D'D = diag(1, 1 - delta) has a small eigengap and D'e has no weight
+        # on the top eigenvector, so the maximizer is the hard-case point with
+        # x_2 = s / delta and the sup is R^2 + s^2 / delta + t^2.
+        delta, t, radius = 1e-3, 1e-3, 10.0
+        dev_a = np.diag([1.0, np.sqrt(1.0 - delta)])
+        dev_b = np.array([0.0, t])
+        a_bar = np.array([[0.3, 0.1], [0.0, 0.5]])
+        data = Dataset(
+            inner_a=np.stack([a_bar + dev_a, a_bar - dev_a]),
+            inner_b=np.stack([dev_b, -dev_b]),
+            outer_c=np.zeros((3, 2)),
+        )
+        s = np.sqrt(1.0 - delta) * t
+        exact = radius**2 + s**2 / delta + t**2
+        assert compute_constants(data, radius).var_g == pytest.approx(exact, rel=1e-13)
+
+    def test_lip_f_over_all_targets(self):
+        # g_j(x) = alpha x +- e, so ||g_bar(x) - c|| peaks at alpha R + ||c||
+        # and d_y = (alpha R)^2; every target is a candidate.
+        alpha, radius = 0.7, 3.0
+        e = np.array([1e-3, 0.0, 0.0])
+        targets = RNG.split("lipf").generator().normal(size=(25, 3))
+        data = Dataset(
+            inner_a=np.stack([alpha * np.eye(3)] * 2),
+            inner_b=np.stack([e, -e]),
+            outer_c=targets,
+        )
+        params = compute_constants(data, radius)
+        assert params.d_y == pytest.approx((alpha * radius) ** 2, rel=1e-13)
+        far = np.max(np.linalg.norm(targets, axis=1))
+        assert params.lip_f == pytest.approx(2.0 * alpha * radius + far, rel=1e-13)
+
+
+class TestMaxQuadraticOnBall:
+    """Exact sup of x'Mx + 2v'x + c over ||x|| <= R against closed forms."""
+
+    @staticmethod
+    def solve(mat, vec, const, radius):
+        return float(_max_quadratic_on_ball(np.asarray(mat, float), np.asarray(vec, float),
+                                            const, radius))
+
+    def test_one_dimensional(self):
+        for m, v in ((2.0, 0.7), (0.5, -3.0), (0.0, 1.5), (1.0, 0.0)):
+            assert self.solve([[m]], [v], 0.25, 4.0) == pytest.approx(
+                m * 16.0 + 2.0 * abs(v) * 4.0 + 0.25, rel=1e-14)
+
+    def test_zero_matrix(self):
+        vec = np.array([0.3, -1.2, 0.4])
+        assert self.solve(np.zeros((3, 3)), vec, 1.0, 2.5) == pytest.approx(
+            2.0 * 2.5 * np.linalg.norm(vec) + 1.0, rel=1e-14)
+
+    def test_hard_case_without_linear_term(self):
+        assert self.solve(np.diag([2.0, 1.0]), [0.0, 0.0], 0.5, 3.0) == pytest.approx(
+            2.0 * 9.0 + 0.5, rel=1e-14)
+
+    def test_hard_case_with_off_top_component(self):
+        # max of x1^2 + (1 - delta) x2^2 + 2 s x2 on the sphere: x2 = s / delta
+        # when that lies inside the ball, value R^2 + s^2 / delta.
+        for delta, s, radius in ((0.5, 0.2, 2.0), (1e-3, 1e-3, 10.0), (1e-2, 1e-4, 1.0)):
+            assert s / delta < radius
+            got = self.solve(np.diag([1.0, 1.0 - delta]), [0.0, s], 0.1, radius)
+            assert got == pytest.approx(radius**2 + s**2 / delta + 0.1, rel=1e-13)
+
+    def test_rank_deficient_rotated(self):
+        # M = a q1 q1', v = s q2: x along q2 alone gives 2 s R; mixing in q1
+        # gives a R^2 + s^2 / a when s / a < R.
+        rot, _ = np.linalg.qr(RNG.split("rot").generator().normal(size=(3, 3)))
+        a, radius = 2.0, 1.5
+        mat = a * np.outer(rot[:, 0], rot[:, 0])
+        for s in (0.5, 1.0, 4.0, 10.0):
+            expected = a * radius**2 + s**2 / a if s / a < radius else 2.0 * s * radius
+            got = self.solve(mat, s * rot[:, 1], 0.0, radius)
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def random_problems(count, label):
+        gen = RNG.split(label).generator()
+        p = 4
+        mats, vecs = [], []
+        for k in range(count):
+            b = gen.normal(size=(3, p))
+            if k % 4 == 1:
+                b = np.outer(gen.normal(size=3), gen.normal(size=p))
+            elif k % 4 == 2:
+                b = np.zeros((3, p))
+            mat = b.T @ b
+            vec = gen.normal(size=p) * gen.uniform(0.0, 2.0)
+            if k % 4 == 3:
+                _, eigvecs = np.linalg.eigh(mat)
+                vec = 1e-3 * eigvecs[:, :-1] @ gen.normal(size=p - 1)
+            mats.append(mat)
+            vecs.append(vec)
+        return np.stack(mats), np.stack(vecs), gen.uniform(0.0, 2.0, size=count)
+
+    def test_batched_matches_per_problem(self):
+        mats, vecs, consts = self.random_problems(40, "batch")
+        batched = _max_quadratic_on_ball(mats, vecs, consts, 2.0)
+        single = [self.solve(mats[k], vecs[k], consts[k], 2.0) for k in range(40)]
+        np.testing.assert_allclose(batched, single, rtol=1e-13)
+
+    def test_dominates_sampled_sphere(self):
+        mats, vecs, consts = self.random_problems(200, "sphere")
+        radius = 3.0
+        exact = _max_quadratic_on_ball(mats, vecs, consts, radius)
+        pts = RNG.split("sphere-pts").generator().normal(size=(4000, 4))
+        pts *= radius / np.linalg.norm(pts, axis=1, keepdims=True)
+        sampled = (np.einsum("np,kpq,nq->kn", pts, mats, pts)
+                   + 2.0 * vecs @ pts.T + consts[:, None]).max(axis=1)
+        assert np.all(exact >= sampled - 1e-12 * np.abs(exact))
+        assert np.all(exact <= sampled + 0.05 * np.abs(exact))
 
 
 class TestInvariants:
