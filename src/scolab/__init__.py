@@ -7,7 +7,7 @@ minimizer oracles, closed-form reference bounds, coupled stability
 measurement, and reproducible Monte Carlo studies.
 """
 
-from .core import Rng, mat_vec, project_ball
+from .core import Rng, project_ball
 from .experiments import (
     ExcessRiskStudyResult,
     OptimizationStudyResult,
@@ -22,11 +22,8 @@ from .optimizer import (
     OptimizerConfig,
     Trajectory,
     Variant,
-    param_step,
     run,
     schedule_preset,
-    select_output,
-    tracking_step,
 )
 from .oracle import (
     BoundValue,
@@ -34,7 +31,6 @@ from .oracle import (
     erm_minimizer,
     fd_gradient_check,
     population_minimizer,
-    stability_bound,
     tracking_bound,
 )
 from .problems import (
@@ -48,11 +44,7 @@ from .problems import (
     empirical_inner,
     empirical_risk,
     empirical_risk_grad,
-    inner_eval,
-    inner_jac,
     load_dataset,
-    outer_eval,
-    outer_grad,
     population_risk,
     sample_dataset,
     save_dataset,

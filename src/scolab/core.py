@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Rng", "as_vector", "as_matrix", "project_ball", "mat_vec"]
+__all__ = ["Rng", "as_vector", "as_matrix", "project_ball"]
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -37,6 +37,17 @@ def as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
     return m
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)``, except that where ``||v||^2`` overflows the
+    norm of an exact power-of-two rescale of ``v`` is scaled back, so the
+    result is inf only if ``||v||`` itself exceeds the float range."""
+    nrm = float(np.linalg.norm(v))
+    if nrm == np.inf:
+        exp = np.frexp(np.max(np.abs(v)))[1]
+        nrm = float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
+    return nrm
+
+
 def project_ball(x, radius: float) -> np.ndarray:
     """Euclidean projection of ``x`` onto the origin-centered ball.
 
@@ -50,31 +61,25 @@ def project_ball(x, radius: float) -> np.ndarray:
         raise ValueError("non-finite vector")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("invalid domain")
-    nrm = float(np.linalg.norm(v))
+    nrm = _norm(v)
     if nrm <= radius:
         return v
+    if nrm == np.inf:
+        # ||v|| exceeds the float range; an exact power-of-two rescale
+        # keeps its direction.
+        v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
+        nrm = float(np.linalg.norm(v))
     out = v * (radius / nrm)
     # A single rescale can land an ulp outside the ball; repeat until the
     # norm test holds so that re-projection is a bitwise no-op.  The ratio
     # can round to exactly 1.0 right at the boundary, so force strict
     # shrinkage to guarantee progress.
-    while float(np.linalg.norm(out)) > radius:
-        scale = radius / float(np.linalg.norm(out))
+    while _norm(out) > radius:
+        scale = radius / _norm(out)
         if scale >= 1.0:
             scale = np.nextafter(1.0, 0.0)
         out = out * scale
     return out
-
-
-def mat_vec(j, v) -> np.ndarray:
-    """Matrix-vector product ``j @ v`` with explicit dimension checking."""
-    jm = as_matrix(j)
-    vv = as_vector(v)
-    if jm.shape[1] != vv.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {jm.shape}, vector has length {vv.shape[0]}"
-        )
-    return jm @ vv
 
 
 _U64 = 2**64

@@ -74,7 +74,6 @@ class StudyConfig:
     output_mode: str = "uniform_average"
     x0: np.ndarray | None = None
     t_max: int | None = None
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.study not in STUDIES:

@@ -10,9 +10,10 @@ and then takes the projected chain-rule step
 
     x <- project_ball(x - eta * jac_j(x) @ grad f_i(y), radius).
 
-Step sizes are constant over a run.  Outputs can be the last iterate,
-the uniform average of all iterates, a geometrically weighted average
-suited to strongly convex objectives, or a uniformly drawn iterate.
+Step sizes are constant over a run; ``_run_with_indices`` is the one
+implementation of the step.  Outputs can be the last iterate, the uniform
+average of all iterates, a geometrically weighted average suited to
+strongly convex objectives, or a uniformly drawn iterate.
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Rng, as_vector, mat_vec, project_ball
+from .core import Rng, as_vector, project_ball
 from .problems import Dataset
 
 __all__ = [
     "Variant",
     "OptimizerConfig",
     "Trajectory",
-    "tracking_step",
-    "param_step",
     "run",
-    "select_output",
     "schedule_preset",
 ]
 
@@ -41,33 +39,10 @@ OUTPUT_MODES = ("last", "uniform_average", "sigma_weighted", "uniform_random")
 
 MAX_STORED_ITERATES = 4096
 
-_ONE_BELOW = float(np.nextafter(1.0, 0.0))
-
 
 class Variant(Enum):
     SCGD = "scgd"
     SCSC = "scsc"
-
-
-def tracking_step(variant: Variant, y, g_cur, g_prev, beta: float) -> np.ndarray:
-    """One inner-tracker update; ``g_prev`` is ignored for SCGD."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    yv = as_vector(y)
-    gc = as_vector(g_cur, dim=yv.shape[0])
-    if variant is Variant.SCGD:
-        return (1.0 - beta) * yv + beta * gc
-    gp = as_vector(g_prev, dim=yv.shape[0])
-    return (1.0 - beta) * (yv + gc - gp) + beta * gc
-
-
-def param_step(x, jac, outer_g, eta: float, radius: float) -> np.ndarray:
-    """Projected gradient step through the inner Jacobian."""
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    xv = as_vector(x)
-    step = xv - eta * mat_vec(jac, outer_g)
-    return project_ball(step, radius)
 
 
 @dataclass(frozen=True)
@@ -123,6 +98,7 @@ class Trajectory:
     ``stored_steps`` lists which iterates (1-based step numbers) are kept
     in ``iterates``; long runs are thinned to a uniform stride of at most
     4096 stored points, but the running averages are exact regardless.
+    ``final_output`` is the output selected by ``output_mode``.
     ``tracking_sq_errors[t]`` is the squared gap between the tracker and
     the empirical inner mean at the pre-step point, for t = 0 .. T-1.
     """
@@ -136,23 +112,9 @@ class Trajectory:
     iterates: np.ndarray
     last: np.ndarray
     uniform_avg: np.ndarray
-    sigma_avg: np.ndarray | None
-    sigma: float | None
-    random_iterate: np.ndarray | None
     final_output: np.ndarray
     tracking_sq_errors: np.ndarray | None
     index_log: np.ndarray | None
-
-    @property
-    def is_full(self) -> bool:
-        return self.stored_steps.shape[0] == self.steps
-
-    @property
-    def initial_tracking_gap_sq(self) -> float:
-        """Measured squared gap of the first tracker value, ||y_1 - g_bar(x_0)||^2."""
-        if self.tracking_sq_errors is None:
-            raise ValueError("run was not recorded with record_tracking")
-        return float(self.tracking_sq_errors[0])
 
 
 def _storage_stride(steps: int) -> int:
@@ -199,7 +161,10 @@ def _run_with_indices(
     beta = cfg.beta
     one_minus_beta = 1.0 - beta
     radius = cfg.domain_radius
-    radius_sq = radius * radius
+    # project_ball moves x only if ||x|| > R; as sqrt(fl(R * R)) == R unless
+    # R * R underflows, this pre-test skips only points it would not move.
+    # The clamp keeps that true when R * R overflows.
+    radius_sq = min(radius * radius, np.finfo(float).max)
     scsc = cfg.variant is Variant.SCSC and beta != 1.0
 
     track = np.empty(steps) if cfg.record_tracking else None
@@ -212,7 +177,7 @@ def _run_with_indices(
         rho = 1.0 - cfg.sigma * eta / 2.0
         wacc = np.zeros(p)
         wsum = 0.0
-    random_iterate = None
+    drawn_iterate = None
 
     for t in range(steps):
         j = j_idx[t]
@@ -228,16 +193,8 @@ def _run_with_indices(
             track[t] = gap @ gap
         outer_g = y - outer_c[i_idx[t]]
         x_new = x - eta * (outer_g @ a_j)
-        nrm_sq = x_new @ x_new
-        if nrm_sq > radius_sq:
-            x_new *= radius / math.sqrt(nrm_sq)
-            # Match project_ball exactly: force strict shrinkage when the
-            # boundary ratio rounds to 1.0 so the loop always terminates.
-            while x_new @ x_new > radius_sq:
-                scale = radius / math.sqrt(x_new @ x_new)
-                if scale >= 1.0:
-                    scale = _ONE_BELOW
-                x_new *= scale
+        if x_new @ x_new > radius_sq:
+            x_new = project_ball(x_new, radius)
         x_prev = x
         x = x_new
         usum += x
@@ -251,19 +208,17 @@ def _run_with_indices(
                 stored_steps.append(step_no)
                 stored_iterates.append(x)
         if tau is not None and step_no == tau:
-            random_iterate = x
+            drawn_iterate = x
 
     uniform_avg = usum / steps
-    sigma_avg = wacc / wsum if sigma_mode else None
-
     if cfg.output_mode == "last":
         final = x
     elif cfg.output_mode == "uniform_average":
         final = uniform_avg
-    elif cfg.output_mode == "sigma_weighted":
-        final = sigma_avg
+    elif sigma_mode:
+        final = wacc / wsum
     else:
-        final = random_iterate
+        final = drawn_iterate
 
     index_log = None
     if cfg.record_indices:
@@ -279,57 +234,10 @@ def _run_with_indices(
         iterates=np.stack(stored_iterates),
         last=x,
         uniform_avg=uniform_avg,
-        sigma_avg=sigma_avg,
-        sigma=cfg.sigma if sigma_mode else None,
-        random_iterate=random_iterate,
         final_output=final,
         tracking_sq_errors=track,
         index_log=index_log,
     )
-
-
-def select_output(
-    traj: Trajectory,
-    mode: str,
-    sigma: float | None = None,
-    eta: float | None = None,
-) -> np.ndarray:
-    """Pick the run output for the requested mode.
-
-    The uniform and last-iterate outputs are always available.  The
-    geometrically weighted output is returned from the run's streaming
-    accumulator when it was configured, and otherwise recomputed in a
-    single pass over the iterates, which requires full recording.
-    """
-    if mode not in OUTPUT_MODES:
-        raise ValueError(f"unknown output mode {mode!r}")
-    if mode == "last":
-        return traj.last
-    if mode == "uniform_average":
-        return traj.uniform_avg
-    if mode == "uniform_random":
-        if traj.random_iterate is None:
-            raise ValueError("run did not record a uniformly drawn iterate")
-        return traj.random_iterate
-    if sigma is None:
-        sigma = traj.sigma
-    if eta is None:
-        eta = traj.eta
-    if sigma is None or not sigma > 0:
-        raise ValueError("sigma_weighted output needs sigma > 0")
-    if sigma * eta >= 2.0:
-        raise ValueError("unstable weights")
-    if traj.sigma_avg is not None and traj.sigma == sigma and traj.eta == eta:
-        return traj.sigma_avg
-    if not traj.is_full:
-        raise ValueError("sigma_weighted recomputation needs a fully recorded trajectory")
-    rho = 1.0 - sigma * eta / 2.0
-    acc = np.zeros(traj.iterates.shape[1])
-    wsum = 0.0
-    for point in traj.iterates:
-        acc = rho * acc + point
-        wsum = rho * wsum + 1.0
-    return acc / wsum
 
 
 # (iteration exponent, eta exponent, beta exponent) per variant and regime

@@ -1,8 +1,8 @@
 """Independent reference computations for the affine-quadratic family.
 
 Closed-form constrained minimizers (with projected-gradient fallback and
-cross-checking), finite-difference gradient validation, and evaluators
-for the closed-form reference bounds on tracking error and stability.
+cross-checking), finite-difference gradient validation, and the
+closed-form reference ceiling on the tracking error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "erm_minimizer",
     "population_minimizer",
     "tracking_bound",
-    "stability_bound",
     "fd_gradient_check",
 ]
 
@@ -171,62 +170,6 @@ def tracking_bound(
         formula=f"tracking_{variant.value}",
         value=float(decay + drift + noise),
         inputs={"t": t, "eta": eta, "beta": beta, "params": params},
-    )
-
-
-def stability_bound(
-    variant: Variant,
-    convexity: str,
-    steps: int,
-    n: int,
-    m: int,
-    eta: float,
-    beta: float,
-    params: BoundParams,
-) -> BoundValue:
-    """Shape proxy for the parameter-stability ceilings.
-
-    Evaluates the published growth expressions with every suppressed
-    constant set to one, so only scaling comparisons against it are
-    meaningful, never absolute magnitudes.
-    """
-    if convexity not in ("convex", "strongly_convex"):
-        raise ValueError(f"unknown convexity {convexity!r}")
-    if steps < 1 or n < 1 or m < 1:
-        raise ValueError("steps, n, m must be >= 1")
-    if not (eta > 0 and 0.0 < beta <= 1.0):
-        raise ValueError("need eta > 0 and beta in (0, 1]")
-    c = params.free_c
-    t = float(steps)
-    if convexity == "convex":
-        terms = [
-            eta * t / n,
-            eta * t / m,
-            eta * np.sqrt(t),
-            eta * t ** (1.0 - c / 2.0) * beta ** (-c / 2.0),
-            (eta**2) * t / beta if variant is Variant.SCGD else (eta**2) * t / np.sqrt(beta),
-            eta * np.sqrt(beta) * t,
-        ]
-    else:
-        terms = [
-            1.0 / n,
-            1.0 / m,
-            np.sqrt(eta),
-            eta / beta if variant is Variant.SCGD else eta / np.sqrt(beta),
-            np.sqrt(beta),
-            t ** (-c / 2.0) * beta ** (-c / 2.0),
-        ]
-    return BoundValue(
-        formula=f"stability_{convexity}_{variant.value}",
-        value=float(sum(terms)),
-        inputs={
-            "steps": steps,
-            "n": n,
-            "m": m,
-            "eta": eta,
-            "beta": beta,
-            "params": params,
-        },
     )
 
 

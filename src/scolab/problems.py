@@ -32,10 +32,6 @@ __all__ = [
     "Dataset",
     "PopulationLaw",
     "BoundParams",
-    "inner_eval",
-    "inner_jac",
-    "outer_eval",
-    "outer_grad",
     "sample_dataset",
     "empirical_inner",
     "empirical_risk",
@@ -85,32 +81,6 @@ class OuterSample:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OuterSample) and np.array_equal(self.c, other.c)
-
-
-def inner_eval(sample: InnerSample, x) -> np.ndarray:
-    """Value of the inner map at ``x``."""
-    return sample.a @ as_vector(x, dim=sample.a.shape[1]) + sample.b
-
-
-def inner_jac(sample: InnerSample, x) -> np.ndarray:
-    """Jacobian of the inner map, returned as the (p, d) matrix ``a.T``.
-
-    The orientation is chosen so that ``mat_vec(inner_jac(s, x), outer_grad)``
-    is the chain-rule gradient in parameter space.
-    """
-    as_vector(x, dim=sample.a.shape[1])
-    return np.ascontiguousarray(sample.a.T)
-
-
-def outer_eval(sample: OuterSample, y) -> float:
-    """Quadratic loss value at ``y``."""
-    diff = as_vector(y, dim=sample.c.shape[0]) - sample.c
-    return 0.5 * float(diff @ diff)
-
-
-def outer_grad(sample: OuterSample, y) -> np.ndarray:
-    """Gradient ``y - c`` of the quadratic loss."""
-    return as_vector(y, dim=sample.c.shape[0]) - sample.c
 
 
 @dataclass(frozen=True, eq=False)

@@ -107,6 +107,27 @@ class TestOptimize:
         assert header == ["t", "f_empirical", "tracking_sq_error", "x_norm"]
         assert len(rows) == 50
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_step_lands_on_sphere(self, capsys, tmp_path):
+        # ||x||^2 of the unprojected step overflows; the projection must
+        # still land on the sphere, not at the origin.
+        code, out, _ = dispatch(
+            capsys, "optimize", "--eta", "1e200", "--T", "5", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        norm = float(np.linalg.norm(json.loads(out)["x"]))
+        assert norm <= 10.0
+        assert norm == pytest.approx(10.0, rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_step_is_usage_error(self, capsys, tmp_path):
+        code, out, err = dispatch(
+            capsys, "optimize", "--eta", "1.7e308", "--T", "5", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite vector" in err
+
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = dispatch(
             capsys, "optimize", "--T", "5", "--out", str(tmp_path / "nope" / "x.csv"),

@@ -1,26 +1,14 @@
 import numpy as np
 import pytest
 
+from scalar_reference import inner_eval, inner_jac, outer_grad, param_step, tracking_step
 from scolab.core import Rng
-from scolab.optimizer import (
-    OptimizerConfig,
-    Trajectory,
-    Variant,
-    param_step,
-    run,
-    schedule_preset,
-    select_output,
-    tracking_step,
-)
+from scolab.optimizer import OUTPUT_MODES, OptimizerConfig, Variant, run, schedule_preset
 from scolab.problems import (
-    Dataset,
     PopulationLaw,
     benchmark_law,
     compute_constants,
     empirical_risk,
-    inner_eval,
-    inner_jac,
-    outer_grad,
     sample_dataset,
 )
 
@@ -65,9 +53,10 @@ class TestParamStep:
         out = param_step([1.0, 0.0], np.eye(2), [-100.0, 0.0], 1.0, 2.0)
         assert np.linalg.norm(out) == pytest.approx(2.0, abs=1e-12)
 
-    def test_eta_must_be_positive(self):
-        with pytest.raises(ValueError, match="eta"):
-            param_step([1.0], np.eye(1), [1.0], 0.0, 1.0)
+    def test_eta_zero_keeps_point(self):
+        # run() accepts eta = 0 as a no-movement run; the reference agrees.
+        out = param_step([0.5], np.eye(1), [1.0], 0.0, 1.0)
+        np.testing.assert_array_equal(out, [0.5])
 
 
 class TestRun:
@@ -113,14 +102,29 @@ class TestRun:
         norms = np.linalg.norm(traj.iterates, axis=1)
         assert np.all(norms <= 1.5 + 1e-12)
 
-    def test_matches_manual_composition(self):
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_iterates_stay_feasible_when_radius_squared_overflows(self):
+        # ||x||^2 and R^2 both overflow here; the projection must still fire.
+        data = sample_dataset(benchmark_law("convex"), 10, 10, RNG.split("feas"))
+        cfg = OptimizerConfig(variant=Variant.SCGD, steps=20, eta=1e100, beta=0.5,
+                              domain_radius=1e200)
+        traj = run(data, cfg, RNG.split("feasrun"))
+        norms = np.linalg.norm(traj.iterates / 1e200, axis=1)
+        assert np.all(norms <= 1.0 + 1e-12)
+        assert np.any(norms >= 1.0 - 1e-12)
+
+    @staticmethod
+    def _replay(variant, eta, radius):
+        """Run, replay the recorded indices through the scalar reference,
+        and return how many reference steps ended on the sphere."""
         data = sample_dataset(benchmark_law("convex"), 6, 7, RNG.split("man"))
-        cfg = OptimizerConfig(variant=Variant.SCSC, steps=40, eta=0.01, beta=0.3,
-                              record_indices=True)
+        cfg = OptimizerConfig(variant=variant, steps=40, eta=eta, beta=0.3,
+                              domain_radius=radius, record_indices=True)
         traj = run(data, cfg, RNG.split("manrun"))
         x = np.zeros(data.p)
         x_prev = x
         y = np.zeros(data.d)
+        on_sphere = 0
         for t in range(cfg.steps):
             j, i = traj.index_log[t]
             g_cur = inner_eval(data.inner_sample(j), x)
@@ -130,7 +134,17 @@ class TestRun:
             x_prev = x
             x = param_step(x, inner_jac(data.inner_sample(j), x), grad, cfg.eta,
                            cfg.domain_radius)
+            on_sphere += np.linalg.norm(x) > radius * (1 - 1e-12)
         np.testing.assert_allclose(traj.last, x, rtol=1e-14, atol=1e-14)
+        return on_sphere
+
+    def test_matches_manual_composition(self):
+        for variant in (Variant.SCGD, Variant.SCSC):
+            assert self._replay(variant, eta=0.01, radius=10.0) == 0
+
+    @pytest.mark.parametrize("variant", [Variant.SCGD, Variant.SCSC])
+    def test_matches_manual_composition_with_projection(self, variant):
+        assert self._replay(variant, eta=0.5, radius=0.3) > 0
 
     def test_thinning_lengths(self):
         data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("thin"))
@@ -139,7 +153,7 @@ class TestRun:
         assert traj.stored_steps.shape[0] <= 4096
         assert traj.stored_steps[-1] == 10_000
         assert traj.iterates.shape == (traj.stored_steps.shape[0], data.p)
-        assert not traj.is_full
+        assert traj.stored_steps.shape[0] < cfg.steps
 
     def test_tracking_error_length(self):
         data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("tl"))
@@ -164,91 +178,56 @@ class TestRun:
 
 
 class TestSelectOutput:
-    def _constant_traj(self, value, steps=1):
-        point = np.asarray(value, dtype=float)
-        iterates = np.tile(point, (steps, 1))
-        return Trajectory(
-            variant=Variant.SCGD,
-            steps=steps,
-            eta=1.0,
-            beta=0.5,
-            output_mode="last",
-            stored_steps=np.arange(1, steps + 1),
-            iterates=iterates,
-            last=point,
-            uniform_avg=iterates.mean(axis=0),
-            sigma_avg=None,
-            sigma=None,
-            random_iterate=point,
-            final_output=point,
-            tracking_sq_errors=None,
-            index_log=None,
-        )
+    """Each output mode as ``run`` returns it in ``final_output``."""
+
+    @staticmethod
+    def _run(mode, steps, eta=0.01, sigma=1.0, x0=None, label="out"):
+        data = sample_dataset(benchmark_law("strongly_convex"), 5, 5, RNG.split(label))
+        cfg = OptimizerConfig(variant=Variant.SCSC, steps=steps, eta=eta, beta=0.5, x0=x0,
+                              output_mode=mode, sigma=sigma)
+        return run(data, cfg, RNG.split(label + "run"))
 
     def test_single_step_all_modes_agree(self):
-        traj = self._constant_traj([2.0, -1.0], steps=1)
-        for mode in ("last", "uniform_average", "uniform_random"):
-            np.testing.assert_array_equal(select_output(traj, mode), [2.0, -1.0])
-        np.testing.assert_allclose(
-            select_output(traj, "sigma_weighted", sigma=1.0, eta=1.0), [2.0, -1.0]
-        )
+        outs = [self._run(mode, steps=1).final_output for mode in OUTPUT_MODES]
+        for out in outs:
+            np.testing.assert_array_equal(out, outs[0])
 
     def test_constant_trajectory(self):
-        traj = self._constant_traj([0.5, 0.5], steps=7)
-        for mode in ("last", "uniform_average", "uniform_random"):
-            np.testing.assert_allclose(select_output(traj, mode), [0.5, 0.5])
-        np.testing.assert_allclose(
-            select_output(traj, "sigma_weighted", sigma=0.5, eta=0.1), [0.5, 0.5]
-        )
+        # eta = 0 never moves the parameter, so every output is x0.
+        x0 = np.array([0.1, -0.7, 0.3, 1.0])
+        for mode in OUTPUT_MODES:
+            out = self._run(mode, steps=7, eta=0.0, sigma=0.5, x0=x0).final_output
+            np.testing.assert_allclose(out, x0, rtol=1e-15)
 
     def test_sigma_weights_hand_value(self):
-        iterates = np.array([[0.0], [1.0]])
-        traj = Trajectory(
-            variant=Variant.SCGD,
-            steps=2,
-            eta=1.0,
-            beta=0.5,
-            output_mode="last",
-            stored_steps=np.array([1, 2]),
-            iterates=iterates,
-            last=iterates[-1],
-            uniform_avg=iterates.mean(axis=0),
-            sigma_avg=None,
-            sigma=None,
-            random_iterate=None,
-            final_output=iterates[-1],
-            tracking_sq_errors=None,
-            index_log=None,
-        )
-        # weights (1 - 1/2)^(2-t): 0.5 on x_1, 1.0 on x_2
-        out = select_output(traj, "sigma_weighted", sigma=1.0, eta=1.0)
-        np.testing.assert_allclose(out, [2.0 / 3.0], atol=1e-15)
+        # sigma * eta = 1 gives rho = 1/2: weight 0.5 on x_1 and 1.0 on x_2.
+        traj = self._run("sigma_weighted", steps=2, eta=1.0, sigma=1.0)
+        x1, x2 = traj.iterates
+        np.testing.assert_allclose(traj.final_output, (0.5 * x1 + x2) / 1.5, atol=1e-15)
 
     def test_unstable_weights_rejected(self):
-        traj = self._constant_traj([0.0], steps=2)
         with pytest.raises(ValueError, match="unstable weights"):
-            select_output(traj, "sigma_weighted", sigma=2.0, eta=1.0)
+            self._run("sigma_weighted", steps=2, eta=1.0, sigma=2.0)
+        # Just inside the limit the weights still decay and the output is finite.
+        assert np.all(np.isfinite(self._run("sigma_weighted", steps=2, eta=1.0, sigma=1.99).final_output))
 
     def test_uniform_average_matches_full_iterates(self):
-        data = sample_dataset(benchmark_law("convex"), 5, 5, RNG.split("ua"))
-        cfg = OptimizerConfig(variant=Variant.SCGD, steps=50, eta=0.01, beta=0.5)
-        traj = run(data, cfg, RNG.split("uarun"))
-        assert traj.is_full
+        traj = self._run("uniform_average", steps=50, label="ua")
+        assert traj.stored_steps.shape[0] == 50
+        np.testing.assert_array_equal(traj.final_output, traj.uniform_avg)
         np.testing.assert_allclose(traj.uniform_avg, traj.iterates.mean(axis=0), atol=1e-13)
 
     def test_streaming_sigma_average_matches_recomputation(self):
-        data = sample_dataset(benchmark_law("strongly_convex"), 5, 5, RNG.split("sw"))
-        cfg = OptimizerConfig(variant=Variant.SCSC, steps=64, eta=0.05, beta=0.5,
-                              output_mode="sigma_weighted", sigma=1.2)
-        traj = run(data, cfg, RNG.split("swrun"))
-        recomputed = select_output(traj, "sigma_weighted", sigma=1.2, eta=0.04)
-        # eta mismatch forces the recomputation path; repeat with the run eta
-        np.testing.assert_allclose(
-            select_output(traj, "sigma_weighted", sigma=1.2, eta=cfg.eta),
-            traj.sigma_avg,
-            atol=0,
-        )
-        assert recomputed.shape == traj.sigma_avg.shape
+        sigma, eta = 1.2, 0.05
+        traj = self._run("sigma_weighted", steps=64, eta=eta, sigma=sigma, label="sw")
+        assert traj.stored_steps.shape[0] == 64
+        rho = 1.0 - sigma * eta / 2.0
+        acc = np.zeros(traj.iterates.shape[1])
+        wsum = 0.0
+        for point in traj.iterates:
+            acc = rho * acc + point
+            wsum = rho * wsum + 1.0
+        np.testing.assert_allclose(traj.final_output, acc / wsum, rtol=1e-15, atol=0)
 
 
 class TestSchedulePreset:
@@ -323,5 +302,5 @@ class TestConfigValidation:
         cfg = OptimizerConfig(variant=Variant.SCGD, steps=30, eta=1e-2, beta=0.5,
                               output_mode="uniform_random")
         traj = run(data, cfg, RNG.split("urrun"))
-        assert traj.random_iterate is not None
-        assert any(np.array_equal(traj.random_iterate, it) for it in traj.iterates)
+        assert traj.stored_steps.shape[0] == cfg.steps
+        assert any(np.array_equal(traj.final_output, it) for it in traj.iterates)

@@ -11,7 +11,6 @@ from scolab.oracle import (
     erm_minimizer,
     fd_gradient_check,
     population_minimizer,
-    stability_bound,
     tracking_bound,
 )
 from scolab.problems import (
@@ -171,57 +170,6 @@ class TestTrackingBound:
                 tracking_bound(variant, 7, hi, 0.01, 0.1).value
                 > tracking_bound(variant, 7, lo, 0.01, 0.1).value
             )
-
-
-class TestStabilityBound:
-    def test_sample_size_terms_halve(self):
-        params = unit_params(free_c=2.0)
-        small = stability_bound(Variant.SCGD, "convex", 100, 10, 10, 1e-3, 0.1, params)
-        large = stability_bound(Variant.SCGD, "convex", 100, 20, 20, 1e-3, 0.1, params)
-        eta_t = 1e-3 * 100
-        assert small.value - large.value == pytest.approx(eta_t / 10, rel=1e-12)
-
-    def test_variant_gap_is_exactly_the_tracking_term(self):
-        params = unit_params(free_c=2.0)
-        eta, beta, steps = 1e-2, 0.25, 500
-        scgd = stability_bound(Variant.SCGD, "convex", steps, 50, 50, eta, beta, params)
-        scsc = stability_bound(Variant.SCSC, "convex", steps, 50, 50, eta, beta, params)
-        scgd_term = eta**2 * steps / beta
-        assert scgd.value - scsc.value == pytest.approx(
-            scgd_term * (1.0 - math.sqrt(beta)), rel=1e-12
-        )
-
-    def test_independent_reevaluation(self):
-        params = unit_params(free_c=2.0)
-        steps = 1024
-        eta = beta = float(steps) ** -0.8
-        got = stability_bound(Variant.SCSC, "convex", steps, 32, 32, eta, beta, params).value
-        c = 2.0
-        expected = (
-            eta * steps / 32
-            + eta * steps / 32
-            + eta * steps**0.5
-            + eta * steps ** (1 - c / 2) * beta ** (-c / 2)
-            + eta**2 * beta**-0.5 * steps
-            + eta * beta**0.5 * steps
-        )
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_strongly_convex_forms(self):
-        params = unit_params(free_c=2.0)
-        eta, beta, steps = 1e-2, 0.25, 256
-        scgd = stability_bound(
-            Variant.SCGD, "strongly_convex", steps, 50, 40, eta, beta, params
-        ).value
-        expected = (
-            1 / 50 + 1 / 40 + math.sqrt(eta) + eta / beta + math.sqrt(beta)
-            + steps**-1.0 * beta**-1.0
-        )
-        assert scgd == pytest.approx(expected, abs=1e-12)
-        scsc = stability_bound(
-            Variant.SCSC, "strongly_convex", steps, 50, 40, eta, beta, params
-        ).value
-        assert scgd - scsc == pytest.approx(eta / beta - eta / math.sqrt(beta), rel=1e-12)
 
     def test_nonnegative_value_enforced(self):
         with pytest.raises(ValueError):

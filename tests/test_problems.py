@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scalar_reference import inner_eval, inner_jac, outer_eval, outer_grad
 from scolab.core import Rng, project_ball
 from scolab.oracle import erm_minimizer
 from scolab.problems import (
@@ -16,11 +17,7 @@ from scolab.problems import (
     empirical_inner,
     empirical_risk,
     empirical_risk_grad,
-    inner_eval,
-    inner_jac,
     load_dataset,
-    outer_eval,
-    outer_grad,
     population_risk,
     sample_dataset,
     save_dataset,
