@@ -36,8 +36,6 @@ from .oracle import (
 from .problems import (
     BoundParams,
     Dataset,
-    InnerSample,
-    OuterSample,
     PopulationLaw,
     benchmark_law,
     compute_constants,
@@ -52,7 +50,6 @@ from .problems import (
 from .stability import (
     CoupledResult,
     GapReport,
-    NeighborSpec,
     StabilityEstimate,
     check_generalization_inequality,
     coupled_run,

@@ -40,11 +40,13 @@ def as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm(v)``, except that where ``||v||^2`` overflows the
     norm of an exact power-of-two rescale of ``v`` is scaled back, so the
-    result is inf only if ``||v||`` itself exceeds the float range."""
-    nrm = float(np.linalg.norm(v))
-    if nrm == np.inf:
-        exp = np.frexp(np.max(np.abs(v)))[1]
-        nrm = float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
+    result is inf only if ``||v||`` itself exceeds the float range.  Both
+    overflows are expected, so numpy does not warn about them."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+        if nrm == np.inf:
+            exp = np.frexp(np.max(np.abs(v)))[1]
+            nrm = float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
     return nrm
 
 

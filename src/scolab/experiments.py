@@ -26,6 +26,7 @@ from .problems import (
     population_risk,
     sample_dataset,
 )
+from .stability import _mean_se
 
 __all__ = [
     "StudyConfig",
@@ -229,16 +230,7 @@ def optimization_study(cfg: StudyConfig) -> OptimizationStudyResult:
         for rep in range(cfg.replicates):
             traj = run(data, opt_cfg, root.split(f"grid-{gi}-rep-{rep}"))
             gaps.append(empirical_risk(data, traj.final_output) - cert.value)
-        gaps = np.asarray(gaps)
-        rows.append(
-            OptimizationRow(
-                steps=steps,
-                eta=eta,
-                beta=beta,
-                gap_mean=float(np.mean(gaps)),
-                gap_se=float(np.std(gaps, ddof=1) / np.sqrt(cfg.replicates)),
-            )
-        )
+        rows.append(OptimizationRow(steps, eta, beta, *_mean_se(np.asarray(gaps))))
     return OptimizationStudyResult(rows=rows, minimizer_value=cert.value)
 
 
@@ -265,16 +257,15 @@ def excess_risk_study(cfg: StudyConfig) -> ExcessRiskStudyResult:
     law = cfg.resolve_law()
     root = Rng(cfg.seed).split("excess-study")
     pop = population_minimizer(law, cfg.domain_radius)
+    sigma = None
+    if cfg.output_mode == "sigma_weighted":
+        sigma = max(float(np.linalg.eigvalsh(law.a0.T @ law.a0)[0]), 0.0)
 
     rows = []
     for gi, size in enumerate(cfg.size_grid):
         steps, eta, beta = schedule_preset(
             cfg.variant, cfg.convexity, size, size, t_max=cfg.t_max
         )
-        sigma = None
-        if cfg.output_mode == "sigma_weighted":
-            gram = law.a0.T @ law.a0
-            sigma = max(float(np.linalg.eigvalsh(gram)[0]), 0.0)
         opt_cfg = OptimizerConfig(
             variant=cfg.variant,
             steps=steps,
@@ -291,18 +282,7 @@ def excess_risk_study(cfg: StudyConfig) -> ExcessRiskStudyResult:
             data = sample_dataset(law, size, size, rep_rng.split("data"))
             traj = run(data, opt_cfg, rep_rng.split("opt"))
             excess.append(population_risk(law, traj.final_output) - pop.value)
-        excess = np.asarray(excess)
-        rows.append(
-            ExcessRow(
-                n=size,
-                m=size,
-                steps=steps,
-                eta=eta,
-                beta=beta,
-                excess_mean=float(np.mean(excess)),
-                excess_se=float(np.std(excess, ddof=1) / np.sqrt(cfg.replicates)),
-            )
-        )
+        rows.append(ExcessRow(size, size, steps, eta, beta, *_mean_se(np.asarray(excess))))
     if len(rows) >= 2:
         slope = fit_loglog_slope(
             [r.n for r in rows], [max(r.excess_mean, 1e-300) for r in rows]

@@ -11,9 +11,11 @@ and then takes the projected chain-rule step
     x <- project_ball(x - eta * jac_j(x) @ grad f_i(y), radius).
 
 Step sizes are constant over a run; ``_run_with_indices`` is the one
-implementation of the step.  Outputs can be the last iterate, the uniform
-average of all iterates, a geometrically weighted average suited to
-strongly convex objectives, or a uniformly drawn iterate.
+implementation of the step, and ``_draw_indices`` the one draw of a
+run's indices, which coupled runs share.  Outputs can be the last
+iterate, the uniform average of all iterates, a geometrically weighted
+average suited to strongly convex objectives, or a uniformly drawn
+iterate.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class OptimizerConfig:
     output_mode: str = "last"
     sigma: float | None = None
     record_tracking: bool = False
-    record_indices: bool = False
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -98,23 +99,17 @@ class Trajectory:
     ``stored_steps`` lists which iterates (1-based step numbers) are kept
     in ``iterates``; long runs are thinned to a uniform stride of at most
     4096 stored points, but the running averages are exact regardless.
-    ``final_output`` is the output selected by ``output_mode``.
+    ``final_output`` is the output selected by the config's ``output_mode``.
     ``tracking_sq_errors[t]`` is the squared gap between the tracker and
     the empirical inner mean at the pre-step point, for t = 0 .. T-1.
     """
 
-    variant: Variant
-    steps: int
-    eta: float
-    beta: float
-    output_mode: str
     stored_steps: np.ndarray
     iterates: np.ndarray
     last: np.ndarray
     uniform_avg: np.ndarray
     final_output: np.ndarray
     tracking_sq_errors: np.ndarray | None
-    index_log: np.ndarray | None
 
 
 def _storage_stride(steps: int) -> int:
@@ -122,21 +117,24 @@ def _storage_stride(steps: int) -> int:
     return max(stride, 1)
 
 
-def run(dataset: Dataset, cfg: OptimizerConfig, rng: Rng) -> Trajectory:
-    """Execute a full optimization run; deterministic given ``rng``.
-
-    The inner and outer index sequences are drawn up front as two blocks
-    from the stream (inner first), followed by the uniform output draw
-    when that mode is requested, so coupled executions can share the
-    realized randomness exactly.
-    """
+def _draw_indices(
+    dataset: Dataset, cfg: OptimizerConfig, rng: Rng
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """A run's randomness, drawn up front from ``rng``: the inner index
+    block, then the outer index block, then the uniform output draw when
+    that mode is requested.  Coupled runs share one such draw."""
     gen = rng.generator()
     j_idx = gen.integers(0, dataset.m, size=cfg.steps, dtype=np.int64)
     i_idx = gen.integers(0, dataset.n, size=cfg.steps, dtype=np.int64)
     tau = None
     if cfg.output_mode == "uniform_random":
         tau = int(gen.integers(1, cfg.steps + 1))
-    return _run_with_indices(dataset, cfg, j_idx, i_idx, tau)
+    return j_idx, i_idx, tau
+
+
+def run(dataset: Dataset, cfg: OptimizerConfig, rng: Rng) -> Trajectory:
+    """Execute a full optimization run; deterministic given ``rng``."""
+    return _run_with_indices(dataset, cfg, *_draw_indices(dataset, cfg, rng))
 
 
 def _run_with_indices(
@@ -179,36 +177,39 @@ def _run_with_indices(
         wsum = 0.0
     drawn_iterate = None
 
-    for t in range(steps):
-        j = j_idx[t]
-        a_j = inner_a[j]
-        g_cur = a_j @ x + inner_b[j]
-        if scsc:
-            g_prev = a_j @ x_prev + inner_b[j]
-            y = one_minus_beta * (y + g_cur - g_prev) + beta * g_cur
-        else:
-            y = one_minus_beta * y + beta * g_cur
-        if track is not None:
-            gap = y - (a_bar @ x + b_bar)
-            track[t] = gap @ gap
-        outer_g = y - outer_c[i_idx[t]]
-        x_new = x - eta * (outer_g @ a_j)
-        if x_new @ x_new > radius_sq:
-            x_new = project_ball(x_new, radius)
-        x_prev = x
-        x = x_new
-        usum += x
-        if sigma_mode:
-            wacc *= rho
-            wacc += x
-            wsum = rho * wsum + 1.0
-        step_no = t + 1
-        if step_no % stride == 0 or step_no == steps:
-            if not stored_steps or stored_steps[-1] != step_no:
-                stored_steps.append(step_no)
-                stored_iterates.append(x)
-        if tau is not None and step_no == tau:
-            drawn_iterate = x
+    # A huge step may overflow ||x||^2 to inf; the pre-test then fires and
+    # project_ball handles it, so numpy's overflow warning is noise.
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            j = j_idx[t]
+            a_j = inner_a[j]
+            g_cur = a_j @ x + inner_b[j]
+            if scsc:
+                g_prev = a_j @ x_prev + inner_b[j]
+                y = one_minus_beta * (y + g_cur - g_prev) + beta * g_cur
+            else:
+                y = one_minus_beta * y + beta * g_cur
+            if track is not None:
+                gap = y - (a_bar @ x + b_bar)
+                track[t] = gap @ gap
+            outer_g = y - outer_c[i_idx[t]]
+            x_new = x - eta * (outer_g @ a_j)
+            if x_new @ x_new > radius_sq:
+                x_new = project_ball(x_new, radius)
+            x_prev = x
+            x = x_new
+            usum += x
+            if sigma_mode:
+                wacc *= rho
+                wacc += x
+                wsum = rho * wsum + 1.0
+            step_no = t + 1
+            if step_no % stride == 0 or step_no == steps:
+                if not stored_steps or stored_steps[-1] != step_no:
+                    stored_steps.append(step_no)
+                    stored_iterates.append(x)
+            if tau is not None and step_no == tau:
+                drawn_iterate = x
 
     uniform_avg = usum / steps
     if cfg.output_mode == "last":
@@ -220,23 +221,13 @@ def _run_with_indices(
     else:
         final = drawn_iterate
 
-    index_log = None
-    if cfg.record_indices:
-        index_log = np.stack([j_idx, i_idx], axis=1)
-
     return Trajectory(
-        variant=cfg.variant,
-        steps=steps,
-        eta=eta,
-        beta=beta,
-        output_mode=cfg.output_mode,
         stored_steps=np.asarray(stored_steps, dtype=np.int64),
         iterates=np.stack(stored_iterates),
         last=x,
         uniform_avg=uniform_avg,
         final_output=final,
         tracking_sq_errors=track,
-        index_log=index_log,
     )
 
 

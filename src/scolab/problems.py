@@ -3,7 +3,8 @@
 The inner family maps parameters ``x`` in R^p to R^d through an affine
 map ``g(x) = A x + b``, one ``(A, b)`` per inner sample; the outer family
 scores a d-vector ``y`` through the quadratic loss
-``f(y) = 0.5 * ||y - c||^2``, one target ``c`` per outer sample.
+``f(y) = 0.5 * ||y - c||^2``, one target ``c`` per outer sample.  A
+:class:`Dataset` stacks the samples of each side, one row per sample.
 Averaging the inner family over a dataset and composing gives the nested
 empirical objective
 
@@ -27,8 +28,6 @@ import numpy as np
 from .core import Rng, as_matrix, as_vector
 
 __all__ = [
-    "InnerSample",
-    "OuterSample",
     "Dataset",
     "PopulationLaw",
     "BoundParams",
@@ -44,53 +43,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InnerSample:
-    """One inner map ``g(x) = a @ x + b`` with ``a`` of shape (d, p)."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = as_matrix(self.a)
-        b = as_vector(self.b, dim=a.shape[0])
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("non-finite inner sample")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, InnerSample)
-            and np.array_equal(self.a, other.a)
-            and np.array_equal(self.b, other.b)
-        )
-
-
-@dataclass(frozen=True)
-class OuterSample:
-    """One outer loss ``f(y) = 0.5 * ||y - c||^2``."""
-
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = as_vector(self.c)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite outer sample")
-        object.__setattr__(self, "c", c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OuterSample) and np.array_equal(self.c, other.c)
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Stacked training data: m inner samples and n outer samples.
 
     ``inner_a`` has shape (m, d, p), ``inner_b`` shape (m, d) and
-    ``outer_c`` shape (n, d).  Instances are immutable; the per-dataset
-    means and spreads that the optimizers and oracles need repeatedly
-    are cached on first use.
+    ``outer_c`` shape (n, d); sample j is row j of its side, and this is
+    the only form training data takes.  Instances are immutable; the
+    per-dataset means and spreads that the optimizers and oracles need
+    repeatedly are cached on first use.
     """
 
     inner_a: np.ndarray
@@ -115,16 +76,6 @@ class Dataset:
         object.__setattr__(self, "inner_b", b)
         object.__setattr__(self, "outer_c", c)
 
-    @classmethod
-    def from_samples(cls, outer: list[OuterSample], inner: list[InnerSample]) -> "Dataset":
-        if not outer or not inner:
-            raise ValueError("empty dataset")
-        return cls(
-            inner_a=np.stack([s.a for s in inner]),
-            inner_b=np.stack([s.b for s in inner]),
-            outer_c=np.stack([s.c for s in outer]),
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Dataset)
@@ -148,12 +99,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.inner_a.shape[2]
-
-    def inner_sample(self, j: int) -> InnerSample:
-        return InnerSample(self.inner_a[j], self.inner_b[j])
-
-    def outer_sample(self, i: int) -> OuterSample:
-        return OuterSample(self.outer_c[i])
 
     @cached_property
     def a_bar(self) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Empirical measurement of parameter stability under sample replacement.
 
 A neighboring dataset differs from the original in exactly one inner or
-one outer sample.  Stability is estimated by running the optimizer on
-both datasets with the *same* realized index sequence (a coupled pair)
-and measuring the distance between the two outputs.  Coupling fixes the
-algorithm's internal randomness, which is the quantity the replacement
-experiment is meant to isolate; an uncoupled mode that redraws the
-second index sequence is available for comparison and measures a
-larger, noise-dominated displacement.
+one outer sample; :func:`make_neighbor` builds it by copying one row of
+a donor dataset into place.  Stability is estimated by running the
+optimizer on both datasets with the *same* realized index sequence (a
+coupled pair) and measuring the distance between the two outputs.
+Coupling fixes the algorithm's internal randomness, which is the
+quantity the replacement experiment is meant to isolate; an uncoupled
+mode that redraws the second index sequence is available for comparison
+and measures a larger, noise-dominated displacement.
 
 The replaced position is drawn uniformly per replicate, so the reported
 estimates are average-case readings of the worst-case quantity; scaling
@@ -17,16 +18,15 @@ replicate order; the ``threads`` arguments are accepted and ignored.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Rng
-from .optimizer import OptimizerConfig, Trajectory, _run_with_indices, run
+from .optimizer import OptimizerConfig, _draw_indices, _run_with_indices, run
 from .problems import (
     Dataset,
-    InnerSample,
-    OuterSample,
     PopulationLaw,
     compute_constants,
     empirical_risk,
@@ -35,7 +35,6 @@ from .problems import (
 )
 
 __all__ = [
-    "NeighborSpec",
     "CoupledResult",
     "StabilityEstimate",
     "GapReport",
@@ -46,38 +45,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NeighborSpec:
-    """Replacement instruction: which side, which position, which sample."""
+def make_neighbor(dataset: Dataset, kind: str, index: int, donor: Dataset) -> Dataset:
+    """Copy of the dataset with one sample replaced by row 0 of ``donor``.
 
-    kind: str  # "nu" replaces an outer sample, "omega" an inner sample
-    index: int
-    replacement: OuterSample | InnerSample
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("nu", "omega"):
-            raise ValueError(f"unknown neighbor kind {self.kind!r}")
-        if self.kind == "nu" and not isinstance(self.replacement, OuterSample):
-            raise ValueError("nu replacement must be an outer sample")
-        if self.kind == "omega" and not isinstance(self.replacement, InnerSample):
-            raise ValueError("omega replacement must be an inner sample")
-
-
-def make_neighbor(dataset: Dataset, spec: NeighborSpec) -> Dataset:
-    """Copy of the dataset with exactly one sample replaced."""
-    if spec.kind == "nu":
-        if not 0 <= spec.index < dataset.n:
-            raise IndexError(f"outer index {spec.index} out of range [0, {dataset.n})")
-        outer = dataset.outer_c.copy()
-        outer[spec.index] = spec.replacement.c
-        return Dataset(inner_a=dataset.inner_a, inner_b=dataset.inner_b, outer_c=outer)
-    if not 0 <= spec.index < dataset.m:
-        raise IndexError(f"inner index {spec.index} out of range [0, {dataset.m})")
-    inner_a = dataset.inner_a.copy()
-    inner_b = dataset.inner_b.copy()
-    inner_a[spec.index] = spec.replacement.a
-    inner_b[spec.index] = spec.replacement.b
-    return Dataset(inner_a=inner_a, inner_b=inner_b, outer_c=dataset.outer_c)
+    ``kind`` "nu" replaces outer sample ``index``, "omega" inner sample
+    ``index``; the donor's other rows and other side are ignored.
+    """
+    if kind not in ("nu", "omega"):
+        raise ValueError(f"unknown neighbor kind {kind!r}")
+    if donor.inner_a.shape[1:] != dataset.inner_a.shape[1:]:
+        raise ValueError("donor dimensions do not match the dataset")
+    fields = ("outer_c",) if kind == "nu" else ("inner_a", "inner_b")
+    size = dataset.n if kind == "nu" else dataset.m
+    if not 0 <= index < size:
+        raise IndexError(f"{kind} index {index} out of range [0, {size})")
+    rows = {}
+    for name in fields:
+        rows[name] = getattr(dataset, name).copy()
+        rows[name][index] = getattr(donor, name)[0]
+    return dataclasses.replace(dataset, **rows)
 
 
 @dataclass(frozen=True)
@@ -85,8 +71,6 @@ class CoupledResult:
     output: np.ndarray
     neighbor_output: np.ndarray
     distance: float
-    trajectory: Trajectory
-    neighbor_trajectory: Trajectory
 
 
 def coupled_run(
@@ -105,25 +89,13 @@ def coupled_run(
     """
     if (dataset.n, dataset.m) != (neighbor.n, neighbor.m):
         raise ValueError("non-neighboring datasets")
-    gen = rng.split("indices").generator()
-    j_idx = gen.integers(0, dataset.m, size=cfg.steps, dtype=np.int64)
-    i_idx = gen.integers(0, dataset.n, size=cfg.steps, dtype=np.int64)
-    tau = None
-    if cfg.output_mode == "uniform_random":
-        tau = int(gen.integers(1, cfg.steps + 1))
-    traj = _run_with_indices(dataset, cfg, j_idx, i_idx, tau)
+    indices = _draw_indices(dataset, cfg, rng.split("indices"))
+    out = _run_with_indices(dataset, cfg, *indices).final_output
     if coupled:
-        traj_nb = _run_with_indices(neighbor, cfg, j_idx, i_idx, tau)
+        out_nb = _run_with_indices(neighbor, cfg, *indices).final_output
     else:
-        traj_nb = run(neighbor, cfg, rng.split("uncoupled-indices"))
-    dist = float(np.linalg.norm(traj.final_output - traj_nb.final_output))
-    return CoupledResult(
-        output=traj.final_output,
-        neighbor_output=traj_nb.final_output,
-        distance=dist,
-        trajectory=traj,
-        neighbor_trajectory=traj_nb,
-    )
+        out_nb = run(neighbor, cfg, rng.split("uncoupled-indices")).final_output
+    return CoupledResult(out, out_nb, float(np.linalg.norm(out - out_nb)))
 
 
 @dataclass(frozen=True)
@@ -160,26 +132,15 @@ def _stability_replicate(
     coupled: bool,
 ) -> tuple[float, float]:
     data = sample_dataset(law, n, m, rep_rng.split("data"))
-    d_nu = np.nan
-    d_omega = np.nan
-    if "nu" in kinds:
-        swap = sample_dataset(law, 1, 1, rep_rng.split("swap-nu"))
-        index = int(rep_rng.split("index-nu").generator().integers(0, n))
-        neighbor = make_neighbor(
-            data, NeighborSpec("nu", index, OuterSample(swap.outer_c[0]))
-        )
-        d_nu = coupled_run(data, neighbor, cfg, rep_rng.split("run-nu"), coupled).distance
-    if "omega" in kinds:
-        swap = sample_dataset(law, 1, 1, rep_rng.split("swap-omega"))
-        index = int(rep_rng.split("index-omega").generator().integers(0, m))
-        neighbor = make_neighbor(
-            data,
-            NeighborSpec("omega", index, InnerSample(swap.inner_a[0], swap.inner_b[0])),
-        )
-        d_omega = coupled_run(
-            data, neighbor, cfg, rep_rng.split("run-omega"), coupled
-        ).distance
-    return d_nu, d_omega
+    distance = {"nu": np.nan, "omega": np.nan}
+    for kind in kinds:
+        donor = sample_dataset(law, 1, 1, rep_rng.split(f"swap-{kind}"))
+        size = n if kind == "nu" else m
+        index = int(rep_rng.split(f"index-{kind}").generator().integers(0, size))
+        neighbor = make_neighbor(data, kind, index, donor)
+        run_rng = rep_rng.split(f"run-{kind}")
+        distance[kind] = coupled_run(data, neighbor, cfg, run_rng, coupled).distance
+    return distance["nu"], distance["omega"]
 
 
 def estimate_stability(

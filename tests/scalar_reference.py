@@ -2,8 +2,9 @@
 
 The library implements the step once, inside ``scolab.optimizer``'s run
 loop.  This module spells the same step out sample by sample, one
-function per formula, so that the tests can replay a run's recorded
-indices through it and compare.
+function per formula, so that the tests can replay a run's indices
+through it and compare.  A sample is passed as its rows of the dataset:
+``(a, b)`` for an inner map, ``c`` for an outer loss.
 """
 
 import numpy as np
@@ -20,27 +21,40 @@ def mat_vec(j, v) -> np.ndarray:
     return jm @ vv
 
 
-def inner_eval(sample, x) -> np.ndarray:
+def inner_eval(a, b, x) -> np.ndarray:
     """Value ``a @ x + b`` of an inner map."""
-    return sample.a @ as_vector(x, dim=sample.a.shape[1]) + sample.b
+    am = as_matrix(a)
+    return am @ as_vector(x, dim=am.shape[1]) + as_vector(b, dim=am.shape[0])
 
 
-def inner_jac(sample, x) -> np.ndarray:
+def inner_jac(a, x) -> np.ndarray:
     """Jacobian of an inner map as the (p, d) matrix ``a.T``, so that
-    ``mat_vec(inner_jac(s, x), outer_grad(o, y))`` is the chain-rule gradient."""
-    as_vector(x, dim=sample.a.shape[1])
-    return np.ascontiguousarray(sample.a.T)
+    ``mat_vec(inner_jac(a, x), outer_grad(c, y))`` is the chain-rule gradient."""
+    am = as_matrix(a)
+    as_vector(x, dim=am.shape[1])
+    return np.ascontiguousarray(am.T)
 
 
-def outer_eval(sample, y) -> float:
+def outer_eval(c, y) -> float:
     """Quadratic loss ``0.5 * ||y - c||^2``."""
-    diff = as_vector(y, dim=sample.c.shape[0]) - sample.c
+    cv = as_vector(c)
+    diff = as_vector(y, dim=cv.shape[0]) - cv
     return 0.5 * float(diff @ diff)
 
 
-def outer_grad(sample, y) -> np.ndarray:
+def outer_grad(c, y) -> np.ndarray:
     """Gradient ``y - c`` of the quadratic loss."""
-    return as_vector(y, dim=sample.c.shape[0]) - sample.c
+    cv = as_vector(c)
+    return as_vector(y, dim=cv.shape[0]) - cv
+
+
+def drawn_indices(dataset, steps: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The (inner, outer) index sequences a run draws from ``rng``,
+    re-derived from the documented order: the inner block, then the
+    outer block."""
+    gen = rng.generator()
+    return (gen.integers(0, dataset.m, size=steps, dtype=np.int64),
+            gen.integers(0, dataset.n, size=steps, dtype=np.int64))
 
 
 def tracking_step(variant, y, g_cur, g_prev, beta: float) -> np.ndarray:

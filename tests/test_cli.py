@@ -1,4 +1,6 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -107,7 +109,6 @@ class TestOptimize:
         assert header == ["t", "f_empirical", "tracking_sq_error", "x_norm"]
         assert len(rows) == 50
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_step_lands_on_sphere(self, capsys, tmp_path):
         # ||x||^2 of the unprojected step overflows; the projection must
         # still land on the sphere, not at the origin.
@@ -119,7 +120,6 @@ class TestOptimize:
         assert norm <= 10.0
         assert norm == pytest.approx(10.0, rel=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_step_is_usage_error(self, capsys, tmp_path):
         code, out, err = dispatch(
             capsys, "optimize", "--eta", "1.7e308", "--T", "5", "--out", str(tmp_path / "t.csv"),
@@ -127,6 +127,22 @@ class TestOptimize:
         assert code == 2
         assert out == ""
         assert "non-finite vector" in err
+
+    @pytest.mark.parametrize("eta, code, expected_err", [
+        ("1e200", 0, ""),
+        ("1.7e308", 2, "non-finite vector\n"),
+    ])
+    def test_overflowing_steps_raise_no_warning(self, capsys, tmp_path, eta, code, expected_err):
+        # Overflow of ||x||^2 is handled by the projection; numpy must not
+        # report it on stderr as if the run had gone wrong.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = dispatch(
+                capsys, "optimize", "--eta", eta, "--T", "5", "--out", str(tmp_path / "t.csv"),
+            )
+        assert [str(w.message) for w in caught] == []
+        assert result[0] == code
+        assert result[2] == expected_err
 
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = dispatch(
@@ -220,6 +236,23 @@ class TestStudyCommands:
         ]
         assert len(rows) == 2
         assert rows[0][0] == "scgd"
+
+    # sha256 prefixes of the CSV bytes; a change to a stream label, the
+    # index draw order or the kernel shows here.
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "168363dff83a5b8c"),
+        (("--uncoupled",), "c3d070bc86db6abf"),
+        (("--variant", "scsc"), "53f896c4297317c4"),
+        (("--variant", "scsc", "--uncoupled"), "29ff50092675c01c"),
+    ])
+    def test_stability_csv_bytes_pinned(self, capsys, tmp_path, flags, digest):
+        out_path = tmp_path / "stability.csv"
+        code, _, _ = dispatch(
+            capsys, "stability", "--n", "5,10", "--m", "6", "--T", "300",
+            "--replicates", "4", "--seed", "3", *flags, "--out", str(out_path),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest()[:16] == digest
 
     def test_optimization_study_grid(self, capsys, tmp_path):
         out_path = tmp_path / "optimization.csv"

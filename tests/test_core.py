@@ -30,7 +30,6 @@ class TestProjectBall:
         with pytest.raises(ValueError, match="non-finite vector"):
             project_ball([np.inf, 0.0], 1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_norm_keeps_direction(self):
         # ||v||^2 overflows to inf here; the projection must still land on
         # the sphere along v rather than collapse to the origin.

@@ -9,8 +9,6 @@ from scolab.oracle import erm_minimizer
 from scolab.problems import (
     Dataset,
     _max_quadratic_on_ball,
-    InnerSample,
-    OuterSample,
     PopulationLaw,
     benchmark_law,
     compute_constants,
@@ -43,46 +41,46 @@ def fd_risk_gradient(dataset, x, h=1e-5):
 
 class TestSampleEvaluations:
     def test_identity_inner(self):
-        s = InnerSample(np.eye(2), np.zeros(2))
-        np.testing.assert_array_equal(inner_eval(s, [1.0, 2.0]), [1.0, 2.0])
-        np.testing.assert_array_equal(inner_jac(s, [1.0, 2.0]), np.eye(2))
+        a, b = np.eye(2), np.zeros(2)
+        np.testing.assert_array_equal(inner_eval(a, b, [1.0, 2.0]), [1.0, 2.0])
+        np.testing.assert_array_equal(inner_jac(a, [1.0, 2.0]), np.eye(2))
 
     def test_affine_inner(self):
-        s = InnerSample(np.diag([2.0, 1.0]), [1.0, 0.0])
-        np.testing.assert_array_equal(inner_eval(s, [1.0, 1.0]), [3.0, 1.0])
+        a, b = np.diag([2.0, 1.0]), [1.0, 0.0]
+        np.testing.assert_array_equal(inner_eval(a, b, [1.0, 1.0]), [3.0, 1.0])
 
     def test_inner_jacobian_matches_finite_differences(self):
         gen = RNG.split("jac").generator()
-        s = InnerSample(gen.normal(size=(4, 5)), gen.normal(size=4))
+        a, b = gen.normal(size=(4, 5)), gen.normal(size=4)
         x = gen.normal(size=5)
-        jac = inner_jac(s, x)
+        jac = inner_jac(a, x)
         h = 1e-5
         for k in range(5):
             bump = np.zeros(5)
             bump[k] = h
-            fd_row = (inner_eval(s, x + bump) - inner_eval(s, x - bump)) / (2 * h)
+            fd_row = (inner_eval(a, b, x + bump) - inner_eval(a, b, x - bump)) / (2 * h)
             np.testing.assert_allclose(jac[k], fd_row, atol=1e-6)
 
     def test_outer_minimum(self):
-        s = OuterSample([1.0, 2.0])
-        assert outer_eval(s, [1.0, 2.0]) == 0.0
-        np.testing.assert_array_equal(outer_grad(s, [1.0, 2.0]), [0.0, 0.0])
+        c = [1.0, 2.0]
+        assert outer_eval(c, [1.0, 2.0]) == 0.0
+        np.testing.assert_array_equal(outer_grad(c, [1.0, 2.0]), [0.0, 0.0])
 
     def test_outer_value_and_grad(self):
-        s = OuterSample([0.0, 0.0])
-        assert outer_eval(s, [3.0, 4.0]) == pytest.approx(12.5)
-        np.testing.assert_array_equal(outer_grad(s, [3.0, 4.0]), [3.0, 4.0])
+        c = [0.0, 0.0]
+        assert outer_eval(c, [3.0, 4.0]) == pytest.approx(12.5)
+        np.testing.assert_array_equal(outer_grad(c, [3.0, 4.0]), [3.0, 4.0])
 
     def test_outer_grad_matches_finite_differences(self):
         gen = RNG.split("og").generator()
-        s = OuterSample(gen.normal(size=3))
+        c = gen.normal(size=3)
         y = gen.normal(size=3)
         h = 1e-5
         for k in range(3):
             bump = np.zeros(3)
             bump[k] = h
-            fd = (outer_eval(s, y + bump) - outer_eval(s, y - bump)) / (2 * h)
-            assert abs(fd - outer_grad(s, y)[k]) < 1e-6
+            fd = (outer_eval(c, y + bump) - outer_eval(c, y - bump)) / (2 * h)
+            assert abs(fd - outer_grad(c, y)[k]) < 1e-6
 
 
 class TestSampling:
@@ -122,7 +120,7 @@ class TestEmpiricalObjective:
         data = default_dataset(m=1, seed_label="single")
         x = np.ones(data.p)
         np.testing.assert_allclose(
-            empirical_inner(data, x), inner_eval(data.inner_sample(0), x), atol=1e-15
+            empirical_inner(data, x), inner_eval(data.inner_a[0], data.inner_b[0], x), atol=1e-15
         )
 
     def test_mean_of_two_offsets(self):
@@ -140,12 +138,12 @@ class TestEmpiricalObjective:
             x = gen.normal(size=data.p)
             total = np.zeros(data.d)
             for j in range(data.m):
-                total += inner_eval(data.inner_sample(j), x)
+                total += inner_eval(data.inner_a[j], data.inner_b[j], x)
             np.testing.assert_allclose(empirical_inner(data, x), total / data.m, atol=1e-12)
             risk = 0.0
             g = total / data.m
             for i in range(data.n):
-                risk += outer_eval(data.outer_sample(i), g)
+                risk += outer_eval(data.outer_c[i], g)
             assert empirical_risk(data, x) == pytest.approx(risk / data.n, abs=1e-12)
 
     def test_minimal_composition(self):
@@ -397,7 +395,7 @@ class TestInvariants:
             direct = 0.0
             g_bar = empirical_inner(data, x)
             for j in range(data.m):
-                dev = inner_eval(data.inner_sample(j), x) - g_bar
+                dev = inner_eval(data.inner_a[j], data.inner_b[j], x) - g_bar
                 direct += float(dev @ dev)
             direct /= data.m
             moment = float(x @ mom_mat @ x + 2.0 * mom_vec @ x + mom_const)

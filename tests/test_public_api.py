@@ -26,17 +26,17 @@ MODULE_ALL = {
         "tracking_bound", "fd_gradient_check",
     ],
     "problems": [
-        "InnerSample", "OuterSample", "Dataset", "PopulationLaw", "BoundParams",
-        "sample_dataset", "empirical_inner", "empirical_risk", "empirical_risk_grad",
-        "population_risk", "compute_constants", "benchmark_law", "save_dataset", "load_dataset",
+        "Dataset", "PopulationLaw", "BoundParams", "sample_dataset", "empirical_inner",
+        "empirical_risk", "empirical_risk_grad", "population_risk", "compute_constants",
+        "benchmark_law", "save_dataset", "load_dataset",
     ],
     "reporting": [
         "format_value", "emit_csv", "read_csv", "emit_svg", "trajectory_rows",
         "TRAJECTORY_HEADER", "STABILITY_HEADER",
     ],
     "stability": [
-        "NeighborSpec", "CoupledResult", "StabilityEstimate", "GapReport", "make_neighbor",
-        "coupled_run", "estimate_stability", "check_generalization_inequality",
+        "CoupledResult", "StabilityEstimate", "GapReport", "make_neighbor", "coupled_run",
+        "estimate_stability", "check_generalization_inequality",
     ],
 }
 
@@ -52,13 +52,13 @@ PACKAGE_EXPORTS = {
         "population_minimizer", "tracking_bound",
     },
     "problems": {
-        "BoundParams", "Dataset", "InnerSample", "OuterSample", "PopulationLaw", "benchmark_law",
-        "compute_constants", "empirical_inner", "empirical_risk", "empirical_risk_grad",
-        "load_dataset", "population_risk", "sample_dataset", "save_dataset",
+        "BoundParams", "Dataset", "PopulationLaw", "benchmark_law", "compute_constants",
+        "empirical_inner", "empirical_risk", "empirical_risk_grad", "load_dataset",
+        "population_risk", "sample_dataset", "save_dataset",
     },
     "stability": {
-        "CoupledResult", "GapReport", "NeighborSpec", "StabilityEstimate",
-        "check_generalization_inequality", "coupled_run", "estimate_stability", "make_neighbor",
+        "CoupledResult", "GapReport", "StabilityEstimate", "check_generalization_inequality",
+        "coupled_run", "estimate_stability", "make_neighbor",
     },
 }
 

@@ -3,18 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scalar_reference import drawn_indices
 from scolab.core import Rng
-from scolab.optimizer import OptimizerConfig, Variant, run
+from scolab.optimizer import OptimizerConfig, Variant
 from scolab.problems import (
-    InnerSample,
-    OuterSample,
+    Dataset,
     PopulationLaw,
     benchmark_law,
     sample_dataset,
     save_dataset,
 )
 from scolab.stability import (
-    NeighborSpec,
     check_generalization_inequality,
     coupled_run,
     estimate_stability,
@@ -28,26 +27,38 @@ def small_cfg(variant=Variant.SCGD, steps=200, eta=1e-2, beta=0.2, **kw):
     return OptimizerConfig(variant=variant, steps=steps, eta=eta, beta=beta, **kw)
 
 
+def donor(data, a=0.0, b=0.0, c=0.0):
+    """One-sample dataset of the data's dimensions with constant entries."""
+    return Dataset(
+        inner_a=np.full((1, data.d, data.p), a),
+        inner_b=np.full((1, data.d), b),
+        outer_c=np.full((1, data.d), c),
+    )
+
+
 class TestMakeNeighbor:
     def test_identical_replacement_gives_equal_dataset(self):
         data = sample_dataset(benchmark_law("convex"), 6, 6, RNG.split("eq"))
-        spec = NeighborSpec("nu", 2, OuterSample(data.outer_c[2]))
-        assert make_neighbor(data, spec) == data
+        same = Dataset(data.inner_a[3:4], data.inner_b[3:4], data.outer_c[2:3])
+        assert make_neighbor(data, "nu", 2, same) == data
+        assert make_neighbor(data, "omega", 3, same) == data
 
     def test_nu_neighbor_keeps_inner_samples(self):
         data = sample_dataset(benchmark_law("convex"), 6, 6, RNG.split("nu"))
-        swap = OuterSample(np.zeros(data.d))
-        neighbor = make_neighbor(data, NeighborSpec("nu", 1, swap))
+        original = Dataset(data.inner_a.copy(), data.inner_b.copy(), data.outer_c.copy())
+        neighbor = make_neighbor(data, "nu", 1, donor(data, a=1.0, b=1.0))
         assert np.array_equal(neighbor.inner_a, data.inner_a)
         assert np.array_equal(neighbor.inner_b, data.inner_b)
-        assert not np.array_equal(neighbor.outer_c[1], data.outer_c[1])
+        np.testing.assert_array_equal(neighbor.outer_c[1], np.zeros(data.d))
+        assert np.array_equal(np.delete(neighbor.outer_c, 1, axis=0),
+                              np.delete(data.outer_c, 1, axis=0))
         # the original is untouched
+        assert data == original
         assert not np.array_equal(data.outer_c[1], np.zeros(data.d))
 
     def test_serialized_difference_is_one_record(self, tmp_path):
         data = sample_dataset(benchmark_law("convex"), 6, 6, RNG.split("ser"))
-        swap = InnerSample(np.zeros((data.d, data.p)), np.ones(data.d))
-        neighbor = make_neighbor(data, NeighborSpec("omega", 4, swap))
+        neighbor = make_neighbor(data, "omega", 4, donor(data, b=1.0, c=7.0))
         save_dataset(data, tmp_path / "ia.csv", tmp_path / "oa.csv")
         save_dataset(neighbor, tmp_path / "ib.csv", tmp_path / "ob.csv")
         inner_a = (tmp_path / "ia.csv").read_text().splitlines()
@@ -58,18 +69,18 @@ class TestMakeNeighbor:
     def test_index_out_of_range(self):
         data = sample_dataset(benchmark_law("convex"), 3, 3, RNG.split("rng"))
         with pytest.raises(IndexError):
-            make_neighbor(data, NeighborSpec("nu", 3, OuterSample(np.zeros(data.d))))
+            make_neighbor(data, "nu", 3, donor(data))
         with pytest.raises(IndexError):
-            make_neighbor(
-                data,
-                NeighborSpec("omega", -1, InnerSample(np.zeros((data.d, data.p)), np.zeros(data.d))),
-            )
+            make_neighbor(data, "omega", -1, donor(data))
 
     def test_kind_and_payload_validated(self):
+        data = sample_dataset(benchmark_law("convex"), 3, 3, RNG.split("kind"))
         with pytest.raises(ValueError, match="unknown neighbor kind"):
-            NeighborSpec("mu", 0, OuterSample(np.zeros(2)))
-        with pytest.raises(ValueError, match="outer sample"):
-            NeighborSpec("nu", 0, InnerSample(np.zeros((2, 2)), np.zeros(2)))
+            make_neighbor(data, "mu", 0, donor(data))
+        # a donor of other dimensions would otherwise broadcast into the row
+        narrow = Dataset(np.zeros((1, 1, data.p)), np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="donor dimensions"):
+            make_neighbor(data, "nu", 0, narrow)
 
 
 class TestCoupledRun:
@@ -82,19 +93,16 @@ class TestCoupledRun:
 
     def test_unsampled_inner_replacement_is_invisible(self):
         data = sample_dataset(benchmark_law("convex"), 5, 64, RNG.split("uns"))
-        cfg = small_cfg(steps=30, record_indices=True)
-        probe = coupled_run(data, data, cfg, RNG.split("unsrun"))
-        seen = set(probe.trajectory.index_log[:, 0].tolist())
-        unseen = next(j for j in range(data.m) if j not in seen)
-        swap = InnerSample(np.zeros((data.d, data.p)), np.ones(data.d))
-        neighbor = make_neighbor(data, NeighborSpec("omega", unseen, swap))
+        cfg = small_cfg(steps=30)
+        j_idx, _ = drawn_indices(data, cfg.steps, RNG.split("unsrun").split("indices"))
+        unseen = next(j for j in range(data.m) if j not in set(j_idx.tolist()))
+        neighbor = make_neighbor(data, "omega", unseen, donor(data, b=1.0))
         result = coupled_run(data, neighbor, cfg, RNG.split("unsrun"))
         assert result.distance == 0.0
 
     def test_distance_bounded_by_diameter(self):
         data = sample_dataset(benchmark_law("convex"), 5, 5, RNG.split("diam"))
-        swap = OuterSample(np.full(data.d, 50.0))
-        neighbor = make_neighbor(data, NeighborSpec("nu", 0, swap))
+        neighbor = make_neighbor(data, "nu", 0, donor(data, c=50.0))
         cfg = small_cfg(eta=0.9, steps=300, domain_radius=2.0)
         result = coupled_run(data, neighbor, cfg, RNG.split("diamrun"))
         assert result.distance <= 2 * 2.0
