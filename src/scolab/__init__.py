@@ -42,10 +42,8 @@ from .problems import (
     empirical_inner,
     empirical_risk,
     empirical_risk_grad,
-    load_dataset,
     population_risk,
     sample_dataset,
-    save_dataset,
 )
 from .stability import (
     CoupledResult,

@@ -1,8 +1,8 @@
 """Independent reference computations for the affine-quadratic family.
 
-Closed-form constrained minimizers (with projected-gradient fallback and
-cross-checking), finite-difference gradient validation, and the
-closed-form reference ceiling on the tracking error.
+Exact ball-constrained minimizers (one trust-region solve, cross-checked
+against a projected-gradient reference), finite-difference gradient
+validation, and the closed-form reference ceiling on the tracking error.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ from .problems import (
     BoundParams,
     Dataset,
     PopulationLaw,
+    _min_quadratic_on_ball,
     empirical_risk,
     empirical_risk_grad,
+    population_risk,
 )
 
 __all__ = [
@@ -39,7 +41,11 @@ class MinimizerCertificate:
 
     ``kkt_residual`` is the fixed-point residual ||x - P(x - grad F(x))||
     of the projected unit-step map, which vanishes exactly at a
-    constrained minimizer.
+    constrained minimizer.  ``method`` is one of the three tags of the
+    exact solve, ``closed_form`` (interior, full rank),
+    ``closed_form_min_norm`` (interior, rank-deficient: the minimum-norm
+    minimizer) or ``trust_region`` (on the sphere), or else
+    ``projected_gradient_high_precision`` from the iterative reference.
     """
 
     x_star: np.ndarray
@@ -65,84 +71,51 @@ def _kkt_residual(x, grad, radius) -> float:
     return float(np.linalg.norm(x - project_ball(x - grad, radius)))
 
 
-def _ball_quadratic_min(gram, rhs, const, radius, method, max_iters=1_000_000):
-    """Minimize 0.5 x'gram x - rhs'x + const over the radius ball.
-
-    ``method`` selects the solve path: "auto" uses the dense solution and
-    falls back to projected gradient only when it leaves the ball, while
-    "projected_gradient" forces the iterative path from the origin.
-    """
-    eigs = np.linalg.eigvalsh(gram)
-    smooth = max(float(eigs[-1]), 0.0)
-
-    def value(x):
-        return 0.5 * float(x @ gram @ x) - float(rhs @ x) + const
-
-    def grad(x):
-        return gram @ x - rhs
-
-    if method not in ("auto", "closed_form", "projected_gradient"):
-        raise ValueError(f"unknown solve method {method!r}")
-
-    if method != "projected_gradient":
-        # Rank-deficient mean Gram matrices are routine here (wide inner
-        # maps), so detect them and take the minimum-norm solution.
-        rank_deficient = float(eigs[0]) <= max(smooth, 1.0) * 1e-12
-        if rank_deficient:
-            x, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-            tag = "closed_form_min_norm"
-        else:
-            x = np.linalg.solve(gram, rhs)
-            tag = "closed_form"
-        if float(np.linalg.norm(x)) <= radius:
-            return x, value(x), tag, _kkt_residual(x, grad(x), radius)
-        if method == "closed_form":
-            raise ValueError("unconstrained solution leaves the ball")
-        x = project_ball(x, radius)
-    else:
-        x = np.zeros(gram.shape[0])
-
-    if smooth == 0.0:
-        # Zero quadratic part: the gradient is constant, so one projected
-        # step onto the ball along -grad is optimal.
-        g = grad(x)
-        x = project_ball(x - radius * g / max(float(np.linalg.norm(g)), 1e-300), radius)
-        return x, value(x), "projected_gradient_high_precision", _kkt_residual(x, grad(x), radius)
-
-    step = 1.0 / smooth
+def _projected_gradient(gram, rhs, radius, max_iters=1_000_000) -> np.ndarray:
+    """Iterative reference, independent of the exact solve: projected
+    gradient from the origin with step 1/L, run to a KKT residual of KKT_TOL."""
+    smooth = float(np.linalg.eigvalsh(gram)[-1])
+    step = 1.0 / smooth if smooth > 0 else 0.0  # zero gram: rhs = 0 and x = 0 is optimal
+    x = np.zeros(gram.shape[0])
     for _ in range(max_iters):
-        g = grad(x)
+        g = gram @ x - rhs
         if _kkt_residual(x, g, radius) <= KKT_TOL:
             break
         x = project_ball(x - step * g, radius)
-    residual = _kkt_residual(x, grad(x), radius)
+    residual = _kkt_residual(x, gram @ x - rhs, radius)
     if residual > 1e-9:
         raise RuntimeError(f"projected gradient stalled at residual {residual:.3e}")
-    return x, value(x), "projected_gradient_high_precision", residual
+    return x
+
+
+def _certify(gram, rhs, const, radius, method) -> MinimizerCertificate:
+    """Certified argmin of 0.5 x'gram x - rhs'x + const over the radius ball."""
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("invalid domain")
+    if method == "auto":
+        x, tag = _min_quadratic_on_ball(gram, rhs, radius)
+    elif method == "projected_gradient":
+        x, tag = _projected_gradient(gram, rhs, radius), "projected_gradient_high_precision"
+    else:
+        raise ValueError(f"unknown solve method {method!r}")
+    value = 0.5 * float(x @ gram @ x) - float(rhs @ x) + const
+    return MinimizerCertificate(x, value, tag, _kkt_residual(x, gram @ x - rhs, radius))
 
 
 def erm_minimizer(dataset: Dataset, radius: float, method: str = "auto") -> MinimizerCertificate:
     """Certified minimizer of the nested empirical objective over the ball."""
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError("invalid domain")
     a_bar = dataset.a_bar
     gram = a_bar.T @ a_bar
     rhs = a_bar.T @ (dataset.c_bar - dataset.b_bar)
     const = empirical_risk(dataset, np.zeros(dataset.p))
-    x, value, tag, residual = _ball_quadratic_min(gram, rhs, const, radius, method)
-    return MinimizerCertificate(x_star=x, value=value, method=tag, kkt_residual=residual)
+    return _certify(gram, rhs, const, radius, method)
 
 
 def population_minimizer(law: PopulationLaw, radius: float, method: str = "auto") -> MinimizerCertificate:
     """Certified minimizer of the population objective over the ball."""
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError("invalid domain")
     gram = law.a0.T @ law.a0
     rhs = law.a0.T @ (law.c0 - law.b0)
-    diff0 = law.b0 - law.c0
-    const = 0.5 * float(diff0 @ diff0) + 0.5 * law.outer_variance
-    x, value, tag, residual = _ball_quadratic_min(gram, rhs, const, radius, method)
-    return MinimizerCertificate(x_star=x, value=value, method=tag, kkt_residual=residual)
+    return _certify(gram, rhs, population_risk(law, np.zeros(law.p)), radius, method)
 
 
 def tracking_bound(

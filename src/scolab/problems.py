@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Rng, as_matrix, as_vector
+from .core import Rng, as_matrix, as_vector, project_ball
 
 __all__ = [
     "Dataset",
@@ -38,8 +38,6 @@ __all__ = [
     "population_risk",
     "compute_constants",
     "benchmark_law",
-    "save_dataset",
-    "load_dataset",
 ]
 
 
@@ -135,7 +133,6 @@ class PopulationLaw:
     tau_a: float = 0.0
     tau_b: float = 0.0
     tau_c: float = 0.0
-    noise: str = "uniform"
 
     def __post_init__(self) -> None:
         a0 = as_matrix(self.a0)
@@ -159,10 +156,6 @@ class PopulationLaw:
     def p(self) -> int:
         return self.a0.shape[1]
 
-    def _require_uniform(self) -> None:
-        if self.noise != "uniform":
-            raise ValueError("no analytic population risk for noise law " + repr(self.noise))
-
     def inner_mean(self, x) -> np.ndarray:
         """Population mean of the inner map at ``x``."""
         return self.a0 @ as_vector(x, dim=self.p) + self.b0
@@ -173,14 +166,12 @@ class PopulationLaw:
         For entrywise uniform noise each entry has variance tau^2 / 3, so
         the total is d * (tau_a^2 ||x||^2 + tau_b^2) / 3.
         """
-        self._require_uniform()
         v = as_vector(x, dim=self.p)
         return self.d * (self.tau_a**2 * float(v @ v) + self.tau_b**2) / 3.0
 
     @property
     def outer_variance(self) -> float:
         """Population variance E ||c - c0||^2 of the outer targets."""
-        self._require_uniform()
         return self.d * self.tau_c**2 / 3.0
 
 
@@ -192,8 +183,6 @@ def sample_dataset(law: PopulationLaw, n: int, m: int, rng: Rng) -> Dataset:
     """
     if n < 1 or m < 1:
         raise ValueError("empty dataset")
-    if law.noise != "uniform":
-        raise ValueError("unsupported noise law " + repr(law.noise))
     gen = rng.generator()
     d, p = law.d, law.p
     inner_a = law.a0 + gen.uniform(-law.tau_a, law.tau_a, size=(m, d, p))
@@ -281,28 +270,18 @@ class BoundParams:
             raise ValueError("sigma cannot exceed the smoothness constant")
 
 
-def _max_quadratic_on_ball(mat: np.ndarray, vec: np.ndarray, const, radius: float) -> np.ndarray:
-    """Exact sup over ||x|| <= radius of ``x' mat x + 2 vec' x + const``, batched.
+def _secular_point(w: np.ndarray, shift: np.ndarray, radius: float) -> np.ndarray:
+    """Point ``x_i = w_i / (mu + shift_i)`` with ``||x|| = radius``, batched.
 
-    ``mat`` (..., p, p) is PSD, ``vec`` (..., p) and ``const`` (...).  A
-    convex quadratic peaks on the sphere, where the global maximizer solves
-    ``(lam I - mat) x = vec`` with ``lam >= lambda_max`` (the trust-region
-    subproblem; Moré & Sorensen 1983).  In the eigenbasis
-    ``x_i = w_i / (mu + gap_i)`` with ``mu = lam - lambda_max`` and
-    ``gap_i = lambda_max - lambda_i``; ``||x||`` falls in ``mu``, so the root
-    of ``||x|| = radius`` lies in ``(0, ||vec|| / radius]`` and is found by
-    bisection.  The leftover radius goes along the top eigenvector; it is
-    nonzero only in the hard case (no weight of ``vec`` on the top
-    eigenspace and the rest of ``x`` inside the ball).  The point is
-    rescaled onto the sphere before it is evaluated, so the value is
-    attained by a feasible point.
+    The trust-region secular equation in an eigenbasis (Moré & Sorensen
+    1983; Conn, Gould & Toint 2000, ch. 7).  ``||x||`` falls in ``mu`` and
+    is at most ``radius`` at ``mu = ||w|| / radius``, so the root is bisected
+    on ``(0, ||w|| / radius]``; the point at the bracket's upper end, which
+    never leaves the ball, is returned.  Nonpositive denominators give zeros.
     """
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    w = np.einsum("...pq,...p->...q", eigvecs, vec)
-    gap = eigvals[..., -1:] - eigvals
 
     def point(mu):
-        denom = mu[..., None] + gap
+        denom = mu[..., None] + shift
         return np.divide(w, denom, out=np.zeros_like(w), where=denom > 0)
 
     lo = np.zeros(w.shape[:-1])
@@ -310,13 +289,53 @@ def _max_quadratic_on_ball(mat: np.ndarray, vec: np.ndarray, const, radius: floa
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         outside = np.linalg.norm(point(mid), axis=-1) > radius
-        lo, hi = np.where(outside, mid, lo), np.where(outside, hi, mid)
-    x = point(hi)
+        bracket = np.where(outside, mid, lo), np.where(outside, hi, mid)
+        if np.array_equal(bracket[0], lo) and np.array_equal(bracket[1], hi):
+            break  # a fixed point: the remaining halvings change nothing
+        lo, hi = bracket
+    return point(hi)
+
+
+def _max_quadratic_on_ball(mat: np.ndarray, vec: np.ndarray, const, radius: float) -> np.ndarray:
+    """Exact sup over ||x|| <= radius of ``x' mat x + 2 vec' x + const``, batched.
+
+    ``mat`` (..., p, p) is PSD, ``vec`` (..., p) and ``const`` (...).  A
+    convex quadratic peaks on the sphere, where the global maximizer solves
+    ``(lam I - mat) x = vec`` with ``lam >= lambda_max``: :func:`_secular_point`
+    with ``mu = lam - lambda_max`` and shifts ``lambda_max - lambda_i``.  The
+    leftover radius goes along the top eigenvector; it is nonzero only in
+    the hard case (no weight of ``vec`` on the top eigenspace and the rest
+    of ``x`` inside the ball).  The point is rescaled onto the sphere before
+    it is evaluated, so the value is attained by a feasible point.
+    """
+    eigvals, eigvecs = np.linalg.eigh(mat)
+    w = np.einsum("...pq,...p->...q", eigvecs, vec)
+    x = _secular_point(w, eigvals[..., -1:] - eigvals, radius)
     left = np.sqrt(np.maximum(radius**2 - np.sum(x * x, axis=-1), 0.0))
     x[..., -1] += np.copysign(left, w[..., -1])
     x *= (radius / np.linalg.norm(x, axis=-1))[..., None]
     vals = np.sum(eigvals * x * x, axis=-1) + 2.0 * np.sum(w * x, axis=-1) + const
     return np.maximum(vals, const)
+
+
+def _min_quadratic_on_ball(gram: np.ndarray, rhs: np.ndarray, radius: float):
+    """Exact argmin over ||x|| <= radius of ``0.5 x' gram x - rhs' x``, and its tag.
+
+    ``gram`` is PSD and ``rhs`` lies in its range, so there is no hard case.
+    Eigen-directions below the rank cutoff get zero weight, so an interior
+    solution is the minimum-norm one.  Otherwise the minimizer solves
+    ``(gram + mu I) x = rhs`` on the sphere: :func:`_secular_point` with
+    shifts ``lambda_i``, projected to be feasible in exact float comparison.
+    """
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    kept = eigvals > max(float(eigvals[-1]), 1.0) * 1e-12
+    w = np.where(kept, eigvecs.T @ rhs, 0.0)
+    x = np.divide(w, eigvals, out=np.zeros_like(w), where=kept)
+    if np.linalg.norm(x) <= radius:
+        tag = "closed_form" if kept.all() else "closed_form_min_norm"
+    else:
+        x, tag = _secular_point(w, eigvals, radius), "trust_region"
+    return project_ball(eigvecs @ x, radius), tag
 
 
 def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
@@ -422,43 +441,3 @@ def benchmark_law(kind: str = "convex") -> PopulationLaw:
         tau_c=tau_c,
     )
 
-
-def save_dataset(dataset: Dataset, inner_path, outer_path) -> None:
-    """Write the dataset as a CSV pair for reproducibility audits.
-
-    inner.csv carries one row per inner sample with the matrix flattened
-    row-major ahead of the offset; outer.csv one row per outer sample.
-    Column names carry the index structure, hence the dimensions.
-    """
-    from .reporting import emit_csv
-
-    d, p = dataset.d, dataset.p
-    inner_header = [f"a_{r}_{s}" for r in range(d) for s in range(p)] + [
-        f"b_{r}" for r in range(d)
-    ]
-    inner_rows = [
-        list(dataset.inner_a[j].reshape(-1)) + list(dataset.inner_b[j])
-        for j in range(dataset.m)
-    ]
-    emit_csv(inner_path, inner_header, inner_rows)
-    outer_header = [f"c_{r}" for r in range(d)]
-    emit_csv(outer_path, outer_header, [list(row) for row in dataset.outer_c])
-
-
-def load_dataset(inner_path, outer_path) -> Dataset:
-    """Inverse of :func:`save_dataset`."""
-    from .reporting import read_csv
-
-    inner_header, inner_rows = read_csv(inner_path)
-    outer_header, outer_rows = read_csv(outer_path)
-    d = sum(1 for name in inner_header if name.startswith("b_"))
-    p = (len(inner_header) - d) // d
-    inner = np.asarray(inner_rows, dtype=float)
-    outer = np.asarray(outer_rows, dtype=float)
-    if outer.ndim != 2 or outer.shape[1] != len(outer_header):
-        raise ValueError("malformed outer csv")
-    return Dataset(
-        inner_a=inner[:, : d * p].reshape(-1, d, p),
-        inner_b=inner[:, d * p :],
-        outer_c=outer,
-    )

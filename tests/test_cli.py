@@ -160,6 +160,17 @@ class TestOracleCommand:
         assert lines[0].startswith("empirical value=")
         assert lines[1].startswith("population value=")
 
+    @pytest.mark.parametrize("kind", ["convex", "strongly_convex"])
+    def test_boundary_certificates_are_exact(self, capsys, kind):
+        code, out, _ = dispatch(capsys, "oracle", "--benchmark", kind, "--radius", "0.5")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            fields = dict(f.split("=", 1) for f in line.split()[1:])
+            assert fields["method"] == "trust_region"
+            assert float(fields["kkt_residual"]) < 1e-13
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, capsys, tmp_path):

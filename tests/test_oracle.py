@@ -74,8 +74,8 @@ class TestErmMinimizer:
         )
         cert = erm_minimizer(data, 1.0)
         np.testing.assert_allclose(cert.x_star, [1.0, 0.0], atol=1e-10)
-        assert cert.method == "projected_gradient_high_precision"
-        assert cert.kkt_residual <= 1e-9
+        assert cert.method == "trust_region"
+        assert cert.kkt_residual <= 1e-13
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dominates_random_feasible_points(self, seed):
@@ -100,6 +100,51 @@ class TestErmMinimizer:
         cert = erm_minimizer(data, 10.0)
         assert cert.method == "closed_form_min_norm"
         assert cert.kkt_residual <= 1e-9
+
+    @pytest.mark.parametrize("method", ["closed_form", "newton"])
+    def test_unknown_method_rejected(self, method):
+        data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("um"))
+        with pytest.raises(ValueError, match="unknown solve method"):
+            erm_minimizer(data, 1.0, method=method)
+
+
+def assert_boundary_certificate(auto, reference, radius):
+    """The exact solve sits on the sphere, is stationary there, and is no
+    worse than the independent projected-gradient reference."""
+    assert auto.method == "trust_region"
+    assert reference.method == "projected_gradient_high_precision"
+    assert abs(np.linalg.norm(auto.x_star) - radius) <= 1e-12
+    assert np.linalg.norm(auto.x_star) <= radius
+    assert auto.kkt_residual <= 1e-13
+    assert np.linalg.norm(auto.x_star - reference.x_star) <= 1e-8
+    assert auto.value <= reference.value + 1e-14
+
+
+class TestTrustRegionBoundary:
+    # Radii are fractions of the unconstrained minimizer's norm, which is
+    # about 2.4-2.8 on the convex law and 0.5-0.8 on the strongly convex
+    # one, so every case is a boundary solve: deep inside (0.05), halfway
+    # (0.5) and short of the unconstrained point (0.99).  At 1 - 1e-9 the
+    # multiplier is tiny, so an eigen-direction of the rank-deficient
+    # convex Gram matrix that is not zeroed shows up as a 1e-7 error.
+    @pytest.mark.parametrize("kind", ["convex", "strongly_convex"])
+    @pytest.mark.parametrize("size", [1, 2, 40])
+    @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.99, 1 - 1e-9])
+    def test_erm_matches_projected_gradient(self, kind, size, fraction):
+        data = sample_dataset(benchmark_law(kind), size, size, RNG.split(f"tr-{kind}-{size}"))
+        radius = fraction * np.linalg.norm(erm_minimizer(data, 1e6).x_star)
+        auto = erm_minimizer(data, radius)
+        reference = erm_minimizer(data, radius, method="projected_gradient")
+        assert_boundary_certificate(auto, reference, radius)
+        assert auto.value == pytest.approx(empirical_risk(data, auto.x_star), abs=1e-14)
+
+    @pytest.mark.parametrize("kind", ["convex", "strongly_convex"])
+    def test_population_matches_projected_gradient(self, kind):
+        law = benchmark_law(kind)
+        auto = population_minimizer(law, 0.5)
+        reference = population_minimizer(law, 0.5, method="projected_gradient")
+        assert_boundary_certificate(auto, reference, 0.5)
+        assert auto.value == pytest.approx(population_risk(law, auto.x_star), abs=1e-14)
 
 
 class TestPopulationMinimizer:

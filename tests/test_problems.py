@@ -15,10 +15,8 @@ from scolab.problems import (
     empirical_inner,
     empirical_risk,
     empirical_risk_grad,
-    load_dataset,
     population_risk,
     sample_dataset,
-    save_dataset,
 )
 
 RNG = Rng(101)
@@ -221,11 +219,6 @@ class TestPopulationRisk:
         values = 0.5 * np.sum((g - c) ** 2, axis=1)
         se = values.std(ddof=1) / np.sqrt(draws)
         assert abs(values.mean() - population_risk(law, x)) < 3 * se
-
-    def test_unknown_noise_law_rejected(self):
-        law = dataclasses.replace(benchmark_law("convex"), noise="gaussian")
-        with pytest.raises(ValueError, match="no analytic population risk"):
-            population_risk(law, np.zeros(law.p))
 
 
 class TestComputeConstants:
@@ -432,21 +425,3 @@ class TestInvariants:
         se_inner_sq = float(grad_outer @ grad_outer) * inner_var / m
         se = np.sqrt(se_outer_sq + se_inner_sq)
         assert abs(empirical_risk(data, x) - population_risk(law, x)) < 4 * se
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        data = default_dataset(n=6, m=5, seed_label="io")
-        inner_path = tmp_path / "inner.csv"
-        outer_path = tmp_path / "outer.csv"
-        save_dataset(data, inner_path, outer_path)
-        loaded = load_dataset(inner_path, outer_path)
-        assert loaded == data
-
-    def test_header_carries_dimensions(self, tmp_path):
-        data = default_dataset(n=3, m=2, seed_label="hdr")
-        save_dataset(data, tmp_path / "inner.csv", tmp_path / "outer.csv")
-        header = (tmp_path / "inner.csv").read_text().splitlines()[0].split(",")
-        assert header[0] == "a_0_0"
-        assert header[-1] == f"b_{data.d - 1}"
-        assert len(header) == data.d * data.p + data.d

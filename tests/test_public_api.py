@@ -28,7 +28,7 @@ MODULE_ALL = {
     "problems": [
         "Dataset", "PopulationLaw", "BoundParams", "sample_dataset", "empirical_inner",
         "empirical_risk", "empirical_risk_grad", "population_risk", "compute_constants",
-        "benchmark_law", "save_dataset", "load_dataset",
+        "benchmark_law",
     ],
     "reporting": [
         "format_value", "emit_csv", "read_csv", "emit_svg", "trajectory_rows",
@@ -53,8 +53,8 @@ PACKAGE_EXPORTS = {
     },
     "problems": {
         "BoundParams", "Dataset", "PopulationLaw", "benchmark_law", "compute_constants",
-        "empirical_inner", "empirical_risk", "empirical_risk_grad", "load_dataset",
-        "population_risk", "sample_dataset", "save_dataset",
+        "empirical_inner", "empirical_risk", "empirical_risk_grad", "population_risk",
+        "sample_dataset",
     },
     "stability": {
         "CoupledResult", "GapReport", "StabilityEstimate", "check_generalization_inequality",

@@ -11,7 +11,6 @@ from scolab.problems import (
     PopulationLaw,
     benchmark_law,
     sample_dataset,
-    save_dataset,
 )
 from scolab.stability import (
     check_generalization_inequality,
@@ -56,15 +55,14 @@ class TestMakeNeighbor:
         assert data == original
         assert not np.array_equal(data.outer_c[1], np.zeros(data.d))
 
-    def test_serialized_difference_is_one_record(self, tmp_path):
+    def test_serialized_difference_is_one_record(self):
         data = sample_dataset(benchmark_law("convex"), 6, 6, RNG.split("ser"))
         neighbor = make_neighbor(data, "omega", 4, donor(data, b=1.0, c=7.0))
-        save_dataset(data, tmp_path / "ia.csv", tmp_path / "oa.csv")
-        save_dataset(neighbor, tmp_path / "ib.csv", tmp_path / "ob.csv")
-        inner_a = (tmp_path / "ia.csv").read_text().splitlines()
-        inner_b = (tmp_path / "ib.csv").read_text().splitlines()
-        assert sum(1 for a, b in zip(inner_a, inner_b) if a != b) == 1
-        assert (tmp_path / "oa.csv").read_text() == (tmp_path / "ob.csv").read_text()
+        differs = np.any(neighbor.inner_a != data.inner_a, axis=(1, 2)) | np.any(
+            neighbor.inner_b != data.inner_b, axis=1
+        )
+        assert np.flatnonzero(differs).tolist() == [4]
+        assert np.array_equal(neighbor.outer_c, data.outer_c)
 
     def test_index_out_of_range(self):
         data = sample_dataset(benchmark_law("convex"), 3, 3, RNG.split("rng"))
