@@ -12,10 +12,12 @@ and then takes the projected chain-rule step
 
 Step sizes are constant over a run; ``_run_with_indices`` is the one
 implementation of the step, and ``_draw_indices`` the one draw of a
-run's indices, which coupled runs share.  Outputs can be the last
-iterate, the uniform average of all iterates, a geometrically weighted
-average suited to strongly convex objectives, or a uniformly drawn
-iterate.
+run's indices, which coupled runs share.  The step uses ``ndarray.dot``
+and per-run lists of the data rows on purpose: ``@`` and numpy scalar
+indexing reach the same BLAS calls, so they give the same bits, but
+they cost microseconds more per step.  Outputs can be the last iterate,
+the uniform average of all iterates, a geometrically weighted average
+suited to strongly convex objectives, or a uniformly drawn iterate.
 """
 
 from __future__ import annotations
@@ -146,11 +148,9 @@ def _run_with_indices(
 ) -> Trajectory:
     steps = cfg.steps
     p, d = dataset.p, dataset.d
-    inner_a = dataset.inner_a
-    inner_b = dataset.inner_b
-    outer_c = dataset.outer_c
-    a_bar = dataset.a_bar
-    b_bar = dataset.b_bar
+    a_rows = list(dataset.inner_a)
+    b_rows = list(dataset.inner_b)
+    c_rows = list(dataset.outer_c)
 
     x = np.zeros(p) if cfg.x0 is None else cfg.x0.copy()
     y = np.zeros(d) if cfg.y0 is None else cfg.y0.copy()
@@ -165,9 +165,12 @@ def _run_with_indices(
     radius_sq = min(radius * radius, np.finfo(float).max)
     scsc = cfg.variant is Variant.SCSC and beta != 1.0
 
-    track = np.empty(steps) if cfg.record_tracking else None
+    track = None
+    if cfg.record_tracking:
+        track = np.empty(steps)
+        a_bar = dataset.a_bar
+        b_bar = dataset.b_bar
     stride = _storage_stride(steps)
-    stored_steps = []
     stored_iterates = []
     usum = np.zeros(p)
     sigma_mode = cfg.output_mode == "sigma_weighted"
@@ -180,21 +183,20 @@ def _run_with_indices(
     # A huge step may overflow ||x||^2 to inf; the pre-test then fires and
     # project_ball handles it, so numpy's overflow warning is noise.
     with np.errstate(over="ignore"):
-        for t in range(steps):
-            j = j_idx[t]
-            a_j = inner_a[j]
-            g_cur = a_j @ x + inner_b[j]
+        for t, (j, i) in enumerate(zip(j_idx.tolist(), i_idx.tolist())):
+            a_j = a_rows[j]
+            b_j = b_rows[j]
+            g_cur = a_j.dot(x) + b_j
             if scsc:
-                g_prev = a_j @ x_prev + inner_b[j]
+                g_prev = a_j.dot(x_prev) + b_j
                 y = one_minus_beta * (y + g_cur - g_prev) + beta * g_cur
             else:
                 y = one_minus_beta * y + beta * g_cur
             if track is not None:
-                gap = y - (a_bar @ x + b_bar)
-                track[t] = gap @ gap
-            outer_g = y - outer_c[i_idx[t]]
-            x_new = x - eta * (outer_g @ a_j)
-            if x_new @ x_new > radius_sq:
+                gap = y - (a_bar.dot(x) + b_bar)
+                track[t] = gap.dot(gap)
+            x_new = x - eta * (y - c_rows[i]).dot(a_j)
+            if x_new.dot(x_new) > radius_sq:
                 x_new = project_ball(x_new, radius)
             x_prev = x
             x = x_new
@@ -203,14 +205,15 @@ def _run_with_indices(
                 wacc *= rho
                 wacc += x
                 wsum = rho * wsum + 1.0
-            step_no = t + 1
-            if step_no % stride == 0 or step_no == steps:
-                if not stored_steps or stored_steps[-1] != step_no:
-                    stored_steps.append(step_no)
-                    stored_iterates.append(x)
-            if tau is not None and step_no == tau:
+            if (t + 1) % stride == 0:
+                stored_iterates.append(x)
+            if t + 1 == tau:
                 drawn_iterate = x
 
+    stored_steps = np.arange(stride, steps + 1, stride, dtype=np.int64)
+    if steps % stride:
+        stored_steps = np.append(stored_steps, steps)
+        stored_iterates.append(x)
     uniform_avg = usum / steps
     if cfg.output_mode == "last":
         final = x
@@ -222,8 +225,8 @@ def _run_with_indices(
         final = drawn_iterate
 
     return Trajectory(
-        stored_steps=np.asarray(stored_steps, dtype=np.int64),
-        iterates=np.stack(stored_iterates),
+        stored_steps=stored_steps,
+        iterates=np.array(stored_iterates),
         last=x,
         uniform_avg=uniform_avg,
         final_output=final,

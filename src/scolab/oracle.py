@@ -8,6 +8,7 @@ validation, and the closed-form reference ceiling on the tracking error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -88,8 +89,10 @@ def _projected_gradient(gram, rhs, radius, max_iters=1_000_000) -> np.ndarray:
     return x
 
 
-def _certify(gram, rhs, const, radius, method) -> MinimizerCertificate:
-    """Certified argmin of 0.5 x'gram x - rhs'x + const over the radius ball."""
+def _certify(gram, rhs, risk, radius, method) -> MinimizerCertificate:
+    """Certified argmin over the radius ball of ``risk``, the quadratic
+    0.5 x'gram x - rhs'x + const.  The value is ``risk(x)``, a sum of
+    squares, because the expanded form cancels and can read below zero."""
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("invalid domain")
     if method == "auto":
@@ -98,8 +101,7 @@ def _certify(gram, rhs, const, radius, method) -> MinimizerCertificate:
         x, tag = _projected_gradient(gram, rhs, radius), "projected_gradient_high_precision"
     else:
         raise ValueError(f"unknown solve method {method!r}")
-    value = 0.5 * float(x @ gram @ x) - float(rhs @ x) + const
-    return MinimizerCertificate(x, value, tag, _kkt_residual(x, gram @ x - rhs, radius))
+    return MinimizerCertificate(x, risk(x), tag, _kkt_residual(x, gram @ x - rhs, radius))
 
 
 def erm_minimizer(dataset: Dataset, radius: float, method: str = "auto") -> MinimizerCertificate:
@@ -107,15 +109,14 @@ def erm_minimizer(dataset: Dataset, radius: float, method: str = "auto") -> Mini
     a_bar = dataset.a_bar
     gram = a_bar.T @ a_bar
     rhs = a_bar.T @ (dataset.c_bar - dataset.b_bar)
-    const = empirical_risk(dataset, np.zeros(dataset.p))
-    return _certify(gram, rhs, const, radius, method)
+    return _certify(gram, rhs, partial(empirical_risk, dataset), radius, method)
 
 
 def population_minimizer(law: PopulationLaw, radius: float, method: str = "auto") -> MinimizerCertificate:
     """Certified minimizer of the population objective over the ball."""
     gram = law.a0.T @ law.a0
     rhs = law.a0.T @ (law.c0 - law.b0)
-    return _certify(gram, rhs, population_risk(law, np.zeros(law.p)), radius, method)
+    return _certify(gram, rhs, partial(population_risk, law), radius, method)
 
 
 def tracking_bound(

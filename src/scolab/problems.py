@@ -356,7 +356,7 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     m, d, p = a.shape
     n = dataset.n
 
-    lip_g = max(float(np.linalg.norm(a[j], 2)) for j in range(m))
+    lip_g = float(np.max(np.linalg.norm(a, 2, axis=(1, 2))))
     diffs_a = a - a_bar
     diffs_b = dataset.inner_b - b_bar
     var_grad_g = float(np.mean(np.sum(diffs_a * diffs_a, axis=(1, 2))))

@@ -160,9 +160,9 @@ class TestOracleCommand:
         assert lines[0].startswith("empirical value=")
         assert lines[1].startswith("population value=")
 
-    @pytest.mark.parametrize("kind", ["convex", "strongly_convex"])
-    def test_boundary_certificates_are_exact(self, capsys, kind):
-        code, out, _ = dispatch(capsys, "oracle", "--benchmark", kind, "--radius", "0.5")
+    @pytest.mark.parametrize("benchmark", ["convex", "strongly_convex"])
+    def test_boundary_certificates_are_exact(self, capsys, benchmark):
+        code, out, _ = dispatch(capsys, "oracle", "--benchmark", benchmark, "--radius", "0.5")
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 2

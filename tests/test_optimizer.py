@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -233,6 +236,75 @@ class TestSelectOutput:
             acc = rho * acc + point
             wsum = rho * wsum + 1.0
         np.testing.assert_allclose(traj.final_output, acc / wsum, rtol=1e-15, atol=0)
+
+
+def trajectory_digest(traj):
+    """sha256 prefix over every ``Trajectory`` field's dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for field in dataclasses.fields(traj):
+        value = getattr(traj, field.name)
+        h.update(field.name.encode())
+        if value is None:
+            h.update(b"none")
+        else:
+            h.update(f"{value.dtype.str}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (variant, output mode, record_tracking, steps, eta, radius) -> digest.
+# The pins cover both variants, every output mode with and without
+# tracking, an active projection (R = 0.3, eta = 0.5) and thinned runs:
+# T = 5000 (stride 2) and T = 4097, whose stride does not divide T, so the
+# last iterate is stored off the stride.  A kernel change that moves any
+# bit of any field shows here.
+KERNEL_PINS = [
+    (Variant.SCGD, "last", False, 33, 0.05, 10.0, "96c989082a723c6d"),
+    (Variant.SCGD, "last", True, 33, 0.05, 10.0, "cb1c4b9cefac982d"),
+    (Variant.SCGD, "uniform_average", False, 33, 0.05, 10.0, "78c1d1434b986dc9"),
+    (Variant.SCGD, "uniform_average", True, 33, 0.05, 10.0, "9225122ff3dbf996"),
+    (Variant.SCGD, "sigma_weighted", False, 33, 0.05, 10.0, "abfa42df79f4c34c"),
+    (Variant.SCGD, "sigma_weighted", True, 33, 0.05, 10.0, "7629065fd37618be"),
+    (Variant.SCGD, "uniform_random", False, 33, 0.05, 10.0, "b5ceff3f5bf5d86d"),
+    (Variant.SCGD, "uniform_random", True, 33, 0.05, 10.0, "102b21ac64e72fc6"),
+    (Variant.SCSC, "last", False, 33, 0.05, 10.0, "1572fe3a68f32b2e"),
+    (Variant.SCSC, "last", True, 33, 0.05, 10.0, "7d050504651c1f4e"),
+    (Variant.SCSC, "uniform_average", False, 33, 0.05, 10.0, "9e27d98e0f4e91ee"),
+    (Variant.SCSC, "uniform_average", True, 33, 0.05, 10.0, "97ff1d1220018003"),
+    (Variant.SCSC, "sigma_weighted", False, 33, 0.05, 10.0, "af9a7002e8ea665e"),
+    (Variant.SCSC, "sigma_weighted", True, 33, 0.05, 10.0, "79892d529bc44e8f"),
+    (Variant.SCSC, "uniform_random", False, 33, 0.05, 10.0, "cf6ad587484a48b0"),
+    (Variant.SCSC, "uniform_random", True, 33, 0.05, 10.0, "ac8a3d7875cd134b"),
+    (Variant.SCGD, "sigma_weighted", True, 33, 0.5, 0.3, "96469ad2a11c94fd"),
+    (Variant.SCSC, "sigma_weighted", True, 33, 0.5, 0.3, "0f1974651ca15b10"),
+    (Variant.SCGD, "uniform_random", True, 5000, 0.05, 10.0, "862efd4c7768a665"),
+    (Variant.SCSC, "uniform_average", True, 5000, 0.05, 10.0, "fb0305e5795adcdd"),
+    (Variant.SCSC, "last", False, 4097, 0.05, 10.0, "0df42bf2ad400790"),
+]
+
+
+class TestKernelBytes:
+    @pytest.mark.parametrize(
+        "variant, mode, tracking, steps, eta, radius, digest",
+        KERNEL_PINS,
+        ids=[
+            f"{v.value}-{mode}-{'track' if tr else 'notrack'}-T{steps}-R{radius}"
+            for v, mode, tr, steps, _, radius, _ in KERNEL_PINS
+        ],
+    )
+    def test_trajectory_bytes_pinned(self, variant, mode, tracking, steps, eta, radius, digest):
+        data = sample_dataset(benchmark_law("convex"), 6, 7, RNG.split("pin"))
+        cfg = OptimizerConfig(
+            variant=variant, steps=steps, eta=eta, beta=0.3, domain_radius=radius,
+            output_mode=mode, sigma=1.0, record_tracking=tracking,
+        )
+        traj = run(data, cfg, RNG.split(f"pinrun-{steps}"))
+        if radius < 1.0:
+            assert np.any(np.linalg.norm(traj.iterates, axis=1) >= radius * (1 - 1e-12))
+        if steps > 4096:
+            assert traj.stored_steps[1] == 4
+            assert traj.stored_steps[-1] == steps
+        assert trajectory_digest(traj) == digest
 
 
 class TestSchedulePreset:

@@ -101,6 +101,16 @@ class TestErmMinimizer:
         assert cert.method == "closed_form_min_norm"
         assert cert.kkt_residual <= 1e-9
 
+    # At these seeds the expanded form 0.5 x'Gx - rhs'x + const puts the
+    # value at -2.2e-16 to -8.9e-16, below a sum of squares' floor of zero.
+    @pytest.mark.parametrize("seed", [5, 12, 13, 14, 31, 39])
+    def test_value_is_nonnegative_at_reachable_target(self, seed):
+        data = sample_dataset(benchmark_law("convex"), 1, 1, RNG.split(f"nonneg-{seed}"))
+        cert = erm_minimizer(data, 10.0)
+        assert cert.method == "closed_form_min_norm"
+        assert cert.value >= 0.0
+        assert cert.value == empirical_risk(data, cert.x_star)
+
     @pytest.mark.parametrize("method", ["closed_form", "newton"])
     def test_unknown_method_rejected(self, method):
         data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("um"))
@@ -157,6 +167,12 @@ class TestPopulationMinimizer:
         erm = erm_minimizer(data, 10.0)
         np.testing.assert_allclose(pop.x_star, erm.x_star, atol=1e-10)
         assert pop.value == pytest.approx(erm.value, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["convex", "strongly_convex"])
+    def test_value_is_population_risk_at_certificate(self, kind):
+        law = benchmark_law(kind)
+        pop = population_minimizer(law, 10.0)
+        assert pop.value == population_risk(law, pop.x_star)
 
     def test_value_includes_irreducible_outer_noise(self):
         law = benchmark_law("convex")

@@ -237,6 +237,14 @@ class TestComputeConstants:
         )
         assert compute_constants(data, 5.0).lip_g == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("kind, m", [
+        ("convex", 1), ("convex", 13), ("strongly_convex", 2), ("strongly_convex", 40),
+    ])
+    def test_lip_g_is_exact_max_operator_norm(self, kind, m):
+        data = sample_dataset(benchmark_law(kind), 3, m, RNG.split(f"lipg-{kind}-{m}"))
+        expected = max(float(np.linalg.norm(a_j, 2)) for a_j in data.inner_a)
+        assert compute_constants(data, 10.0).lip_g == expected
+
     def test_var_g_against_random_search(self):
         data = default_dataset(seed_label="vg")
         params = compute_constants(data, 10.0)
