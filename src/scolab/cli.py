@@ -16,10 +16,8 @@ accept.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from contextlib import redirect_stderr
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -182,6 +180,8 @@ def _emit(o, header, rows, title, x_values, series, log_axes=True):
     out = o["out"]
     emit_csv(out, header, rows)
     if o["svg"]:
+        if log_axes:  # a log axis draws an exact zero at 1e-300
+            series = {key: [max(v, 1e-300) for v in values] for key, values in series.items()}
         svg_path = out[: -len(".csv")] + ".svg" if out.endswith(".csv") else out + ".svg"
         emit_svg(svg_path, title, x_values, series, log_x=log_axes, log_y=log_axes)
 
@@ -301,7 +301,7 @@ def cmd_stability(o) -> int:
             rng = Rng(o["seed"]).split(f"stability-{n}-{m}")
             est = estimate_stability(law, n, m, opt_cfg, o["replicates"], rng,
                                      coupled=not o["uncoupled"], threads=o["threads"])
-            cell = (o["variant"], o["convexity"], n, m, o["T"], o["eta"], o["beta"], o["replicates"])
+            cell = (o["variant"], o["benchmark"], n, m, o["T"], o["eta"], o["beta"], o["replicates"])
             rows.append(cell + (est.eps_nu, est.eps_nu_se, est.eps_omega, est.eps_omega_se))
     _emit(o, STABILITY_HEADER, rows, "replacement sensitivity",
           [row[2] for row in rows], {"eps_nu_hat": [row[8] for row in rows]})
@@ -325,7 +325,7 @@ def cmd_optimization(o) -> int:
     ))
     rows = result.rows
     _emit(o, ["T", "eta", "beta", "gap_mean", "gap_se"], rows, "empirical suboptimality",
-          [r.steps for r in rows], {"gap_mean": [max(r.gap_mean, 1e-300) for r in rows]})
+          [r.steps for r in rows], {"gap_mean": [r.gap_mean for r in rows]})
     print(f"wrote {o['out']}", file=sys.stderr)
     return 0
 
@@ -343,7 +343,7 @@ def cmd_excess_risk(o) -> int:
     rows = [list(row) + [None] for row in result.rows]
     rows.append([None] * 7 + [result.fitted_slope])
     _emit(o, header, rows, "population excess risk", [r.n for r in result.rows],
-          {"excess_mean": [max(r.excess_mean, 1e-300) for r in result.rows]})
+          {"excess_mean": [r.excess_mean for r in result.rows]})
     print(f"wrote {o['out']}", file=sys.stderr)
     return 0
 
@@ -355,10 +355,13 @@ _COUNT = _number(int, 1)
 _POSITIVE = _number(float, 0.0, strict=True)
 _LAWS = ("convex", "strongly_convex")
 _MODES = ("last", "uniform_average", "sigma_weighted")
-_COMMON = {
-    "seed": Flag(_number(int, 0), 0, "base random seed"),
+_SEED = Flag(_number(int, 0), 0, "base random seed")
+_RADIUS = Flag(_POSITIVE, 10.0, "domain ball radius")
+_ONE_RUN = {"seed": _SEED, "radius": _RADIUS}
+_REPLICATED = {
+    "seed": _SEED,
     "threads": Flag(_COUNT, 1, "has no effect: replicates run serially"),
-    "radius": Flag(_POSITIVE, 10.0, "domain ball radius"),
+    "radius": _RADIUS,
 }
 _DATA = {
     "benchmark": Flag(_choice(*_LAWS), "convex", "benchmark law"),
@@ -366,9 +369,6 @@ _DATA = {
     "m": Flag(_COUNT, 40, "number of inner samples"),
 }
 _VARIANT = Flag(_choice("scgd", "scsc"), "scgd", "optimizer variant")
-_CONVEXITY = Flag(
-    _choice(*_LAWS), lambda v: v["benchmark"], "convexity label (default: the benchmark)"
-)
 _STEPS = {
     "eta": Flag(_number(float, 0.0), 1e-3, "step size"),
     "beta": Flag(_number(float, 0.0, strict=True, maximum=1.0), 0.1, "tracking weight in (0, 1]"),
@@ -385,14 +385,13 @@ def _csv(path):
 
 COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
     "gradcheck": ("finite-difference gradient check", cmd_gradcheck, {
-        **_COMMON,
+        **_ONE_RUN,
         **_DATA,
         "points": Flag(_COUNT, 20, "number of test points"),
         "h": Flag(_POSITIVE, 1e-5, "central difference step"),
         "assert": Flag(_POSITIVE, 1e-5, "fail (exit 1) above this max relative error"),
     }),
     "schedule": ("print the published (T, eta, beta) preset", cmd_schedule, {
-        **_COMMON,
         "variant": _VARIANT,
         "convexity": Flag(_choice(*_LAWS), "convex", "convexity regime of the preset"),
         "n": _DATA["n"],
@@ -400,7 +399,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "t-max": _T_MAX,
     }),
     "optimize": ("run one optimization and export the trajectory", cmd_optimize, {
-        **_COMMON,
+        **_ONE_RUN,
         **_csv("trajectory.csv"),
         "variant": _VARIANT,
         **_DATA,
@@ -410,7 +409,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "sigma": Flag(_POSITIVE, None, "weight curvature for sigma_weighted"),
     }),
     "tracking": ("tracking-gap study against its ceiling", cmd_tracking, {
-        **_COMMON,
+        **_REPLICATED,
         **_csv("tracking.csv"),
         "variant": _VARIANT,
         **_DATA,
@@ -421,11 +420,10 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "log-points": Flag(_COUNT, 40, "number of log-spaced report steps"),
     }),
     "stability": ("coupled replacement-sensitivity estimates", cmd_stability, {
-        **_COMMON,
+        **_REPLICATED,
         **_csv("stability.csv"),
         "variant": _VARIANT,
         "benchmark": _DATA["benchmark"],
-        "convexity": _CONVEXITY,
         "n": Flag(_integers, "40", "comma-separated outer sizes"),
         "m": Flag(_integers, "40", "comma-separated inner sizes"),
         "T": Flag(_COUNT, 2048, "number of steps"),
@@ -434,7 +432,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "uncoupled": Flag(_boolean, False, "redraw the neighbor run's index stream"),
     }),
     "optimization": ("empirical suboptimality study", cmd_optimization, {
-        **_COMMON,
+        **_REPLICATED,
         **_csv("optimization.csv"),
         "variant": _VARIANT,
         **_DATA,
@@ -446,11 +444,13 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "replicates": Flag(_number(int, 2), 50, "Monte Carlo replicates"),
     }),
     "excess-risk": ("population excess-risk study at the presets", cmd_excess_risk, {
-        **_COMMON,
+        **_REPLICATED,
         **_csv("excess.csv"),
         "variant": _VARIANT,
         "benchmark": _DATA["benchmark"],
-        "convexity": _CONVEXITY,
+        "convexity": Flag(
+            _choice(*_LAWS), lambda v: v["benchmark"], "convexity label (default: the benchmark)"
+        ),
         "sizes": Flag(_integers, "20,40,80", "comma-separated n = m values"),
         "replicates": Flag(_number(int, 2), 200, "Monte Carlo replicates"),
         "t-max": _T_MAX,
@@ -462,21 +462,17 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         ),
     }),
     "oracle": ("print certified empirical and population minimizers", cmd_oracle, {
-        **_COMMON,
+        **_ONE_RUN,
         **_DATA,
     }),
 }
 
 
 def parse_and_dispatch(argv) -> int:
-    buffer = io.StringIO()
     try:
-        with redirect_stderr(buffer):
-            args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        sys.stderr.write(buffer.getvalue())
         return 0 if exc.code in (0, None) else 2
-    sys.stderr.write(buffer.getvalue())
     if args.command is None:
         print("missing subcommand; see scolab --help", file=sys.stderr)
         return 2

@@ -168,31 +168,27 @@ def tracking_study(cfg: StudyConfig) -> TrackingStudyResult:
         record_tracking=True,
     )
 
-    total = np.zeros(cfg.steps)
-    total_sq = np.zeros(cfg.steps)
-    for rep in range(cfg.replicates):
-        arr = run(data, opt_cfg, root.split(f"rep-{rep}")).tracking_sq_errors
-        total += arr
-        total_sq += arr * arr
-    reps = cfg.replicates
-    mean = total / reps
-    var = np.maximum(total_sq - reps * mean * mean, 0.0) / (reps - 1)
-    se = np.sqrt(var / reps)
-
-    measured_d_y = float(mean[0])
-    bound_params = dataclasses.replace(params, d_y=measured_d_y, free_c=cfg.tracking_c)
     # tracking_sq_errors[k] is the gap after k+1 tracker updates; the
-    # decay term of the ceiling is indexed by the same k >= 1.
+    # decay term of the ceiling is indexed by the same k >= 1.  Column 0
+    # anchors the ceiling; the log grid starts at 1.
     ts = _log_step_grid(cfg.steps - 1, cfg.log_points)
+    columns = np.concatenate(([0], ts))
+    errors = np.array([
+        run(data, opt_cfg, root.split(f"rep-{rep}")).tracking_sq_errors[columns]
+        for rep in range(cfg.replicates)
+    ])
+    mean, se = _mean_se(errors)
+
+    measured_d_y = mean[0]
+    bound_params = dataclasses.replace(params, d_y=measured_d_y, free_c=cfg.tracking_c)
     rows = [
         TrackingRow(
             t=int(t),
-            mean_sq_error=float(mean[t]),
-            se=float(se[t]),
+            mean_sq_error=mean[k],
+            se=se[k],
             bound=tracking_bound(cfg.variant, int(t), bound_params, cfg.eta, cfg.beta).value,
         )
-        for t in ts
-        if t >= 1
+        for k, t in enumerate(ts, start=1)
     ]
     return TrackingStudyResult(rows=rows, params=bound_params, measured_d_y=measured_d_y)
 

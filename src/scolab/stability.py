@@ -115,11 +115,13 @@ class StabilityEstimate:
     coupled: bool
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    if values.shape[0] < 2:
-        return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / np.sqrt(values.shape[0]))
+def _mean_se(values: np.ndarray):
+    """Mean over axis 0 of two or more rows and its standard error.
+
+    Floats for 1-D input, lists of floats for 2-D input.
+    """
+    se = np.std(values, axis=0, ddof=1) / np.sqrt(values.shape[0])
+    return np.mean(values, axis=0).tolist(), se.tolist()
 
 
 def _stability_replicate(

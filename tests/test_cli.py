@@ -233,6 +233,17 @@ class TestStudyCommands:
         svg = (tmp_path / "tracking.svg").read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
 
+    def test_stability_svg_draws_zero_sensitivity(self, capsys, tmp_path):
+        # eta = 0 never moves the iterate, so every distance is exactly 0
+        out_path = tmp_path / "stability.csv"
+        code, _, _ = dispatch(
+            capsys, "stability", "--n", "4", "--m", "4", "--T", "20", "--eta", "0",
+            "--replicates", "2", "--out", str(out_path), "--svg",
+        )
+        assert code == 0
+        assert read_csv(out_path)[1][0][8] == 0.0
+        assert (tmp_path / "stability.svg").read_text().rstrip().endswith("</svg>")
+
     def test_stability_csv_schema(self, capsys, tmp_path):
         out_path = tmp_path / "stability.csv"
         code, _, _ = dispatch(

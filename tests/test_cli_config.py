@@ -12,31 +12,33 @@ import pytest
 from scolab import cli
 from scolab.cli import parse_and_dispatch
 
-# Every subcommand's flags, as the command line has always offered them.
-COMMON = {"seed", "config", "threads", "radius"}
+# Every subcommand's flags.  Only the commands that run replicates take
+# --threads, and schedule, which draws nothing, takes no seed or radius.
+ONE_RUN = {"seed", "config", "radius"}
+REPLICATED = ONE_RUN | {"threads"}
 OUTPUT = {"out", "svg"}
 SURFACE = {
-    "gradcheck": COMMON | {"benchmark", "n", "m", "points", "h", "assert"},
-    "schedule": COMMON | {"variant", "convexity", "n", "m", "t-max"},
-    "optimize": COMMON | OUTPUT | {
+    "gradcheck": ONE_RUN | {"benchmark", "n", "m", "points", "h", "assert"},
+    "schedule": {"config", "variant", "convexity", "n", "m", "t-max"},
+    "optimize": ONE_RUN | OUTPUT | {
         "variant", "benchmark", "n", "m", "T", "eta", "beta", "output-mode", "sigma",
     },
-    "tracking": COMMON | OUTPUT | {
+    "tracking": REPLICATED | OUTPUT | {
         "variant", "benchmark", "n", "m", "T", "eta", "beta", "replicates",
         "tracking-c", "log-points",
     },
-    "stability": COMMON | OUTPUT | {
-        "variant", "benchmark", "convexity", "n", "m", "T", "eta", "beta",
+    "stability": REPLICATED | OUTPUT | {
+        "variant", "benchmark", "n", "m", "T", "eta", "beta",
         "replicates", "uncoupled",
     },
-    "optimization": COMMON | OUTPUT | {
+    "optimization": REPLICATED | OUTPUT | {
         "variant", "benchmark", "n", "m", "T-grid", "eta", "beta", "eta-exp",
         "beta-exp", "output-mode", "replicates",
     },
-    "excess-risk": COMMON | OUTPUT | {
+    "excess-risk": REPLICATED | OUTPUT | {
         "variant", "benchmark", "convexity", "sizes", "replicates", "t-max", "output-mode",
     },
-    "oracle": COMMON | {"benchmark", "n", "m"},
+    "oracle": ONE_RUN | {"benchmark", "n", "m"},
 }
 
 # Flags that keep each run small; every parity case starts from these.
@@ -55,15 +57,14 @@ BASE = {
 # setting changes the output.  "true" marks a boolean flag.
 PROBE = {
     "gradcheck": {
-        "seed": "3", "threads": "2", "radius": "4", "benchmark": "strongly_convex",
+        "seed": "3", "radius": "4", "benchmark": "strongly_convex",
         "n": "6", "m": "7", "points": "3", "h": "1e-6", "assert": "1e-20",
     },
     "schedule": {
-        "seed": "1", "threads": "2", "radius": "3", "variant": "scsc",
-        "convexity": "strongly_convex", "n": "5", "m": "6", "t-max": "50",
+        "variant": "scsc", "convexity": "strongly_convex", "n": "5", "m": "6", "t-max": "50",
     },
     "optimize": {
-        "seed": "2", "threads": "2", "radius": "0.5", "out": "run.csv", "svg": "true",
+        "seed": "2", "radius": "0.5", "out": "run.csv", "svg": "true",
         "variant": "scsc", "benchmark": "strongly_convex", "n": "6", "m": "7", "T": "25",
         "eta": "0.01", "beta": "0.5", "output-mode": "uniform_average", "sigma": "0.5",
     },
@@ -75,7 +76,7 @@ PROBE = {
     },
     "stability": {
         "seed": "2", "threads": "2", "radius": "0.5", "out": "stb.csv", "svg": "true",
-        "variant": "scsc", "benchmark": "strongly_convex", "convexity": "convex",
+        "variant": "scsc", "benchmark": "strongly_convex",
         "n": "5,6", "m": "5", "T": "30", "eta": "0.01", "beta": "0.5", "replicates": "3",
         "uncoupled": "true",
     },
@@ -91,8 +92,7 @@ PROBE = {
         "sizes": "4,8", "replicates": "3", "t-max": "12", "output-mode": "last",
     },
     "oracle": {
-        "seed": "2", "threads": "2", "radius": "0.5", "benchmark": "strongly_convex",
-        "n": "6", "m": "7",
+        "seed": "2", "radius": "0.5", "benchmark": "strongly_convex", "n": "6", "m": "7",
     },
 }
 
@@ -129,6 +129,30 @@ class TestFlagSurface:
 
     def test_probes_cover_every_flag(self):
         assert {c: set(v) | {"config"} for c, v in PROBE.items()} == SURFACE
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_handler_reads_every_flag(self, command, tmp_path, monkeypatch, capsys):
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        resolve = cli._resolve
+        monkeypatch.setattr(cli, "_resolve", lambda *a: Recording(resolve(*a)))
+        code, _, _ = run_in(tmp_path / "run", monkeypatch, capsys,
+                            [command, *as_argv(BASE[command])])
+        assert code == 0
+        assert read == set(cli.COMMANDS[command][2])
+
+    @pytest.mark.parametrize("argv", [
+        ["schedule", "--seed", "1"], ["oracle", "--threads", "2"],
+        ["stability", "--convexity", "convex"],
+    ], ids=["schedule-seed", "oracle-threads", "stability-convexity"])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, argv, capsys):
+        assert parse_and_dispatch(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigArgvParity:

@@ -59,6 +59,20 @@ class TestTrackingStudy:
         assert ts[0] >= 1 and ts[-1] <= cfg.steps - 1
         assert all(row.bound > 0 for row in a.rows)
 
+    def test_identical_replicates_have_no_standard_error(self):
+        # eta = 0 and noiseless inner samples make every replicate the same
+        # run; a one-pass variance cancels here, the two-pass one does not.
+        law = dataclasses.replace(
+            benchmark_law("convex"), tau_a=0.0, tau_b=0.0, b0=np.full(4, 0.7)
+        )
+        cfg = StudyConfig(
+            study="tracking", variant=Variant.SCGD, law=law, n=5, m=5,
+            steps=40, eta=0.0, beta=0.3, replicates=50, seed=6, log_points=10,
+        )
+        rows = tracking_study(cfg).rows
+        assert all(row.mean_sq_error > 0 for row in rows)
+        assert all(row.se <= 1e-14 * row.mean_sq_error for row in rows)
+
     def test_threads_do_not_change_rows(self):
         cfg1 = StudyConfig(
             study="tracking", variant=Variant.SCGD, benchmark="convex", n=6, m=6,
