@@ -12,12 +12,21 @@ and then takes the projected chain-rule step
 
 Step sizes are constant over a run; ``_run_with_indices`` is the one
 implementation of the step, and ``_draw_indices`` the one draw of a
-run's indices, which coupled runs share.  The step uses ``ndarray.dot``
-and per-run lists of the data rows on purpose: ``@`` and numpy scalar
-indexing reach the same BLAS calls, so they give the same bits, but
-they cost microseconds more per step.  Outputs can be the last iterate,
-the uniform average of all iterates, a geometrically weighted average
-suited to strongly convex objectives, or a uniformly drawn iterate.
+run's indices, which coupled runs share.  Outputs can be the last
+iterate, the uniform average of all iterates, a geometrically weighted
+average suited to strongly convex objectives, or a uniformly drawn
+iterate.
+
+The step loop carries only the recurrence above, in blocks of at most
+``BLOCK_STEPS`` steps whose iterates (and tracker values, when tracking
+is recorded) it writes into a block buffer.  One pass after each block
+derives the rest in step order, with the same floating-point operations
+a per-step update would do: running sum, stored iterates, uniform draw,
+geometric average and tracking gaps.  Working memory is O(block), plus
+the length-T tracking array when it is requested.  The loop uses
+``ndarray.dot``, per-run lists of the data rows and same-shape step-size
+arrays on purpose: ``@``, numpy scalar indexing and Python-float
+operands give the same bits but cost microseconds more per step.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ __all__ = [
 OUTPUT_MODES = ("last", "uniform_average", "sigma_weighted", "uniform_random")
 
 MAX_STORED_ITERATES = 4096
+BLOCK_STEPS = 4096
 
 
 class Variant(Enum):
@@ -100,10 +110,12 @@ class Trajectory:
 
     ``stored_steps`` lists which iterates (1-based step numbers) are kept
     in ``iterates``; long runs are thinned to a uniform stride of at most
-    4096 stored points, but the running averages are exact regardless.
-    ``final_output`` is the output selected by the config's ``output_mode``.
-    ``tracking_sq_errors[t]`` is the squared gap between the tracker and
-    the empirical inner mean at the pre-step point, for t = 0 .. T-1.
+    4096 stored points, plus step T.  The running averages are exact
+    regardless: they are derived from every iterate, block by block, after
+    the step loop has produced it.  ``final_output`` is the output
+    selected by the config's ``output_mode``.  ``tracking_sq_errors[t]``
+    is the squared gap between the tracker and the empirical inner mean
+    at the pre-step point, for t = 0 .. T-1.  No two fields share memory.
     """
 
     stored_steps: np.ndarray
@@ -139,6 +151,29 @@ def run(dataset: Dataset, cfg: OptimizerConfig, rng: Rng) -> Trajectory:
     return _run_with_indices(dataset, cfg, *_draw_indices(dataset, cfg, rng))
 
 
+def _start_point(value: np.ndarray | None, dim: int, name: str, dim_name: str) -> np.ndarray:
+    if value is None:
+        return np.zeros(dim)
+    if value.shape != (dim,):
+        raise ValueError(
+            f"{name} has length {value.shape[0]}, but the dataset needs {dim_name} = {dim}"
+        )
+    return value.copy()
+
+
+def _tracking_sq_errors(dataset: Dataset, pre: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``||y_t - (a_bar x + b_bar)||^2`` for each row pair of ``ys`` and ``pre``.
+
+    Stacked matmul runs, per row, the BLAS gemv and ddot that ndarray.dot
+    runs; unlike .dot, it reports BLAS's invalid flag, hence the errstate.
+    """
+    with np.errstate(invalid="ignore"):
+        gap = np.matmul(dataset.a_bar, pre[:, :, None])[:, :, 0]
+        gap += dataset.b_bar
+        np.subtract(ys, gap, out=gap)
+        return np.matmul(gap[:, None, :], gap[:, :, None])[:, 0, 0]
+
+
 def _run_with_indices(
     dataset: Dataset,
     cfg: OptimizerConfig,
@@ -148,85 +183,108 @@ def _run_with_indices(
 ) -> Trajectory:
     steps = cfg.steps
     p, d = dataset.p, dataset.d
+    x = _start_point(cfg.x0, p, "x0", "p")
+    y = _start_point(cfg.y0, d, "y0", "d")
+    x_prev = x
     a_rows = list(dataset.inner_a)
     b_rows = list(dataset.inner_b)
     c_rows = list(dataset.outer_c)
-
-    x = np.zeros(p) if cfg.x0 is None else cfg.x0.copy()
-    y = np.zeros(d) if cfg.y0 is None else cfg.y0.copy()
-    x_prev = x
-    eta = cfg.eta
-    beta = cfg.beta
-    one_minus_beta = 1.0 - beta
+    # Same-shape operands make each product the same IEEE multiply as a
+    # Python-float one, without numpy's per-call scalar conversion.
+    one_minus_beta = np.full(d, 1.0 - cfg.beta)
+    beta = np.full(d, cfg.beta)
+    eta = np.full(p, cfg.eta)
     radius = cfg.domain_radius
     # project_ball moves x only if ||x|| > R; as sqrt(fl(R * R)) == R unless
     # R * R underflows, this pre-test skips only points it would not move.
     # The clamp keeps that true when R * R overflows.
     radius_sq = min(radius * radius, np.finfo(float).max)
-    scsc = cfg.variant is Variant.SCSC and beta != 1.0
+    scsc = cfg.variant is Variant.SCSC and cfg.beta != 1.0
 
-    track = None
+    # Row 0 of xs holds the iterate a block starts from, row t the iterate
+    # after the block's step t; ys row t - 1 holds the tracker after step t.
+    block = min(steps, BLOCK_STEPS)
+    xs = np.empty((block + 1, p))
+    track = ys = None
     if cfg.record_tracking:
         track = np.empty(steps)
-        a_bar = dataset.a_bar
-        b_bar = dataset.b_bar
+        ys = np.empty((block, d))
     stride = _storage_stride(steps)
-    stored_iterates = []
+    # The last multiple of the stride is at or past T; T itself is stored.
+    stored_steps = np.arange(stride, steps + stride, stride, dtype=np.int64)
+    stored_steps[-1] = steps
+    iterates = np.empty((stored_steps.size, p))
     usum = np.zeros(p)
     sigma_mode = cfg.output_mode == "sigma_weighted"
     if sigma_mode:
-        rho = 1.0 - cfg.sigma * eta / 2.0
-        wacc = np.zeros(p)
-        wsum = 0.0
+        rho = float(1.0 - cfg.sigma * cfg.eta / 2.0)
+        wacc = [0.0] * p
     drawn_iterate = None
 
     # A huge step may overflow ||x||^2 to inf; the pre-test then fires and
     # project_ball handles it, so numpy's overflow warning is noise.
     with np.errstate(over="ignore"):
-        for t, (j, i) in enumerate(zip(j_idx.tolist(), i_idx.tolist())):
-            a_j = a_rows[j]
-            b_j = b_rows[j]
-            g_cur = a_j.dot(x) + b_j
-            if scsc:
-                g_prev = a_j.dot(x_prev) + b_j
-                y = one_minus_beta * (y + g_cur - g_prev) + beta * g_cur
-            else:
-                y = one_minus_beta * y + beta * g_cur
-            if track is not None:
-                gap = y - (a_bar.dot(x) + b_bar)
-                track[t] = gap.dot(gap)
-            x_new = x - eta * (y - c_rows[i]).dot(a_j)
-            if x_new.dot(x_new) > radius_sq:
-                x_new = project_ball(x_new, radius)
-            x_prev = x
-            x = x_new
-            usum += x
-            if sigma_mode:
-                wacc *= rho
-                wacc += x
-                wsum = rho * wsum + 1.0
-            if (t + 1) % stride == 0:
-                stored_iterates.append(x)
-            if t + 1 == tau:
-                drawn_iterate = x
+        for start in range(0, steps, block):
+            stop = min(start + block, steps)
+            k = stop - start
+            xs[0] = x
+            x = xs[0]
+            y_rows = [y] * k if ys is None else ys[:k]  # untracked: y updates in place
+            for j, i, x_out, y_out in zip(
+                j_idx[start:stop].tolist(), i_idx[start:stop].tolist(), xs[1 : k + 1], y_rows
+            ):
+                a_j = a_rows[j]
+                b_j = b_rows[j]
+                g_cur = a_j.dot(x) + b_j
+                if scsc:
+                    g_prev = a_j.dot(x_prev) + b_j
+                    y = np.add(one_minus_beta * (y + g_cur - g_prev), beta * g_cur, y_out)
+                else:
+                    y = np.add(one_minus_beta * y, beta * g_cur, y_out)
+                x_prev = x
+                x = np.subtract(x, eta * (y - c_rows[i]).dot(a_j), x_out)
+                if x.dot(x) > radius_sq:
+                    x[...] = project_ball(x, radius)
+            # Both are rows of xs, which the sum below and the next block rewrite.
+            x_prev, x = x_prev.copy(), x.copy()
 
-    stored_steps = np.arange(stride, steps + 1, stride, dtype=np.int64)
-    if steps % stride:
-        stored_steps = np.append(stored_steps, steps)
-        stored_iterates.append(x)
+            # Everything below is derived from the block's iterates, in step order.
+            if track is not None:
+                track[start:stop] = _tracking_sq_errors(dataset, xs[:k], ys[:k])
+            on_stride = xs[stride - start % stride : k + 1 : stride]
+            iterates[start // stride : stop // stride] = on_stride
+            if tau is not None and start < tau <= stop:
+                drawn_iterate = xs[tau - start].copy()
+            if sigma_mode:
+                # Rounds exactly like wacc *= rho; wacc += x, one coordinate at a time.
+                for c in range(p):
+                    w = wacc[c]
+                    for v in xs[1 : k + 1, c].tolist():
+                        w = rho * w + v
+                    wacc[c] = w
+            # accumulate adds row by row for every p; reduce sums pairwise when
+            # p = 1.  In place, it needs no memory.
+            xs[0] = usum
+            np.add.accumulate(xs[: k + 1], axis=0, out=xs[: k + 1])
+            usum = xs[k].copy()
+
+    iterates[-1] = x
     uniform_avg = usum / steps
     if cfg.output_mode == "last":
-        final = x
+        final = x.copy()
     elif cfg.output_mode == "uniform_average":
-        final = uniform_avg
+        final = uniform_avg.copy()
     elif sigma_mode:
-        final = wacc / wsum
+        wsum = 0.0
+        for _ in range(steps):
+            wsum = rho * wsum + 1.0
+        final = np.array(wacc) / wsum
     else:
         final = drawn_iterate
 
     return Trajectory(
         stored_steps=stored_steps,
-        iterates=np.array(stored_iterates),
+        iterates=iterates,
         last=x,
         uniform_avg=uniform_avg,
         final_output=final,

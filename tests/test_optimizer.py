@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from scalar_reference import (
     tracking_step,
 )
 from scolab.core import Rng
-from scolab.optimizer import OUTPUT_MODES, OptimizerConfig, Variant, run, schedule_preset
+from scolab.optimizer import (
+    OUTPUT_MODES,
+    OptimizerConfig,
+    Variant,
+    _draw_indices,
+    _run_with_indices,
+    run,
+    schedule_preset,
+)
 from scolab.problems import (
     PopulationLaw,
     benchmark_law,
@@ -225,6 +234,19 @@ class TestSelectOutput:
         np.testing.assert_array_equal(traj.final_output, traj.uniform_avg)
         np.testing.assert_allclose(traj.uniform_avg, traj.iterates.mean(axis=0), atol=1e-13)
 
+    def test_uniform_average_adds_in_step_order_with_one_coordinate(self):
+        # numpy sums a single column pairwise; the average must still add
+        # the iterates one step after another, as for any other p.
+        law = PopulationLaw(a0=np.ones((2, 1)), b0=np.zeros(2), c0=np.ones(2), tau_a=0.3)
+        data = sample_dataset(law, 5, 5, RNG.split("p1"))
+        cfg = OptimizerConfig(variant=Variant.SCGD, steps=4096, eta=0.3, beta=0.5,
+                              output_mode="uniform_average")
+        traj = run(data, cfg, RNG.split("p1run"))
+        total = 0.0
+        for (value,) in traj.iterates.tolist():
+            total += value
+        assert traj.uniform_avg.tolist() == [total / cfg.steps]
+
     def test_streaming_sigma_average_matches_recomputation(self):
         sigma, eta = 1.2, 0.05
         traj = self._run("sigma_weighted", steps=64, eta=eta, sigma=sigma, label="sw")
@@ -256,8 +278,11 @@ def trajectory_digest(traj):
 # The pins cover both variants, every output mode with and without
 # tracking, an active projection (R = 0.3, eta = 0.5) and thinned runs:
 # T = 5000 (stride 2) and T = 4097, whose stride does not divide T, so the
-# last iterate is stored off the stride.  A kernel change that moves any
-# bit of any field shows here.
+# last iterate is stored off the stride.  The kernel runs in blocks of
+# 4096 steps, so T = 8193 (two full blocks and a one-step tail, with the
+# projection firing on both sides of each boundary) and T = 12000 (whose
+# uniform draw is step 7980, in the second block) cross block boundaries.
+# A kernel change that moves any bit of any field shows here.
 KERNEL_PINS = [
     (Variant.SCGD, "last", False, 33, 0.05, 10.0, "96c989082a723c6d"),
     (Variant.SCGD, "last", True, 33, 0.05, 10.0, "cb1c4b9cefac982d"),
@@ -280,6 +305,14 @@ KERNEL_PINS = [
     (Variant.SCGD, "uniform_random", True, 5000, 0.05, 10.0, "862efd4c7768a665"),
     (Variant.SCSC, "uniform_average", True, 5000, 0.05, 10.0, "fb0305e5795adcdd"),
     (Variant.SCSC, "last", False, 4097, 0.05, 10.0, "0df42bf2ad400790"),
+    (Variant.SCGD, "sigma_weighted", True, 8193, 0.05, 10.0, "37846f9b1bfa814f"),
+    (Variant.SCGD, "uniform_average", True, 8193, 0.05, 10.0, "b0f9812cd934ff74"),
+    (Variant.SCSC, "sigma_weighted", True, 8193, 0.05, 10.0, "81680633cf24667c"),
+    (Variant.SCSC, "uniform_average", True, 8193, 0.05, 10.0, "f57edcf1983a1aaa"),
+    (Variant.SCGD, "uniform_random", False, 12000, 0.05, 10.0, "9f0912f9821e86bd"),
+    (Variant.SCSC, "uniform_random", True, 12000, 0.05, 10.0, "7b8458180f76de3c"),
+    (Variant.SCGD, "sigma_weighted", True, 8193, 0.5, 0.3, "298722f78156da75"),
+    (Variant.SCSC, "last", False, 8193, 0.5, 0.3, "6952a1144374408e"),
 ]
 
 
@@ -299,12 +332,87 @@ class TestKernelBytes:
             output_mode=mode, sigma=1.0, record_tracking=tracking,
         )
         traj = run(data, cfg, RNG.split(f"pinrun-{steps}"))
+        on_sphere = np.linalg.norm(traj.iterates, axis=1) >= radius * (1 - 1e-12)
         if radius < 1.0:
-            assert np.any(np.linalg.norm(traj.iterates, axis=1) >= radius * (1 - 1e-12))
+            assert np.any(on_sphere[traj.stored_steps <= 4096])
+            if steps > 4096:
+                assert np.any(on_sphere[traj.stored_steps > 4096])
         if steps > 4096:
-            assert traj.stored_steps[1] == 4
+            stride = -(-steps // 4096)
+            assert traj.stored_steps[1] == 2 * stride
             assert traj.stored_steps[-1] == steps
         assert trajectory_digest(traj) == digest
+
+    @staticmethod
+    def _fields(traj):
+        return {
+            f.name: getattr(traj, f.name)
+            for f in dataclasses.fields(traj)
+            if getattr(traj, f.name) is not None
+        }
+
+    @pytest.mark.parametrize("mode", OUTPUT_MODES)
+    def test_fields_share_no_memory(self, mode):
+        data = sample_dataset(benchmark_law("convex"), 6, 7, RNG.split("pin"))
+        cfg = OptimizerConfig(variant=Variant.SCSC, steps=8193, eta=0.05, beta=0.3,
+                              output_mode=mode, sigma=1.0, record_tracking=True)
+        fields = self._fields(run(data, cfg, RNG.split("pinrun-8193")))
+        names = list(fields)
+        for k, a in enumerate(names):
+            for b in names[k + 1:]:
+                assert not np.shares_memory(fields[a], fields[b]), (a, b)
+
+    def test_second_run_leaves_first_run_unchanged(self):
+        data = sample_dataset(benchmark_law("convex"), 6, 7, RNG.split("pin"))
+        cfg = OptimizerConfig(variant=Variant.SCSC, steps=8193, eta=0.05, beta=0.3,
+                              output_mode="uniform_random", record_tracking=True)
+        first = run(data, cfg, RNG.split("pinrun-8193"))
+        before = {name: value.copy() for name, value in self._fields(first).items()}
+        digest = trajectory_digest(first)
+        run(data, cfg, RNG.split("another-run"))
+        run(data, dataclasses.replace(cfg, steps=5), RNG.split("a-short-run"))
+        for name, value in self._fields(first).items():
+            np.testing.assert_array_equal(value, before[name])
+        assert trajectory_digest(first) == digest
+
+
+class TestKernelMemory:
+    def test_working_memory_does_not_grow_with_steps(self):
+        # Without tracking, everything the kernel allocates is O(block): a
+        # kernel that converts or stores per-step data for the whole run
+        # (1.6 MB of index lists alone at this T) fails.
+        data = sample_dataset(benchmark_law("convex"), 6, 7, RNG.split("mem"))
+        cfg = OptimizerConfig(variant=Variant.SCGD, steps=100_000, eta=0.05, beta=0.3)
+        indices = _draw_indices(data, cfg, RNG.split("memrun"))
+        tracemalloc.start()
+        try:
+            _run_with_indices(data, cfg, *indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestStackedMatmulMatchesDot:
+    """The kernel derives per-step products after each block with stacked
+    ``np.matmul``; its outputs equal a per-step loop's only while each
+    stacked row reaches the same BLAS call as ``ndarray.dot``."""
+
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (8, 8)])
+    def test_rows_match_dot_bit_for_bit(self, shape):
+        gen = np.random.default_rng(sum(shape))
+        rows, cols = shape
+        for _ in range(200):
+            a = gen.standard_normal(shape) * gen.uniform(0.1, 10.0)
+            xs = gen.standard_normal((9, cols))
+            vs = gen.standard_normal((9, rows))
+            a_x = np.matmul(a, xs[:, :, None])[:, :, 0]
+            v_a = np.matmul(vs[:, None, :], a)[:, 0, :]
+            v_v = np.matmul(vs[:, None, :], vs[:, :, None])[:, 0, 0]
+            for t in range(9):
+                assert a_x[t].tobytes() == a.dot(xs[t]).tobytes()
+                assert v_a[t].tobytes() == vs[t].dot(a).tobytes()
+                assert v_v[t].tobytes() == vs[t].dot(vs[t]).tobytes()
 
 
 class TestSchedulePreset:
@@ -373,6 +481,19 @@ class TestConfigValidation:
                 variant=Variant.SCGD, steps=1, eta=0.1, beta=0.5,
                 domain_radius=1.0, x0=np.array([2.0, 0.0]),
             )
+
+    def test_x0_of_wrong_length_rejected(self):
+        data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("dim"))
+        cfg = OptimizerConfig(variant=Variant.SCGD, steps=3, eta=0.1, beta=0.5, x0=[0.7])
+        with pytest.raises(ValueError, match=f"x0 .* p = {data.p}"):
+            run(data, cfg, RNG.split("dimrun"))
+
+    def test_y0_of_wrong_length_rejected(self):
+        # A length-1 y0 would broadcast through the whole run.
+        data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("dim"))
+        cfg = OptimizerConfig(variant=Variant.SCGD, steps=3, eta=0.1, beta=0.5, y0=[0.7])
+        with pytest.raises(ValueError, match=f"y0 .* d = {data.d}"):
+            run(data, cfg, RNG.split("dimrun"))
 
     def test_uniform_random_mode_records_draw(self):
         data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("ur"))
