@@ -11,7 +11,6 @@ from .core import Rng, project_ball
 from .experiments import (
     ExcessRiskStudyResult,
     OptimizationStudyResult,
-    StudyConfig,
     TrackingStudyResult,
     excess_risk_study,
     fit_loglog_slope,

@@ -23,12 +23,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .core import Rng, project_ball
-from .experiments import (
-    StudyConfig,
-    excess_risk_study,
-    optimization_study,
-    tracking_study,
-)
+from .experiments import excess_risk_study, optimization_study, tracking_study
 from .optimizer import OptimizerConfig, Variant, run, schedule_preset
 from .oracle import erm_minimizer, fd_gradient_check, population_minimizer
 from .problems import benchmark_law, sample_dataset
@@ -252,32 +247,12 @@ def cmd_oracle(o) -> int:
     return 0
 
 
-def _study_config(study, o, **fields) -> StudyConfig:
-    """StudyConfig from the flags every study command shares, plus ``fields``."""
-    return StudyConfig(
-        study=study,
-        variant=Variant(o["variant"]),
-        benchmark=o["benchmark"],
-        replicates=o["replicates"],
-        seed=o["seed"],
-        threads=o["threads"],
-        domain_radius=o["radius"],
-        **fields,
-    )
-
-
 def cmd_tracking(o) -> int:
-    result = tracking_study(_study_config(
-        "tracking",
-        o,
-        n=o["n"],
-        m=o["m"],
-        steps=o["T"],
-        eta=o["eta"],
-        beta=o["beta"],
-        tracking_c=o["tracking-c"],
-        log_points=o["log-points"],
-    ))
+    result = tracking_study(
+        variant=Variant(o["variant"]), law=o["benchmark"], n=o["n"], m=o["m"], steps=o["T"],
+        eta=o["eta"], beta=o["beta"], replicates=o["replicates"], seed=o["seed"],
+        domain_radius=o["radius"], tracking_c=o["tracking-c"], log_points=o["log-points"],
+    )
     rows = result.rows
     _emit(o, ["t", "mean_sq_error", "se", "bound"], rows, "tracking gap vs ceiling",
           [r.t for r in rows],
@@ -315,14 +290,11 @@ def cmd_optimization(o) -> int:
         eta = o["eta"] if o["eta-exp"] is None else float(t) ** -o["eta-exp"]
         beta = o["beta"] if o["beta-exp"] is None else float(t) ** -o["beta-exp"]
         grid.append((t, eta, beta))
-    result = optimization_study(_study_config(
-        "optimization",
-        o,
-        n=o["n"],
-        m=o["m"],
-        step_grid=tuple(grid),
+    result = optimization_study(
+        step_grid=tuple(grid), variant=Variant(o["variant"]), law=o["benchmark"], n=o["n"],
+        m=o["m"], replicates=o["replicates"], seed=o["seed"], domain_radius=o["radius"],
         output_mode=o["output-mode"],
-    ))
+    )
     rows = result.rows
     _emit(o, ["T", "eta", "beta", "gap_mean", "gap_se"], rows, "empirical suboptimality",
           [r.steps for r in rows], {"gap_mean": [r.gap_mean for r in rows]})
@@ -331,14 +303,11 @@ def cmd_optimization(o) -> int:
 
 
 def cmd_excess_risk(o) -> int:
-    result = excess_risk_study(_study_config(
-        "excess_risk",
-        o,
-        convexity=o["convexity"],
-        size_grid=tuple(o["sizes"]),
-        output_mode=o["output-mode"],
-        t_max=o["t-max"],
-    ))
+    result = excess_risk_study(
+        size_grid=tuple(o["sizes"]), variant=Variant(o["variant"]), convexity=o["convexity"],
+        law=o["benchmark"], replicates=o["replicates"], seed=o["seed"],
+        domain_radius=o["radius"], output_mode=o["output-mode"], t_max=o["t-max"],
+    )
     header = ["n", "m", "T", "eta", "beta", "excess_mean", "excess_se", "fitted_slope"]
     rows = [list(row) + [None] for row in result.rows]
     rows.append([None] * 7 + [result.fitted_slope])
@@ -357,12 +326,7 @@ _LAWS = ("convex", "strongly_convex")
 _MODES = ("last", "uniform_average", "sigma_weighted")
 _SEED = Flag(_number(int, 0), 0, "base random seed")
 _RADIUS = Flag(_POSITIVE, 10.0, "domain ball radius")
-_ONE_RUN = {"seed": _SEED, "radius": _RADIUS}
-_REPLICATED = {
-    "seed": _SEED,
-    "threads": Flag(_COUNT, 1, "has no effect: replicates run serially"),
-    "radius": _RADIUS,
-}
+_SEEDED = {"seed": _SEED, "radius": _RADIUS}
 _DATA = {
     "benchmark": Flag(_choice(*_LAWS), "convex", "benchmark law"),
     "n": Flag(_COUNT, 40, "number of outer samples"),
@@ -385,7 +349,7 @@ def _csv(path):
 
 COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
     "gradcheck": ("finite-difference gradient check", cmd_gradcheck, {
-        **_ONE_RUN,
+        **_SEEDED,
         **_DATA,
         "points": Flag(_COUNT, 20, "number of test points"),
         "h": Flag(_POSITIVE, 1e-5, "central difference step"),
@@ -399,7 +363,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "t-max": _T_MAX,
     }),
     "optimize": ("run one optimization and export the trajectory", cmd_optimize, {
-        **_ONE_RUN,
+        **_SEEDED,
         **_csv("trajectory.csv"),
         "variant": _VARIANT,
         **_DATA,
@@ -409,7 +373,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "sigma": Flag(_POSITIVE, None, "weight curvature for sigma_weighted"),
     }),
     "tracking": ("tracking-gap study against its ceiling", cmd_tracking, {
-        **_REPLICATED,
+        **_SEEDED,
         **_csv("tracking.csv"),
         "variant": _VARIANT,
         **_DATA,
@@ -420,7 +384,8 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "log-points": Flag(_COUNT, 40, "number of log-spaced report steps"),
     }),
     "stability": ("coupled replacement-sensitivity estimates", cmd_stability, {
-        **_REPLICATED,
+        **_SEEDED,
+        "threads": Flag(_COUNT, 1, "has no effect: replicates run serially"),
         **_csv("stability.csv"),
         "variant": _VARIANT,
         "benchmark": _DATA["benchmark"],
@@ -432,7 +397,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "uncoupled": Flag(_boolean, False, "redraw the neighbor run's index stream"),
     }),
     "optimization": ("empirical suboptimality study", cmd_optimization, {
-        **_REPLICATED,
+        **_SEEDED,
         **_csv("optimization.csv"),
         "variant": _VARIANT,
         **_DATA,
@@ -444,7 +409,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "replicates": Flag(_number(int, 2), 50, "Monte Carlo replicates"),
     }),
     "excess-risk": ("population excess-risk study at the presets", cmd_excess_risk, {
-        **_REPLICATED,
+        **_SEEDED,
         **_csv("excess.csv"),
         "variant": _VARIANT,
         "benchmark": _DATA["benchmark"],
@@ -462,7 +427,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         ),
     }),
     "oracle": ("print certified empirical and population minimizers", cmd_oracle, {
-        **_ONE_RUN,
+        **_SEEDED,
         **_DATA,
     }),
 }

@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Rng, as_vector, project_ball
+from .core import Rng, _norm, as_vector, project_ball
 from .problems import Dataset
 
 __all__ = [
@@ -95,13 +95,14 @@ class OptimizerConfig:
                 raise ValueError("sigma_weighted output needs sigma > 0")
             if self.sigma * self.eta >= 2.0:
                 raise ValueError("unstable weights")
-        if self.x0 is not None:
-            x0 = as_vector(self.x0)
-            if float(np.linalg.norm(x0)) > self.domain_radius * (1 + 1e-12):
-                raise ValueError("x0 lies outside the domain")
-            object.__setattr__(self, "x0", x0)
-        if self.y0 is not None:
-            object.__setattr__(self, "y0", as_vector(self.y0))
+        for name in ("x0", "y0"):
+            if getattr(self, name) is not None:
+                start = as_vector(getattr(self, name))
+                if not np.isfinite(start).all():
+                    raise ValueError(f"{name} must be finite")
+                object.__setattr__(self, name, start)
+        if self.x0 is not None and _norm(self.x0) > self.domain_radius * (1 + 1e-12):
+            raise ValueError("x0 lies outside the domain")
 
 
 @dataclass(frozen=True)
@@ -317,6 +318,8 @@ def schedule_preset(
         raise ValueError(f"unknown convexity {convexity!r}")
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
+    if t_max is not None and t_max < 1:
+        raise ValueError("t_max must be >= 1")
     exponent, a, b = _PRESETS[(variant, convexity)]
     # Guard against pow() landing an ulp above an exact integer.
     steps = int(math.ceil(float(max(n, m)) ** exponent - 1e-9))

@@ -14,7 +14,6 @@ import pytest
 from scolab.cli import parse_and_dispatch
 from scolab.core import Rng, project_ball
 from scolab.experiments import (
-    StudyConfig,
     excess_risk_study,
     fit_loglog_slope,
     optimization_study,
@@ -136,12 +135,11 @@ def test_criterion_4_tracking_bound():
     started = time.perf_counter()
     fractions = {}
     for variant in (Variant.SCGD, Variant.SCSC):
-        cfg = StudyConfig(
-            study="tracking", variant=variant, benchmark="convex", n=40, m=40,
+        result = tracking_study(
+            variant=variant, law="convex", n=40, m=40,
             steps=5000, eta=1e-3, beta=0.1, replicates=50, tracking_c=2.0,
             seed=42, log_points=60,
         )
-        result = tracking_study(cfg)
         rows = [row for row in result.rows if row.t >= 10]
         fractions[variant.value] = float(
             np.mean([row.mean_sq_error <= row.bound for row in rows])
@@ -167,12 +165,11 @@ def test_criterion_5_optimization_error_direction():
     # shrinks, and respects both step caps of the strongly convex regime.
     grid = tuple((steps, float(steps) ** (-2.0 / 3.0), float(steps) ** (-2.0 / 3.0))
                  for steps in (2**8, 2**10, 2**12))
-    cfg = StudyConfig(
-        study="optimization", variant=Variant.SCSC, benchmark="strongly_convex",
+    result = optimization_study(
+        variant=Variant.SCSC, law="strongly_convex",
         n=50, m=50, step_grid=grid, replicates=100, seed=42,
         output_mode="sigma_weighted",
     )
-    result = optimization_study(cfg)
     gaps = [row.gap_mean for row in result.rows]
     ses = [row.gap_se for row in result.rows]
     monotone = all(
@@ -245,12 +242,11 @@ def test_criterion_7_strongly_convex_saturation():
 
 def test_criterion_8_excess_risk_slope():
     started = time.perf_counter()
-    cfg = StudyConfig(
-        study="excess_risk", variant=Variant.SCSC, convexity="strongly_convex",
-        benchmark="strongly_convex", size_grid=(20, 40, 80), replicates=200,
+    result = excess_risk_study(
+        variant=Variant.SCSC, convexity="strongly_convex",
+        law="strongly_convex", size_grid=(20, 40, 80), replicates=200,
         seed=42, output_mode="sigma_weighted",
     )
-    result = excess_risk_study(cfg)
     presets = [(row.n, row.steps, row.eta) for row in result.rows]
     expected = [(20, 33), (40, 74), (80, 167)]
     assert [(n, steps) for n, steps, _ in presets] == expected

@@ -276,6 +276,32 @@ class TestStudyCommands:
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest()[:16] == digest
 
+    # sha256 prefixes of the other study commands' CSV (and SVG) bytes; a
+    # slipped stream label, default or argument shows here.
+    @pytest.mark.parametrize("argv, digests", [
+        (("tracking", "--variant", "scsc", "--T", "200", "--n", "6", "--m", "6",
+          "--log-points", "12", "--svg"), ("8907024d521de396", "6593d9eee640c88f")),
+        (("tracking", "--T", "150", "--n", "5", "--m", "7", "--log-points", "8", "--svg"),
+         ("a59284ad62f2aba0", "cf6cdd39cc580280")),
+        (("optimization", "--variant", "scsc", "--benchmark", "strongly_convex",
+          "--output-mode", "sigma_weighted", "--T-grid", "32,64", "--n", "6", "--m", "6"),
+         ("5806b5726ccd35e3",)),
+        (("optimization", "--T-grid", "16,48", "--eta-exp", "0.5", "--beta-exp", "0.4",
+          "--n", "5", "--m", "6"), ("3418204d06107755",)),
+        (("excess-risk", "--variant", "scsc", "--benchmark", "strongly_convex",
+          "--convexity", "strongly_convex", "--sizes", "8,16"), ("b917ac075cc5304c",)),
+        (("excess-risk", "--sizes", "6,12", "--t-max", "40"), ("9dc8d1ff403eca1b",)),
+    ], ids=["tracking-scsc", "tracking-scgd", "optimization-sigma", "optimization-exp",
+            "excess-risk-strongly-convex", "excess-risk-t-max"])
+    def test_study_output_bytes_pinned(self, capsys, tmp_path, argv, digests):
+        out_path = tmp_path / "study.csv"
+        code, _, _ = dispatch(
+            capsys, *argv, "--replicates", "3", "--seed", "3", "--out", str(out_path),
+        )
+        assert code == 0
+        written = [out_path, tmp_path / "study.svg"][: len(digests)]
+        assert [hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in written] == list(digests)
+
     def test_optimization_study_grid(self, capsys, tmp_path):
         out_path = tmp_path / "optimization.csv"
         code, _, _ = dispatch(
@@ -300,6 +326,15 @@ class TestStudyCommands:
         assert len(rows) == 3
         assert rows[-1][-1] is not None
         assert all(row[-1] is None for row in rows[:-1])
+
+    def test_excess_risk_repeated_size_has_no_slope(self, capsys, tmp_path):
+        # rows at one n leave the slope undefined
+        out_path = tmp_path / "excess.csv"
+        code, _, _ = dispatch(
+            capsys, "excess-risk", "--sizes", "6,6", "--replicates", "3", "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_text().splitlines()[-1] == ",,,,,,,nan"
 
     def test_reruns_are_byte_identical_across_threads(self, capsys, tmp_path):
         paths = []

@@ -12,33 +12,32 @@ import pytest
 from scolab import cli
 from scolab.cli import parse_and_dispatch
 
-# Every subcommand's flags.  Only the commands that run replicates take
-# --threads, and schedule, which draws nothing, takes no seed or radius.
-ONE_RUN = {"seed", "config", "radius"}
-REPLICATED = ONE_RUN | {"threads"}
+# Every subcommand's flags.  Only stability takes --threads, and
+# schedule, which draws nothing, takes no seed or radius.
+SEEDED = {"seed", "config", "radius"}
 OUTPUT = {"out", "svg"}
 SURFACE = {
-    "gradcheck": ONE_RUN | {"benchmark", "n", "m", "points", "h", "assert"},
+    "gradcheck": SEEDED | {"benchmark", "n", "m", "points", "h", "assert"},
     "schedule": {"config", "variant", "convexity", "n", "m", "t-max"},
-    "optimize": ONE_RUN | OUTPUT | {
+    "optimize": SEEDED | OUTPUT | {
         "variant", "benchmark", "n", "m", "T", "eta", "beta", "output-mode", "sigma",
     },
-    "tracking": REPLICATED | OUTPUT | {
+    "tracking": SEEDED | OUTPUT | {
         "variant", "benchmark", "n", "m", "T", "eta", "beta", "replicates",
         "tracking-c", "log-points",
     },
-    "stability": REPLICATED | OUTPUT | {
-        "variant", "benchmark", "n", "m", "T", "eta", "beta",
+    "stability": SEEDED | OUTPUT | {
+        "threads", "variant", "benchmark", "n", "m", "T", "eta", "beta",
         "replicates", "uncoupled",
     },
-    "optimization": REPLICATED | OUTPUT | {
+    "optimization": SEEDED | OUTPUT | {
         "variant", "benchmark", "n", "m", "T-grid", "eta", "beta", "eta-exp",
         "beta-exp", "output-mode", "replicates",
     },
-    "excess-risk": REPLICATED | OUTPUT | {
+    "excess-risk": SEEDED | OUTPUT | {
         "variant", "benchmark", "convexity", "sizes", "replicates", "t-max", "output-mode",
     },
-    "oracle": ONE_RUN | {"benchmark", "n", "m"},
+    "oracle": SEEDED | {"benchmark", "n", "m"},
 }
 
 # Flags that keep each run small; every parity case starts from these.
@@ -69,7 +68,7 @@ PROBE = {
         "eta": "0.01", "beta": "0.5", "output-mode": "uniform_average", "sigma": "0.5",
     },
     "tracking": {
-        "seed": "2", "threads": "2", "radius": "0.5", "out": "gap.csv", "svg": "true",
+        "seed": "2", "radius": "0.5", "out": "gap.csv", "svg": "true",
         "variant": "scsc", "benchmark": "strongly_convex", "n": "5", "m": "6", "T": "40",
         "eta": "0.01", "beta": "0.5", "replicates": "3", "tracking-c": "3",
         "log-points": "5",
@@ -81,13 +80,13 @@ PROBE = {
         "uncoupled": "true",
     },
     "optimization": {
-        "seed": "2", "threads": "2", "radius": "0.5", "out": "opt.csv", "svg": "true",
+        "seed": "2", "radius": "0.5", "out": "opt.csv", "svg": "true",
         "variant": "scsc", "benchmark": "strongly_convex", "n": "5", "m": "6",
         "T-grid": "8,12", "eta": "0.01", "beta": "0.5", "eta-exp": "0.5",
         "beta-exp": "0.5", "output-mode": "sigma_weighted", "replicates": "3",
     },
     "excess-risk": {
-        "seed": "2", "threads": "2", "radius": "0.5", "out": "exc.csv", "svg": "true",
+        "seed": "2", "radius": "0.5", "out": "exc.csv", "svg": "true",
         "variant": "scsc", "benchmark": "strongly_convex", "convexity": "strongly_convex",
         "sizes": "4,8", "replicates": "3", "t-max": "12", "output-mode": "last",
     },
@@ -148,11 +147,13 @@ class TestFlagSurface:
 
     @pytest.mark.parametrize("argv", [
         ["schedule", "--seed", "1"], ["oracle", "--threads", "2"],
-        ["stability", "--convexity", "convex"],
-    ], ids=["schedule-seed", "oracle-threads", "stability-convexity"])
+        ["stability", "--convexity", "convex"], ["tracking", "--threads", "2"],
+        ["optimization", "--threads", "2"], ["excess-risk", "--threads", "2"],
+    ], ids=["schedule-seed", "oracle-threads", "stability-convexity", "tracking-threads",
+            "optimization-threads", "excess-risk-threads"])
     def test_flags_a_command_does_not_read_are_usage_errors(self, argv, capsys):
         assert parse_and_dispatch(argv) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 class TestConfigArgvParity:
@@ -187,7 +188,8 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "command,key",
         [("stability", "replicats"), ("optimize", "steps"),
-         ("optimization", "t_grid"), ("gradcheck", "assert_tol"), ("schedule", "out")],
+         ("optimization", "t_grid"), ("gradcheck", "assert_tol"), ("schedule", "out"),
+         ("tracking", "threads"), ("optimization", "threads"), ("excess-risk", "threads")],
     )
     def test_unknown_key_is_a_usage_error(self, command, key, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,10 +1,12 @@
+import ast
 import dataclasses
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
 
 from scolab.experiments import (
-    StudyConfig,
     excess_risk_study,
     fit_loglog_slope,
     optimization_study,
@@ -24,39 +26,50 @@ class TestFitLoglogSlope:
         with pytest.raises(ValueError):
             fit_loglog_slope([1.0], [1.0])
 
+    def test_needs_two_distinct_x_values(self):
+        # points at one x leave the slope undefined; least squares would
+        # still return a number
+        with pytest.raises(ValueError, match="distinct"):
+            fit_loglog_slope([6, 6], [0.5, 0.3])
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([1.0, 2.0], [0.0, 1.0]), ([1.0, 2.0], [1.0, -1.0]), ([0.0, 2.0], [1.0, 1.0]),
+    ])
+    def test_needs_positive_values(self, xs, ys):
+        with pytest.raises(ValueError, match="positive"):
+            fit_loglog_slope(xs, ys)
+
 
 class TestTrackingStudy:
     def test_single_inner_sample_with_unit_weight_has_zero_gap(self):
         law = dataclasses.replace(benchmark_law("convex"), tau_a=0.0, tau_b=0.0)
-        cfg = StudyConfig(
-            study="tracking", variant=Variant.SCGD, law=law, n=5, m=1,
+        result = tracking_study(
+            variant=Variant.SCGD, law=law, n=5, m=1,
             steps=200, eta=1e-2, beta=1.0, replicates=3, seed=1,
         )
-        result = tracking_study(cfg)
         assert all(row.mean_sq_error == 0.0 for row in result.rows)
 
     def test_identity_inner_scsc_is_exact(self):
         law = PopulationLaw(a0=np.eye(4), b0=np.zeros(4), c0=np.ones(4), tau_c=0.5)
-        cfg = StudyConfig(
-            study="tracking", variant=Variant.SCSC, law=law, n=5, m=1,
+        result = tracking_study(
+            variant=Variant.SCSC, law=law, n=5, m=1,
             steps=500, eta=0.05, beta=0.5, replicates=3, seed=2,
         )
-        result = tracking_study(cfg)
         # y0 = 0 = x0, so the corrected tracker reproduces the iterate exactly
         assert all(row.mean_sq_error < 1e-20 for row in result.rows)
 
     def test_rows_cover_log_grid_and_reproduce(self):
-        cfg = StudyConfig(
-            study="tracking", variant=Variant.SCSC, benchmark="convex", n=8, m=8,
+        settings = dict(
+            variant=Variant.SCSC, law="convex", n=8, m=8,
             steps=300, eta=1e-3, beta=0.2, replicates=4, seed=3, log_points=12,
         )
-        a = tracking_study(cfg)
-        b = tracking_study(cfg)
+        a = tracking_study(**settings)
+        b = tracking_study(**settings)
         assert a.rows == b.rows
         assert a.measured_d_y == b.measured_d_y
         ts = [row.t for row in a.rows]
         assert ts == sorted(set(ts))
-        assert ts[0] >= 1 and ts[-1] <= cfg.steps - 1
+        assert ts[0] >= 1 and ts[-1] <= settings["steps"] - 1
         assert all(row.bound > 0 for row in a.rows)
 
     def test_identical_replicates_have_no_standard_error(self):
@@ -65,31 +78,28 @@ class TestTrackingStudy:
         law = dataclasses.replace(
             benchmark_law("convex"), tau_a=0.0, tau_b=0.0, b0=np.full(4, 0.7)
         )
-        cfg = StudyConfig(
-            study="tracking", variant=Variant.SCGD, law=law, n=5, m=5,
+        rows = tracking_study(
+            variant=Variant.SCGD, law=law, n=5, m=5,
             steps=40, eta=0.0, beta=0.3, replicates=50, seed=6, log_points=10,
-        )
-        rows = tracking_study(cfg).rows
+        ).rows
         assert all(row.mean_sq_error > 0 for row in rows)
         assert all(row.se <= 1e-14 * row.mean_sq_error for row in rows)
 
-    def test_threads_do_not_change_rows(self):
-        cfg1 = StudyConfig(
-            study="tracking", variant=Variant.SCGD, benchmark="convex", n=6, m=6,
-            steps=200, eta=1e-3, beta=0.2, replicates=6, seed=4, threads=1,
-        )
-        cfg4 = dataclasses.replace(cfg1, threads=4)
-        assert tracking_study(cfg1).rows == tracking_study(cfg4).rows
+    def test_law_by_name_is_the_benchmark_law(self):
+        settings = dict(n=6, m=6, steps=60, replicates=3, seed=4, log_points=6)
+        by_name = tracking_study(law="strongly_convex", **settings)
+        by_law = tracking_study(law=benchmark_law("strongly_convex"), **settings)
+        assert by_name == by_law
+        assert tracking_study(**settings) == tracking_study(law="convex", **settings)
 
 
 class TestOptimizationStudy:
     def test_gap_never_meaningfully_negative(self):
-        cfg = StudyConfig(
-            study="optimization", variant=Variant.SCSC, benchmark="strongly_convex",
+        result = optimization_study(
+            variant=Variant.SCSC, law="strongly_convex",
             n=10, m=10, step_grid=((64, 0.05, 0.5), (256, 0.02, 0.3)),
             replicates=5, seed=5, output_mode="uniform_average",
         )
-        result = optimization_study(cfg)
         assert len(result.rows) == 2
         for row in result.rows:
             assert row.gap_mean >= -1e-10
@@ -101,12 +111,11 @@ class TestOptimizationStudy:
         law = dataclasses.replace(
             benchmark_law("strongly_convex"), tau_a=0.0, tau_b=0.0, tau_c=0.0
         )
-        cfg = StudyConfig(
-            study="optimization", variant=Variant.SCSC, law=law, n=1, m=1,
+        result = optimization_study(
+            variant=Variant.SCSC, law=law, n=1, m=1,
             step_grid=((4096, 0.2, 0.5),), replicates=2, seed=6,
             output_mode="last",
         )
-        result = optimization_study(cfg)
         assert result.rows[0].gap_mean < 1e-4
 
     def test_warm_start_at_the_minimizer_stays_on_the_noise_floor(self):
@@ -119,21 +128,21 @@ class TestOptimizationStudy:
             law, 10, 10, Rng(11).split("optimization-study").split("data")
         )
         cert = erm_minimizer(data, 10.0)
-        cfg = StudyConfig(
-            study="optimization", variant=Variant.SCSC, law=law, n=10, m=10,
-            step_grid=((512, 0.02, 0.3),), replicates=10, seed=11,
+        eta = 0.02
+        result = optimization_study(
+            variant=Variant.SCSC, law=law, n=10, m=10,
+            step_grid=((512, eta, 0.3),), replicates=10, seed=11,
             output_mode="uniform_average", x0=cert.x_star,
         )
-        result = optimization_study(cfg)
         row = result.rows[0]
         assert row.gap_mean >= -1e-10
         # the run never beats the certificate, and starting at the optimum
         # leaves only the stochastic-gradient noise floor
-        assert row.gap_mean < 20.0 * cfg.step_grid[0][1]
+        assert row.gap_mean < 20.0 * eta
 
     def test_requires_grid(self):
         with pytest.raises(ValueError, match="step_grid"):
-            StudyConfig(study="optimization", replicates=5)
+            optimization_study(step_grid=(), replicates=5)
 
 
 class TestExcessRiskStudy:
@@ -144,12 +153,11 @@ class TestExcessRiskStudy:
         law = dataclasses.replace(
             benchmark_law("strongly_convex"), tau_a=0.0, tau_b=0.0, tau_c=0.0
         )
-        cfg = StudyConfig(
-            study="excess_risk", variant=Variant.SCSC, convexity="strongly_convex",
+        result = excess_risk_study(
+            variant=Variant.SCSC, convexity="strongly_convex",
             law=law, size_grid=(128, 512, 2048), replicates=2, seed=7,
             output_mode="sigma_weighted",
         )
-        result = excess_risk_study(cfg)
         values = [row.excess_mean for row in result.rows]
         assert values[0] > values[1] > values[2]
         assert values[2] < 2e-3
@@ -157,12 +165,11 @@ class TestExcessRiskStudy:
             assert row.excess_mean >= -3 * row.excess_se
 
     def test_rows_match_grid_and_record_preset(self):
-        cfg = StudyConfig(
-            study="excess_risk", variant=Variant.SCSC, convexity="strongly_convex",
-            benchmark="strongly_convex", size_grid=(8, 16), replicates=4, seed=8,
+        result = excess_risk_study(
+            variant=Variant.SCSC, convexity="strongly_convex",
+            law="strongly_convex", size_grid=(8, 16), replicates=4, seed=8,
             output_mode="sigma_weighted",
         )
-        result = excess_risk_study(cfg)
         assert [row.n for row in result.rows] == [8, 16]
         for row in result.rows:
             assert row.steps >= 1
@@ -171,40 +178,84 @@ class TestExcessRiskStudy:
         assert np.isfinite(result.fitted_slope)
 
     def test_cap_is_applied_and_visible(self):
-        cfg = StudyConfig(
-            study="excess_risk", variant=Variant.SCGD, convexity="convex",
-            benchmark="convex", size_grid=(64,), replicates=2, seed=9,
+        result = excess_risk_study(
+            variant=Variant.SCGD, convexity="convex",
+            law="convex", size_grid=(64,), replicates=2, seed=9,
             t_max=512, output_mode="uniform_average",
         )
-        result = excess_risk_study(cfg)
         assert result.rows[0].steps == 512
         assert result.t_max == 512
+        assert np.isnan(result.fitted_slope)
+
+    def test_one_distinct_size_has_no_slope(self):
+        result = excess_risk_study(size_grid=(6, 6), replicates=3, seed=9)
+        assert [row.n for row in result.rows] == [6, 6]
+        assert np.isnan(result.fitted_slope)
 
     def test_reproducible_bit_for_bit(self):
-        cfg = StudyConfig(
-            study="excess_risk", variant=Variant.SCSC, convexity="strongly_convex",
-            benchmark="strongly_convex", size_grid=(8, 12), replicates=4, seed=10,
-            threads=1, output_mode="sigma_weighted",
+        settings = dict(
+            variant=Variant.SCSC, convexity="strongly_convex",
+            law="strongly_convex", size_grid=(8, 12), replicates=4, seed=10,
+            output_mode="sigma_weighted",
         )
-        a = excess_risk_study(cfg)
-        b = excess_risk_study(dataclasses.replace(cfg, threads=3))
+        a = excess_risk_study(**settings)
+        b = excess_risk_study(**settings)
         assert a.rows == b.rows
         assert a.fitted_slope == b.fitted_slope
 
 
+STUDIES = [tracking_study, optimization_study, excess_risk_study]
+
+
 class TestStudyConfigValidation:
-    def test_unknown_study(self):
-        with pytest.raises(ValueError, match="unknown study"):
-            StudyConfig(study="fancy")
+    """Each study validates its own settings and accepts no other."""
 
     def test_replicate_floor(self):
-        with pytest.raises(ValueError, match="replicates"):
-            StudyConfig(study="tracking", replicates=1)
+        for study, grid in zip(STUDIES, ({}, {"step_grid": ((8, 0.1, 0.5),)}, {"size_grid": (4,)})):
+            with pytest.raises(ValueError, match="replicates"):
+                study(replicates=1, **grid)
 
     def test_tracking_needs_two_steps(self):
         with pytest.raises(ValueError, match="steps"):
-            StudyConfig(study="tracking", steps=1, replicates=4)
+            tracking_study(steps=1, replicates=4)
+
+    def test_tracking_needs_a_log_point(self):
+        with pytest.raises(ValueError, match="log_points"):
+            tracking_study(steps=10, replicates=4, log_points=0)
 
     def test_excess_requires_sizes(self):
         with pytest.raises(ValueError, match="size_grid"):
-            StudyConfig(study="excess_risk", replicates=4)
+            excess_risk_study(size_grid=(), replicates=4)
+
+    @pytest.mark.parametrize("study, setting", [
+        (tracking_study, {"x0": np.zeros(5)}),
+        (tracking_study, {"output_mode": "last"}),
+        (tracking_study, {"threads": 2}),
+        (optimization_study, {"convexity": "convex"}),
+        (optimization_study, {"t_max": 10}),
+        (excess_risk_study, {"n": 10}),
+        (excess_risk_study, {"step_grid": ((8, 0.1, 0.5),)}),
+    ])
+    def test_unread_settings_are_type_errors(self, study, setting):
+        with pytest.raises(TypeError, match=next(iter(setting))):
+            study(**setting)
+
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_settings_are_keyword_only(self, study):
+        with pytest.raises(TypeError):
+            study(Variant.SCGD)
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_every_setting_a_study_accepts_is_one_it_reads(study):
+    """A parameter the body never loads would be accepted and then ignored."""
+    func = ast.parse(textwrap.dedent(inspect.getsource(study))).body[0]
+    assert func.args.vararg is None and func.args.kwarg is None
+    params = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+    read = {
+        node.id
+        for statement in func.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert params - read == set()

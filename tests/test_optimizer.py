@@ -448,6 +448,12 @@ class TestSchedulePreset:
         assert steps == 2_000_000
         assert eta == pytest.approx(2_000_000.0 ** (-6.0 / 7.0))
 
+    @pytest.mark.parametrize("t_max", [0, -3])
+    def test_cap_below_one_rejected(self, t_max):
+        # T = t_max would divide by zero at 0 and give complex step sizes below.
+        with pytest.raises(ValueError, match="t_max must be >= 1"):
+            schedule_preset(Variant.SCGD, "convex", 8, 8, t_max=t_max)
+
     def test_scsc_needs_fewer_iterations_in_convex_regime(self):
         for size in range(2, 101):
             scgd = schedule_preset(Variant.SCGD, "convex", size, size)[0]
@@ -481,6 +487,21 @@ class TestConfigValidation:
                 variant=Variant.SCGD, steps=1, eta=0.1, beta=0.5,
                 domain_radius=1.0, x0=np.array([2.0, 0.0]),
             )
+
+    @pytest.mark.parametrize("name, start", [
+        ("x0", [np.nan, 0.0]), ("x0", [np.inf, 0.0]), ("y0", [0.0, np.inf]), ("y0", [np.nan, 1.0]),
+    ])
+    def test_non_finite_start_rejected(self, name, start):
+        # nan > R is false, so the domain check alone lets a NaN x0 through.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OptimizerConfig(variant=Variant.SCGD, steps=1, eta=0.1, beta=0.5,
+                            **{name: np.array(start)})
+
+    def test_huge_x0_is_outside_the_domain_without_warning(self):
+        # ||x0||^2 overflows, which the domain check must not report as a warning
+        with pytest.raises(ValueError, match="x0 lies outside the domain"):
+            OptimizerConfig(variant=Variant.SCGD, steps=1, eta=0.1, beta=0.5,
+                            x0=np.array([1e200, 1e200]))
 
     def test_x0_of_wrong_length_rejected(self):
         data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("dim"))

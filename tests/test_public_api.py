@@ -16,7 +16,7 @@ MODULE_ALL = {
     "cli": ["main", "parse_and_dispatch"],
     "core": ["Rng", "as_vector", "as_matrix", "project_ball"],
     "experiments": [
-        "StudyConfig", "TrackingRow", "OptimizationRow", "ExcessRow", "TrackingStudyResult",
+        "TrackingRow", "OptimizationRow", "ExcessRow", "TrackingStudyResult",
         "OptimizationStudyResult", "ExcessRiskStudyResult", "tracking_study",
         "optimization_study", "excess_risk_study", "fit_loglog_slope",
     ],
@@ -43,7 +43,7 @@ MODULE_ALL = {
 PACKAGE_EXPORTS = {
     "core": {"Rng", "project_ball"},
     "experiments": {
-        "ExcessRiskStudyResult", "OptimizationStudyResult", "StudyConfig", "TrackingStudyResult",
+        "ExcessRiskStudyResult", "OptimizationStudyResult", "TrackingStudyResult",
         "excess_risk_study", "fit_loglog_slope", "optimization_study", "tracking_study",
     },
     "optimizer": {"OptimizerConfig", "Trajectory", "Variant", "run", "schedule_preset"},
