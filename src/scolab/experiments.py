@@ -134,6 +134,8 @@ def tracking_study(
         raise ValueError("tracking study needs steps >= 2")
     if log_points < 1:
         raise ValueError("tracking study needs log_points >= 1")
+    if not (np.isfinite(tracking_c) and tracking_c > 0):
+        raise ValueError("free_c must be positive")
     root = Rng(seed).split("tracking-study")
     data = sample_dataset(_resolve_law(law), n, m, root.split("data"))
     params = compute_constants(data, domain_radius)

@@ -6,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from scolab import experiments
 from scolab.experiments import (
     excess_risk_study,
     fit_loglog_slope,
@@ -222,6 +223,15 @@ class TestStudyConfigValidation:
     def test_tracking_needs_a_log_point(self):
         with pytest.raises(ValueError, match="log_points"):
             tracking_study(steps=10, replicates=4, log_points=0)
+
+    @pytest.mark.parametrize("tracking_c", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tracking_c_rejected_before_any_run(self, monkeypatch, tracking_c):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replicate ran before tracking_c was checked")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        with pytest.raises(ValueError, match="free_c must be positive"):
+            tracking_study(tracking_c=tracking_c, replicates=4)
 
     def test_excess_requires_sizes(self):
         with pytest.raises(ValueError, match="size_grid"):

@@ -282,6 +282,9 @@ def trajectory_digest(traj):
 # 4096 steps, so T = 8193 (two full blocks and a one-step tail, with the
 # projection firing on both sides of each boundary) and T = 12000 (whose
 # uniform draw is step 7980, in the second block) cross block boundaries.
+# Rows may add (beta, start) to the default (0.3, "origin"): those rows
+# pin a given x0 and y0 (START_X0, START_Y0), SCSC at beta = 1 (which runs
+# the SCGD recurrence) and eta = 0.
 # A kernel change that moves any bit of any field shows here.
 KERNEL_PINS = [
     (Variant.SCGD, "last", False, 33, 0.05, 10.0, "96c989082a723c6d"),
@@ -313,22 +316,44 @@ KERNEL_PINS = [
     (Variant.SCSC, "uniform_random", True, 12000, 0.05, 10.0, "7b8458180f76de3c"),
     (Variant.SCGD, "sigma_weighted", True, 8193, 0.5, 0.3, "298722f78156da75"),
     (Variant.SCSC, "last", False, 8193, 0.5, 0.3, "6952a1144374408e"),
+    (Variant.SCGD, "last", False, 33, 0.05, 10.0, "394e16d945c9ff76", 0.3, "given"),
+    (Variant.SCGD, "uniform_average", True, 33, 0.05, 10.0, "1285abfd1d45048b", 0.3, "given"),
+    (Variant.SCGD, "last", False, 4097, 0.05, 10.0, "7816fafde29ef84e", 0.3, "given"),
+    (Variant.SCSC, "sigma_weighted", False, 33, 0.05, 10.0, "f4715ad9c418822e", 0.3, "given"),
+    (Variant.SCSC, "uniform_random", True, 33, 0.05, 10.0, "9f0b105107b6e1e7", 0.3, "given"),
+    (Variant.SCSC, "last", False, 33, 0.05, 10.0, "08cba03816ce69ba", 1.0, "origin"),
+    (Variant.SCSC, "uniform_average", True, 4097, 0.05, 10.0, "418f3c1997eb63e6", 1.0, "given"),
+    (Variant.SCGD, "uniform_average", False, 33, 0.0, 10.0, "87a36bf377517618", 0.3, "given"),
+    (Variant.SCSC, "sigma_weighted", True, 33, 0.0, 10.0, "ec559bf5e2a76474", 0.3, "origin"),
 ]
+PIN_DEFAULTS = (0.3, "origin")
+FULL_PINS = [row + PIN_DEFAULTS[len(row) - 7:] for row in KERNEL_PINS]
+START_X0 = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
+START_Y0 = np.array([1.0, -0.5, 0.25, 2.0])
+
+
+def _pin_id(variant, mode, tracking, steps, eta, radius, beta, start):
+    base = f"{variant.value}-{mode}-{'track' if tracking else 'notrack'}-T{steps}-R{radius}"
+    extra = [f"eta{eta}"] if eta == 0 else []
+    extra += [f"beta{beta}"] if beta != PIN_DEFAULTS[0] else []
+    extra += [start] if start != PIN_DEFAULTS[1] else []
+    return "-".join([base, *extra])
 
 
 class TestKernelBytes:
     @pytest.mark.parametrize(
-        "variant, mode, tracking, steps, eta, radius, digest",
-        KERNEL_PINS,
-        ids=[
-            f"{v.value}-{mode}-{'track' if tr else 'notrack'}-T{steps}-R{radius}"
-            for v, mode, tr, steps, _, radius, _ in KERNEL_PINS
-        ],
+        "variant, mode, tracking, steps, eta, radius, digest, beta, start",
+        FULL_PINS,
+        ids=[_pin_id(*row[:6], *row[7:]) for row in FULL_PINS],
     )
-    def test_trajectory_bytes_pinned(self, variant, mode, tracking, steps, eta, radius, digest):
+    def test_trajectory_bytes_pinned(
+        self, variant, mode, tracking, steps, eta, radius, digest, beta, start
+    ):
         data = sample_dataset(benchmark_law("convex"), 6, 7, RNG.split("pin"))
+        given = start == "given"
         cfg = OptimizerConfig(
-            variant=variant, steps=steps, eta=eta, beta=0.3, domain_radius=radius,
+            variant=variant, steps=steps, eta=eta, beta=beta, domain_radius=radius,
+            x0=START_X0 if given else None, y0=START_Y0 if given else None,
             output_mode=mode, sigma=1.0, record_tracking=tracking,
         )
         traj = run(data, cfg, RNG.split(f"pinrun-{steps}"))
@@ -413,6 +438,27 @@ class TestStackedMatmulMatchesDot:
                 assert a_x[t].tobytes() == a.dot(xs[t]).tobytes()
                 assert v_a[t].tobytes() == vs[t].dot(a).tobytes()
                 assert v_v[t].tobytes() == vs[t].dot(vs[t]).tobytes()
+
+
+class TestDotOutMatchesDot:
+    """The step loop writes its products into per-run buffers with
+    ``ndarray.dot(..., out)``; its outputs equal the allocating loop's only
+    while both forms reach the same BLAS call."""
+
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (8, 8), (1, 3), (3, 1)])
+    def test_out_matches_allocating_dot_bit_for_bit(self, shape):
+        gen = np.random.default_rng(sum(shape))
+        rows, cols = shape
+        a_x = np.empty(2 * rows)[rows:]  # like the loop's g, the back half of a buffer
+        v_a = np.empty(cols)
+        for _ in range(200):
+            a = gen.standard_normal(shape) * gen.uniform(0.1, 10.0)
+            x = gen.standard_normal(cols)
+            v = gen.standard_normal(rows)
+            a.dot(x, a_x)
+            v.dot(a, v_a)
+            assert a_x.tobytes() == a.dot(x).tobytes()
+            assert v_a.tobytes() == v.dot(a).tobytes()
 
 
 class TestSchedulePreset:
