@@ -71,14 +71,6 @@ def project_ball(x, radius: float) -> np.ndarray:
         # keeps its direction.
         v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
         nrm = float(np.linalg.norm(v))
-    return _scale_into_ball(v, nrm, radius)
-
-
-def _scale_into_ball(v: np.ndarray, nrm: float, radius: float) -> np.ndarray:
-    """:func:`project_ball`'s radial rescale of a finite ``v`` whose norm
-    ``nrm = np.linalg.norm(v)`` is finite, without its checks.  A caller
-    that already has a finite ``v.dot(v)`` passes its square root, which
-    is ``np.linalg.norm``'s own formula for a 1-d float64 vector."""
     out = v * (radius / nrm)
     # A single rescale can land an ulp outside the ball; repeat until the
     # norm test holds so that re-projection is a bitwise no-op.  The ratio

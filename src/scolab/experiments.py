@@ -134,11 +134,10 @@ def tracking_study(
         raise ValueError("tracking study needs steps >= 2")
     if log_points < 1:
         raise ValueError("tracking study needs log_points >= 1")
-    if not (np.isfinite(tracking_c) and tracking_c > 0):
-        raise ValueError("free_c must be positive")
     root = Rng(seed).split("tracking-study")
     data = sample_dataset(_resolve_law(law), n, m, root.split("data"))
-    params = compute_constants(data, domain_radius)
+    # BoundParams checks tracking_c here, before any replicate runs.
+    params = dataclasses.replace(compute_constants(data, domain_radius), free_c=tracking_c)
     opt_cfg = OptimizerConfig(
         variant=variant,
         steps=steps,
@@ -160,7 +159,7 @@ def tracking_study(
     mean, se = _mean_se(errors)
 
     measured_d_y = mean[0]
-    bound_params = dataclasses.replace(params, d_y=measured_d_y, free_c=tracking_c)
+    bound_params = dataclasses.replace(params, d_y=measured_d_y)
     rows = [
         TrackingRow(
             t=int(t),

@@ -37,10 +37,7 @@ The tracker's products ``(1 - beta) * s`` and ``beta * g``, with
 IEEE products in one call.  Numpy dispatch, about half a microsecond
 per call, is most of a step, so the count matters: 9 calls for SCGD (10
 when recording the tracker, which is copied into ``u``) and 13 for
-SCSC, against 10 and 14 with allocating temporaries.  A step whose norm
-pre-test fires hands the square root of the pre-test's ``x.dot(x)``,
-``np.linalg.norm``'s own formula, to ``core.project_ball``'s rescale,
-skipping its checks and norm but keeping its bits.
+SCSC, against 10 and 14 with allocating temporaries.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Rng, _norm, _scale_into_ball, as_vector, project_ball
+from .core import Rng, _norm, as_vector, project_ball
 from .problems import Dataset
 
 __all__ = [
@@ -279,16 +276,8 @@ def _run_with_indices(
                 np.multiply(eta, dx, dx)
                 x_prev = x
                 x = np.subtract(x, dx, x_out)
-                sq = x.dot(x)
-                if sq > radius_sq:
-                    # A finite sq gives project_ball's norm without its
-                    # checks (nrm <= R only where R * R underflowed); an
-                    # overflowed or non-finite x takes its full path.
-                    nrm = math.sqrt(sq)
-                    if nrm == math.inf:
-                        x[...] = project_ball(x, radius)
-                    elif nrm > radius:
-                        x[...] = _scale_into_ball(x, nrm, radius)
+                if x.dot(x) > radius_sq:
+                    x[...] = project_ball(x, radius)
             # Both are rows of xs, which the sum below and the next block rewrite.
             x_prev, x = x_prev.copy(), x.copy()
 
