@@ -263,11 +263,16 @@ def excess_risk_study(
     if not size_grid:
         raise ValueError("excess_risk study needs a nonempty size_grid")
     law = _resolve_law(law)
-    root = Rng(seed).split("excess-study")
-    pop = population_minimizer(law, domain_radius)
     sigma = None
     if output_mode == "sigma_weighted":
         sigma = max(float(np.linalg.eigvalsh(law.a0.T @ law.a0)[0]), 0.0)
+        if not sigma > 0:
+            raise ValueError(
+                "sigma_weighted output needs a strongly convex law, but this law's "
+                "population modulus (the least eigenvalue of a0^T a0) is 0"
+            )
+    root = Rng(seed).split("excess-study")
+    pop = population_minimizer(law, domain_radius)
 
     rows = []
     for gi, size in enumerate(size_grid):

@@ -29,15 +29,31 @@ arrays on purpose: ``@``, numpy scalar indexing and Python-float
 operands give the same bits but cost microseconds more per step.
 
 A step allocates nothing: each run allocates its step buffers once
-(``g``, ``g_prev``, the residual ``r``, the step ``dx``, ``u = [s, g]``
-and ``prod``) and every numpy call writes into one through ``out=``.
-The tracker's products ``(1 - beta) * s`` and ``beta * g``, with
-``s = y`` (SCGD) or ``(y + g) - g_prev`` (SCSC), are one multiply of
-``u`` by ``coef = [1 - beta, beta]`` (each repeated d times): the same
-IEEE products in one call.  Numpy dispatch, about half a microsecond
-per call, is most of a step, so the count matters: 9 calls for SCGD (10
-when recording the tracker, which is copied into ``u``) and 13 for
-SCSC, against 10 and 14 with allocating temporaries.
+(``w = [s, g, g_prev]``, the residual ``r``, the step ``dx`` and
+``prod``) and every numpy call writes into one through ``out=``.  The
+tracker's products ``(1 - beta) * s`` and ``beta * g``, with ``s = y``
+(SCGD) or ``(y + g) - g_prev`` (SCSC), are one multiply of ``u = [s, g]``
+by ``coef = [1 - beta, beta]`` (each repeated d times), and SCSC adds
+the offset to both inner values with one add of ``[b_j, b_j]`` to
+``[g, g_prev]``: the same IEEE operations in fewer calls.  Numpy
+dispatch, about half a microsecond per call, is most of a step, so the
+count matters: 8 calls for SCGD (9 when recording the tracker, which is
+copied into ``u``) and 11 for SCSC.
+
+The ball pre-test ``x.dot(x) > R^2`` is not in that count.  The loop
+runs each segment of steps without it: the run's first ``PROBE_STEPS``
+steps, then the rest of each block.  After a segment, one stacked
+``np.matmul`` computes every iterate's ``x.dot(x)`` with the same ddot
+the pre-test runs.  If none exceeds ``R^2`` the pre-test would have
+fired on no step, and the segment stands.  Otherwise, or if the segment
+met an invalid operation, the loop restores the segment's starting
+state (``x``, ``x_prev`` and the tracker) and replays it with the
+pre-test, and ``project_ball`` where it fires, after every step; the
+rest of the run keeps the per-step test.  So a run whose projection
+fires computes one segment twice: ``PROBE_STEPS = 8`` steps when it
+first fires within them (a large first step from the start point), at
+most ``BLOCK_STEPS = 256`` otherwise.  The replay is exact, down to the
+step at which a run warns or raises.
 """
 
 from __future__ import annotations
@@ -62,7 +78,8 @@ __all__ = [
 OUTPUT_MODES = ("last", "uniform_average", "sigma_weighted", "uniform_random")
 
 MAX_STORED_ITERATES = 4096
-BLOCK_STEPS = 4096
+BLOCK_STEPS = 256
+PROBE_STEPS = 8
 
 
 class Variant(Enum):
@@ -186,6 +203,14 @@ def _tracking_sq_errors(dataset: Dataset, pre: np.ndarray, ys: np.ndarray) -> np
         return np.matmul(gap[:, None, :], gap[:, :, None])[:, 0, 0]
 
 
+def _leaves_ball(xs: np.ndarray, radius_sq: float) -> bool:
+    """Whether the pre-test ``x.dot(x) > radius_sq`` holds for any row of ``xs``.
+
+    Stacked matmul runs, per row, the ddot that ndarray.dot runs.
+    """
+    return bool((np.matmul(xs[:, None, :], xs[:, :, None]) > radius_sq).any())
+
+
 def _run_with_indices(
     dataset: Dataset,
     cfg: OptimizerConfig,
@@ -199,7 +224,6 @@ def _run_with_indices(
     y = _start_point(cfg.y0, d, "y0", "d")
     x_prev = x
     a_rows = list(dataset.inner_a)
-    b_rows = list(dataset.inner_b)
     c_rows = list(dataset.outer_c)
     # Same-shape operands make each product the same IEEE multiply as a
     # Python-float one, without numpy's per-call scalar conversion.
@@ -211,13 +235,15 @@ def _run_with_indices(
     # The clamp keeps that true when R * R overflows.
     radius_sq = min(radius * radius, np.finfo(float).max)
     scsc = cfg.variant is Variant.SCSC and cfg.beta != 1.0
-    # Per-run step buffers.  y = coef[:d] * s + coef[d:] * g, with s = y
-    # (SCGD) or (y + g) - g_prev (SCSC), is one multiply on u = [s, g].
-    u = np.empty(2 * d)
-    s, g = u[:d], u[d:]
+    b_rows = list(np.tile(dataset.inner_b, 2) if scsc else dataset.inner_b)  # SCSC: [b_j, b_j]
+    # Per-run step buffers, w = [s, g, g_prev].  y = coef[:d] * s + coef[d:] * g,
+    # with s = y (SCGD) or (y + g) - g_prev (SCSC), is one multiply on
+    # u = [s, g]; SCSC adds b_j to both inner values in one add on gg = [g, g_prev].
+    w = np.empty(3 * d)
+    u, gg = w[: 2 * d], w[d:]
+    s, g, g_prev = w[:d], w[d : 2 * d], w[2 * d :]
     prod = np.empty(2 * d)
     prod_s, prod_g = prod[:d], prod[d:]
-    g_prev = np.empty(d)
     r = np.empty(d)
     dx = np.empty(p)
     if not scsc:
@@ -248,6 +274,7 @@ def _run_with_indices(
 
     # A huge step may overflow ||x||^2 to inf; the pre-test then fires and
     # project_ball handles it, so numpy's overflow warning is noise.
+    checked = False
     with np.errstate(over="ignore"):
         for start in range(0, steps, block):
             stop = min(start + block, steps)
@@ -255,29 +282,55 @@ def _run_with_indices(
             xs[0] = x
             x = xs[0]
             y_rows = [y] * k if ys is None else ys[:k]  # untracked: y updates in place
-            for j, i, x_out, y_out in zip(
-                j_idx[start:stop].tolist(), i_idx[start:stop].tolist(), xs[1 : k + 1], y_rows
-            ):
-                a_j = a_rows[j]
-                b_j = b_rows[j]
-                a_j.dot(x, g)
-                np.add(g, b_j, g)
-                if scsc:
-                    a_j.dot(x_prev, g_prev)
-                    np.add(g_prev, b_j, g_prev)
-                    np.add(y, g, s)
-                    np.subtract(s, g_prev, s)
-                elif y is not s:
-                    np.copyto(s, y)
-                np.multiply(coef, u, prod)
-                y = np.add(prod_s, prod_g, y_out)
-                np.subtract(y, c_rows[i], r)
-                r.dot(a_j, dx)
-                np.multiply(eta, dx, dx)
-                x_prev = x
-                x = np.subtract(x, dx, x_out)
-                if x.dot(x) > radius_sq:
-                    x[...] = project_ball(x, radius)
+            # Steps lo + 1 .. hi of the block run as one segment, checked or
+            # replayed as a whole; the run's first segment is short.
+            cuts = (0, PROBE_STEPS, k) if start == 0 and k > PROBE_STEPS else (0, k)
+            for lo, hi in zip(cuts, cuts[1:]):
+                # The segment's starting state; only y's contents can change under it.
+                x_lo, x_prev_lo, y_lo, y_saved = x, x_prev, y, y.copy()
+                while True:
+                    x, x_prev, y = x_lo, x_prev_lo, y_lo
+                    try:
+                        # An unchecked pass may run on past a step the pre-test
+                        # would have projected or failed; an invalid operation
+                        # sends it to the checked replay, which then warns or
+                        # raises where a per-step loop would.
+                        with np.errstate(invalid=None if checked else "raise"):
+                            for j, i, x_out, y_out in zip(
+                                j_idx[start + lo : start + hi].tolist(),
+                                i_idx[start + lo : start + hi].tolist(),
+                                xs[lo + 1 : hi + 1],
+                                y_rows[lo:hi],
+                            ):
+                                a_j = a_rows[j]
+                                a_j.dot(x, g)
+                                if scsc:
+                                    a_j.dot(x_prev, g_prev)
+                                    np.add(gg, b_rows[j], gg)
+                                    np.add(y, g, s)
+                                    np.subtract(s, g_prev, s)
+                                else:
+                                    np.add(g, b_rows[j], g)
+                                    if y is not s:
+                                        np.copyto(s, y)
+                                np.multiply(coef, u, prod)
+                                y = np.add(prod_s, prod_g, y_out)
+                                np.subtract(y, c_rows[i], r)
+                                r.dot(a_j, dx)
+                                np.multiply(eta, dx, dx)
+                                x_prev = x
+                                x = np.subtract(x, dx, x_out)
+                                if checked and x.dot(x) > radius_sq:
+                                    x[...] = project_ball(x, radius)
+                            if checked or not _leaves_ball(xs[lo + 1 : hi + 1], radius_sq):
+                                break
+                    except FloatingPointError:
+                        if checked:
+                            raise
+                    # The pre-test would have fired in this segment: replay
+                    # it, and the rest of the run, with the test after every step.
+                    checked = True
+                    np.copyto(y_lo, y_saved)
             # Both are rows of xs, which the sum below and the next block rewrite.
             x_prev, x = x_prev.copy(), x.copy()
 

@@ -136,13 +136,18 @@ def tracking_bound(
     if not (eta >= 0 and 0.0 < beta <= 1.0):
         raise ValueError("need eta >= 0 and beta in (0, 1]")
     c = params.free_c
-    decay = (c / np.e) ** c * (t * beta) ** (-c) * params.d_y
-    drift = params.lip_f**2 * params.lip_g**3 * eta**2
-    drift /= beta**2 if variant is Variant.SCGD else beta
-    noise = 2.0 * params.var_g * beta
+    try:
+        decay = (c / np.e) ** c * (t * beta) ** (-c) * params.d_y
+        drift = params.lip_f**2 * params.lip_g**3 * eta**2
+        drift /= beta**2 if variant is Variant.SCGD else beta
+        noise = 2.0 * params.var_g * beta
+        value = decay + drift + noise
+    except (OverflowError, ZeroDivisionError):
+        # Float ** and / raise where * would give inf; BoundValue rejects both.
+        value = np.inf
     return BoundValue(
         formula=f"tracking_{variant.value}",
-        value=float(decay + drift + noise),
+        value=float(value),
         inputs={"t": t, "eta": eta, "beta": beta, "params": params},
     )
 

@@ -75,6 +75,28 @@ class TestUsageErrors:
         assert code == 2
         assert "sigma" in err
 
+    @pytest.mark.parametrize("extra", [
+        ("--eta", "1e300"),  # eta**2 overflows
+        ("--beta", "1e-200"),  # (t * beta) ** -c overflows
+        ("--beta", "1e-200", "--tracking-c", "0.5"),  # beta**2 underflows to a zero divisor
+    ])
+    def test_overflowing_tracking_bound_is_usage_error(self, capsys, tmp_path, extra):
+        code, out, err = dispatch(
+            capsys, "tracking", "--T", "50", "--replicates", "2", "--n", "5", "--m", "5",
+            "--out", str(tmp_path / "t.csv"), *extra,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "bound value must be finite and nonnegative\n"
+
+    def test_sigma_weighted_excess_risk_on_convex_law_names_the_modulus(self, capsys):
+        code, _, err = dispatch(
+            capsys, "excess-risk", "--output-mode", "sigma_weighted", "--benchmark", "convex",
+        )
+        assert code == 2
+        assert "population modulus" in err
+        assert "is 0" in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = dispatch(capsys, "--help")
         assert code == 0

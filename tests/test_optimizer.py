@@ -15,15 +15,19 @@ from scalar_reference import (
 )
 from scolab.core import Rng
 from scolab.optimizer import (
+    BLOCK_STEPS,
     OUTPUT_MODES,
+    PROBE_STEPS,
     OptimizerConfig,
     Variant,
     _draw_indices,
+    _leaves_ball,
     _run_with_indices,
     run,
     schedule_preset,
 )
 from scolab.problems import (
+    Dataset,
     PopulationLaw,
     benchmark_law,
     compute_constants,
@@ -278,10 +282,14 @@ def trajectory_digest(traj):
 # The pins cover both variants, every output mode with and without
 # tracking, an active projection (R = 0.3, eta = 0.5) and thinned runs:
 # T = 5000 (stride 2) and T = 4097, whose stride does not divide T, so the
-# last iterate is stored off the stride.  The kernel runs in blocks of
-# 4096 steps, so T = 8193 (two full blocks and a one-step tail, with the
-# projection firing on both sides of each boundary) and T = 12000 (whose
-# uniform draw is step 7980, in the second block) cross block boundaries.
+# last iterate is stored off the stride.  The kernel runs in blocks of 256
+# steps and checks the run's first 8 steps as a segment of their own, so
+# every row crosses the step-8 segment boundary, and the rows with
+# T >= 4097 cross at least 16 block boundaries: T = 4097 and T = 8193 end
+# in a one-step block, T = 5000 in a 136-step one and T = 12000 in a
+# 224-step one, and its uniform draw is step 7980, inside the 32nd block.
+# The R = 0.3 rows project on every step, so their first 8 steps are
+# replayed and every later step runs the per-step test.
 # Rows may add (beta, start) to the default (0.3, "origin"): those rows
 # pin a given x0 and y0 (START_X0, START_Y0), SCSC at beta = 1 (which runs
 # the SCGD recurrence) and eta = 0.
@@ -418,6 +426,97 @@ class TestKernelMemory:
         assert peak < 1_000_000
 
 
+def _first_fire_cases():
+    """(first projected step, T): the probe's last and the next step, a
+    block's first, middle and last step, and a step in a final partial block."""
+    block, probe = BLOCK_STEPS, PROBE_STEPS
+    steps = 2 * block + 88
+    firsts = {
+        "run-step-1": 1,
+        "probe-last": probe,
+        "after-probe": probe + 1,
+        "block-2-step-1": block + 1,
+        "block-2-mid": block + block // 2,
+        "block-2-last": 2 * block,
+        "partial-block": 2 * block + 40,
+    }
+    return [pytest.param(first, steps, id=name) for name, first in firsts.items()]
+
+
+class TestSegmentReplay:
+    """A run whose ball projection first fires at a chosen step, replayed
+    step by step through the scalar reference, bit for bit.
+
+    From x = y = 0, inner sample 0 (a = 0, b = 0) leaves both at 0, and
+    sample 1 throws x just outside the ball: the first step that draws it
+    is the first projected step.  Sample 2 then pulls x back inside, so
+    that only that step's iterate leaves the ball even when it is computed
+    without the projection.  Sample 1 fires once more near the end.  With
+    d = 1 every product is a single multiply or one ddot, so the
+    reference's ``@`` and the kernel's ``dot`` agree to the bit."""
+
+    DATA = Dataset(
+        inner_a=np.array([[[0.0, 0.0, 0.0]], [[0.36, 0.36, 0.36]], [[-0.12, -0.12, -0.12]]]),
+        inner_b=np.zeros((3, 1)),
+        outer_c=np.array([[-1.0]]),
+    )
+
+    @staticmethod
+    def _indices(first, steps):
+        j_idx = np.zeros(steps, dtype=np.int64)
+        j_idx[[first - 1, steps - 5]] = 1
+        j_idx[first] = 2
+        return j_idx, np.zeros(steps, dtype=np.int64)
+
+    def _reference(self, cfg, j_idx, i_idx):
+        """Iterates, pre-step tracking gaps and the uniform average."""
+        data = self.DATA
+        x = np.zeros(data.p)
+        x_prev = x
+        y = np.zeros(data.d)
+        xs, gaps = [], []
+        total = np.zeros(data.p)
+        for j, i in zip(j_idx, i_idx):
+            a, b, c = data.inner_a[j], data.inner_b[j], data.outer_c[i]
+            y = tracking_step(cfg.variant, y, inner_eval(a, b, x), inner_eval(a, b, x_prev), cfg.beta)
+            gap = y - (data.a_bar @ x + data.b_bar)
+            gaps.append(gap @ gap)
+            x_prev = x
+            x = param_step(x, inner_jac(a, x), outer_grad(c, y), cfg.eta, cfg.domain_radius)
+            xs.append(x)
+            total = total + x
+        return np.array(xs), np.array(gaps), total / cfg.steps
+
+    @pytest.mark.parametrize("tracking", [False, True], ids=["notrack", "track"])
+    @pytest.mark.parametrize("variant", [Variant.SCGD, Variant.SCSC])
+    @pytest.mark.parametrize("first, steps", _first_fire_cases())
+    def test_matches_scalar_reference_bit_for_bit(self, first, steps, variant, tracking):
+        cfg = OptimizerConfig(variant=variant, steps=steps, eta=0.5, beta=0.3, domain_radius=0.3,
+                              output_mode="uniform_average", record_tracking=tracking)
+        j_idx, i_idx = self._indices(first, steps)
+        traj = _run_with_indices(self.DATA, cfg, j_idx, i_idx, None)
+        xs, gaps, uniform_avg = self._reference(cfg, j_idx, i_idx)
+        on_sphere = np.linalg.norm(xs, axis=1) >= 0.3 * (1 - 1e-12)
+        assert np.flatnonzero(on_sphere)[:2].tolist() == [first - 1, steps - 5]
+        assert traj.iterates.tobytes() == xs.tobytes()
+        assert traj.uniform_avg.tobytes() == uniform_avg.tobytes()
+        if tracking:
+            assert traj.tracking_sq_errors.tobytes() == gaps.tobytes()
+
+    def test_invalid_operation_warns_once_as_a_per_step_loop_would(self):
+        # x0 = (1, 1) puts g = a @ x past the float range, and SCSC's first
+        # tracker correction g - g_prev is inf - inf.  A per-step loop warns
+        # there once; the unchecked pass must neither hide nor repeat it.
+        data = Dataset(inner_a=np.full((1, 1, 2), 1e308), inner_b=np.zeros((1, 1)),
+                       outer_c=np.zeros((1, 1)))
+        cfg = OptimizerConfig(variant=Variant.SCSC, steps=300, eta=1e-300, beta=0.5,
+                              x0=np.ones(2))
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in subtract") as caught:
+            traj = run(data, cfg, RNG.split("invalid"))
+        assert len(caught) == 1
+        assert np.isnan(traj.last).all()
+
+
 class TestStackedMatmulMatchesDot:
     """The kernel derives per-step products after each block with stacked
     ``np.matmul``; its outputs equal a per-step loop's only while each
@@ -438,6 +537,18 @@ class TestStackedMatmulMatchesDot:
                 assert a_x[t].tobytes() == a.dot(xs[t]).tobytes()
                 assert v_a[t].tobytes() == vs[t].dot(a).tobytes()
                 assert v_v[t].tobytes() == vs[t].dot(vs[t]).tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 5, 8])
+    def test_ball_check_matches_per_step_pre_test(self, p):
+        # The radius is the largest row's norm or an ulp to either side, so
+        # the check and the pre-test agree only if their norms agree to the bit.
+        gen = np.random.default_rng(p)
+        for _ in range(200):
+            xs = gen.standard_normal((9, p)) * gen.uniform(0.1, 10.0)
+            sq = [x.dot(x) for x in xs]
+            top = max(sq)
+            for radius_sq in (top, np.nextafter(top, 0.0), np.nextafter(top, np.inf)):
+                assert _leaves_ball(xs, radius_sq) == any(s > radius_sq for s in sq)
 
 
 class TestDotOutMatchesDot:
