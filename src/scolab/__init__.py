@@ -25,7 +25,6 @@ from .optimizer import (
     schedule_preset,
 )
 from .oracle import (
-    BoundValue,
     MinimizerCertificate,
     erm_minimizer,
     fd_gradient_check,

@@ -20,7 +20,6 @@ from .core import Rng
 from .optimizer import OptimizerConfig, Variant, run, schedule_preset
 from .oracle import erm_minimizer, population_minimizer, tracking_bound
 from .problems import (
-    BoundParams,
     PopulationLaw,
     benchmark_law,
     compute_constants,
@@ -28,7 +27,7 @@ from .problems import (
     population_risk,
     sample_dataset,
 )
-from .stability import _mean_se
+from .stability import _check_replicates, _mean_se
 
 __all__ = [
     "TrackingRow",
@@ -47,11 +46,6 @@ __all__ = [
 def _resolve_law(law: PopulationLaw | str) -> PopulationLaw:
     """``law`` itself, or the benchmark law of that name."""
     return law if isinstance(law, PopulationLaw) else benchmark_law(law)
-
-
-def _check_replicates(replicates: int) -> None:
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
 
 
 class TrackingRow(NamedTuple):
@@ -82,21 +76,17 @@ class ExcessRow(NamedTuple):
 @dataclass(frozen=True)
 class TrackingStudyResult:
     rows: list[TrackingRow]
-    params: BoundParams
-    measured_d_y: float
 
 
 @dataclass(frozen=True)
 class OptimizationStudyResult:
     rows: list[OptimizationRow]
-    minimizer_value: float
 
 
 @dataclass(frozen=True)
 class ExcessRiskStudyResult:
     rows: list[ExcessRow]
     fitted_slope: float
-    t_max: int | None = None
 
 
 def _log_step_grid(max_t: int, points: int) -> np.ndarray:
@@ -146,6 +136,10 @@ def tracking_study(
         domain_radius=domain_radius,
         record_tracking=True,
     )
+    # With a zero anchor the t = 1 ceiling fails only where its decay factor,
+    # drift or noise term does, and the first row would then fail whatever
+    # the measured anchor: reject that before any replicate runs.
+    tracking_bound(variant, 1, dataclasses.replace(params, d_y=0.0), eta, beta)
 
     # tracking_sq_errors[k] is the gap after k+1 tracker updates; the
     # decay term of the ceiling is indexed by the same k >= 1.  Column 0
@@ -158,18 +152,17 @@ def tracking_study(
     ])
     mean, se = _mean_se(errors)
 
-    measured_d_y = mean[0]
-    bound_params = dataclasses.replace(params, d_y=measured_d_y)
+    bound_params = dataclasses.replace(params, d_y=mean[0])
     rows = [
         TrackingRow(
             t=int(t),
             mean_sq_error=mean[k],
             se=se[k],
-            bound=tracking_bound(variant, int(t), bound_params, eta, beta).value,
+            bound=tracking_bound(variant, int(t), bound_params, eta, beta),
         )
         for k, t in enumerate(ts, start=1)
     ]
-    return TrackingStudyResult(rows=rows, params=bound_params, measured_d_y=measured_d_y)
+    return TrackingStudyResult(rows)
 
 
 def optimization_study(
@@ -183,7 +176,6 @@ def optimization_study(
     seed: int = 0,
     domain_radius: float = 10.0,
     output_mode: str = "uniform_average",
-    x0: np.ndarray | None = None,
 ) -> OptimizationStudyResult:
     """Mean empirical suboptimality of the selected output per grid point.
 
@@ -209,7 +201,6 @@ def optimization_study(
             eta=eta,
             beta=beta,
             domain_radius=domain_radius,
-            x0=x0,
             output_mode=output_mode,
             sigma=sigma,
         )
@@ -219,7 +210,7 @@ def optimization_study(
             traj = run(data, opt_cfg, root.split(f"grid-{gi}-rep-{rep}"))
             gaps.append(empirical_risk(data, traj.final_output) - cert.value)
         rows.append(OptimizationRow(steps, eta, beta, *_mean_se(np.asarray(gaps))))
-    return OptimizationStudyResult(rows=rows, minimizer_value=cert.value)
+    return OptimizationStudyResult(rows)
 
 
 def fit_loglog_slope(xs, ys) -> float:
@@ -300,4 +291,4 @@ def excess_risk_study(
         )
     else:
         slope = float("nan")
-    return ExcessRiskStudyResult(rows=rows, fitted_slope=slope, t_max=t_max)
+    return ExcessRiskStudyResult(rows, slope)

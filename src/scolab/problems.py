@@ -74,14 +74,6 @@ class Dataset:
         object.__setattr__(self, "inner_b", b)
         object.__setattr__(self, "outer_c", c)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Dataset)
-            and np.array_equal(self.inner_a, other.inner_a)
-            and np.array_equal(self.inner_b, other.inner_b)
-            and np.array_equal(self.outer_c, other.outer_c)
-        )
-
     @property
     def n(self) -> int:
         return self.outer_c.shape[0]
@@ -228,39 +220,23 @@ class BoundParams:
 
     lip_f        Lipschitz constant of the outer losses on the reachable set
     lip_g        Lipschitz constant of the inner maps (max operator norm)
-    grad_lip_f   Lipschitz constant of the outer gradients (1 for quadratics)
     smooth_l     smoothness of the composed empirical objective
     sigma        strong-convexity modulus of the composed empirical objective
     var_g        sup over the domain of the inner-value empirical variance
-    var_grad_g   empirical variance of the inner Jacobians (x-free here)
-    d_x          bound on the squared iterate-to-optimum distance
     d_y          bound on the squared initial tracking gap
     free_c       free exponent in the tracking decay term
     """
 
     lip_f: float
     lip_g: float
-    grad_lip_f: float
     smooth_l: float
     sigma: float
     var_g: float
-    var_grad_g: float
-    d_x: float
     d_y: float
     free_c: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "lip_f",
-            "lip_g",
-            "grad_lip_f",
-            "smooth_l",
-            "sigma",
-            "var_g",
-            "var_grad_g",
-            "d_x",
-            "d_y",
-        ):
+        for name in ("lip_f", "lip_g", "smooth_l", "sigma", "var_g", "d_y"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite nonnegative real")
@@ -341,12 +317,11 @@ def _min_quadratic_on_ball(gram: np.ndarray, rhs: np.ndarray, radius: float):
 def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     """Compute every bound constant for the affine-quadratic family.
 
-    Closed forms are used wherever they exist (operator norms, Frobenius
-    deviations, extreme eigenvalues of the mean Gram matrix).  The genuine
-    suprema over the ball, the inner-value variance ``var_g``, the tracker
-    deviation behind ``d_y`` and the reachable-set radius behind ``lip_f``,
-    are maxima of convex quadratics, solved exactly by one batched
-    trust-region solve.
+    Closed forms are used wherever they exist (operator norms, extreme
+    eigenvalues of the mean Gram matrix).  The genuine suprema over the
+    ball, the inner-value variance ``var_g``, the tracker deviation behind
+    ``d_y`` and the reachable-set radius behind ``lip_f``, are maxima of
+    convex quadratics, solved exactly by one batched trust-region solve.
     """
     if not (np.isfinite(domain_radius) and domain_radius > 0):
         raise ValueError("invalid domain")
@@ -359,7 +334,6 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     lip_g = float(np.max(np.linalg.norm(a, 2, axis=(1, 2))))
     diffs_a = a - a_bar
     diffs_b = dataset.inner_b - b_bar
-    var_grad_g = float(np.mean(np.sum(diffs_a * diffs_a, axis=(1, 2))))
 
     gram = a_bar.T @ a_bar
     eigs = np.linalg.eigvalsh(gram)
@@ -395,12 +369,9 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     return BoundParams(
         lip_f=lip_f,
         lip_g=lip_g,
-        grad_lip_f=1.0,
         smooth_l=smooth_l,
         sigma=sigma,
         var_g=var_g,
-        var_grad_g=var_grad_g,
-        d_x=(2.0 * domain_radius) ** 2,
         d_y=d_y,
     )
 

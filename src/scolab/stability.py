@@ -68,8 +68,6 @@ def make_neighbor(dataset: Dataset, kind: str, index: int, donor: Dataset) -> Da
 
 @dataclass(frozen=True)
 class CoupledResult:
-    output: np.ndarray
-    neighbor_output: np.ndarray
     distance: float
 
 
@@ -95,7 +93,7 @@ def coupled_run(
         out_nb = _run_with_indices(neighbor, cfg, *indices).final_output
     else:
         out_nb = run(neighbor, cfg, rng.split("uncoupled-indices")).final_output
-    return CoupledResult(out, out_nb, float(np.linalg.norm(out - out_nb)))
+    return CoupledResult(float(np.linalg.norm(out - out_nb)))
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,6 @@ class StabilityEstimate:
     eps_nu_se: float
     eps_omega: float
     eps_omega_se: float
-    replicates: int
-    coupled: bool
 
 
 def _mean_se(values: np.ndarray):
@@ -122,6 +118,11 @@ def _mean_se(values: np.ndarray):
     """
     se = np.std(values, axis=0, ddof=1) / np.sqrt(values.shape[0])
     return np.mean(values, axis=0).tolist(), se.tolist()
+
+
+def _check_replicates(replicates: int) -> None:
+    if replicates < 2:
+        raise ValueError("replicates must be >= 2")
 
 
 def _stability_replicate(
@@ -164,8 +165,7 @@ def estimate_stability(
     aggregated in replicate order; ``threads`` is accepted for
     compatibility and has no effect.
     """
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
+    _check_replicates(replicates)
     for kind in kinds:
         if kind not in ("nu", "omega"):
             raise ValueError(f"unknown neighbor kind {kind!r}")
@@ -184,14 +184,7 @@ def estimate_stability(
         eps_omega, eps_omega_se = _mean_se(d_omega)
     else:
         eps_omega, eps_omega_se = np.nan, np.nan
-    return StabilityEstimate(
-        eps_nu=eps_nu,
-        eps_nu_se=eps_nu_se,
-        eps_omega=eps_omega,
-        eps_omega_se=eps_omega_se,
-        replicates=replicates,
-        coupled=coupled,
-    )
+    return StabilityEstimate(eps_nu, eps_nu_se, eps_omega, eps_omega_se)
 
 
 @dataclass(frozen=True)
@@ -239,8 +232,7 @@ def check_generalization_inequality(
     Measured sensitivities are average-case readings, so the check is a
     sanity bound, not a certificate.
     """
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
+    _check_replicates(replicates)
 
     results = []
     for rep in range(replicates):

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scolab
+from scolab import experiments
 from scolab.cli import parse_and_dispatch
 from scolab.core import Rng
 from scolab.reporting import emit_csv, emit_svg, read_csv
@@ -32,6 +38,30 @@ class TestSchedule:
         code, _, err = dispatch(capsys, "schedule", "--convexity", "wavy")
         assert code == 2
         assert "convexity must be one of" in err
+
+
+class TestModuleEntryPoint:
+    """``python -m scolab.cli`` runs the same CLI as the ``scolab`` script."""
+
+    @staticmethod
+    def module_cli(*argv):
+        src = str(Path(scolab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "scolab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_schedule_example(self):
+        done = self.module_cli(
+            "schedule", "--variant", "scsc", "--convexity", "convex", "--n", "4", "--m", "4"
+        )
+        assert done.returncode == 0
+        assert done.stdout == "T=32 eta=0.062499999999999993 beta=0.062499999999999993\n"
+
+    def test_unknown_flag_is_usage_error(self):
+        assert self.module_cli("schedule", "--frobnicate", "1").returncode == 2
 
 
 class TestUsageErrors:
@@ -89,6 +119,24 @@ class TestUsageErrors:
         assert out == ""
         assert err == "bound value must be finite and nonnegative\n"
 
+    @pytest.mark.parametrize("extra", [
+        ("--eta", "1e300"),
+        ("--beta", "1e-200"),
+        ("--beta", "1e-200", "--tracking-c", "0.5"),
+    ])
+    def test_unbounded_tracking_bound_fails_before_any_replicate(
+        self, capsys, monkeypatch, tmp_path, extra
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replicate ran before the ceiling was checked")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        code, out, err = dispatch(capsys, "tracking", "--out", str(tmp_path / "t.csv"), *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "bound value must be finite and nonnegative\n"
+        assert not (tmp_path / "t.csv").exists()
+
     def test_sigma_weighted_excess_risk_on_convex_law_names_the_modulus(self, capsys):
         code, _, err = dispatch(
             capsys, "excess-risk", "--output-mode", "sigma_weighted", "--benchmark", "convex",
@@ -112,6 +160,14 @@ class TestGradcheck:
     def test_fails_at_absurd_tolerance(self, capsys):
         code, _, err = dispatch(capsys, "gradcheck", "--seed", "1", "--assert", "1e-20")
         assert code == 1
+        assert "gradcheck failed" in err
+
+    def test_nan_error_fails(self, capsys):
+        # A step of 1e200 overflows the risk, so every difference quotient
+        # is NaN; that is a failed check, not a zero error, and no warning.
+        code, out, err = dispatch(capsys, "gradcheck", "--h", "1e200")
+        assert code == 1
+        assert out == "max_relative_error=nan\n"
         assert "gradcheck failed" in err
 
 

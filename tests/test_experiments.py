@@ -67,7 +67,6 @@ class TestTrackingStudy:
         a = tracking_study(**settings)
         b = tracking_study(**settings)
         assert a.rows == b.rows
-        assert a.measured_d_y == b.measured_d_y
         ts = [row.t for row in a.rows]
         assert ts == sorted(set(ts))
         assert ts[0] >= 1 and ts[-1] <= settings["steps"] - 1
@@ -121,25 +120,27 @@ class TestOptimizationStudy:
 
     def test_warm_start_at_the_minimizer_stays_on_the_noise_floor(self):
         from scolab.core import Rng
+        from scolab.optimizer import OptimizerConfig, run
         from scolab.oracle import erm_minimizer
-        from scolab.problems import sample_dataset
+        from scolab.problems import empirical_risk, sample_dataset
 
-        law = benchmark_law("strongly_convex")
-        data = sample_dataset(
-            law, 10, 10, Rng(11).split("optimization-study").split("data")
-        )
+        root = Rng(11).split("optimization-study")
+        data = sample_dataset(benchmark_law("strongly_convex"), 10, 10, root.split("data"))
         cert = erm_minimizer(data, 10.0)
         eta = 0.02
-        result = optimization_study(
-            variant=Variant.SCSC, law=law, n=10, m=10,
-            step_grid=((512, eta, 0.3),), replicates=10, seed=11,
-            output_mode="uniform_average", x0=cert.x_star,
+        cfg = OptimizerConfig(
+            variant=Variant.SCSC, steps=512, eta=eta, beta=0.3, domain_radius=10.0,
+            x0=cert.x_star, output_mode="uniform_average",
         )
-        row = result.rows[0]
-        assert row.gap_mean >= -1e-10
+        gap_mean = np.mean([
+            empirical_risk(data, run(data, cfg, root.split(f"grid-0-rep-{rep}")).final_output)
+            - cert.value
+            for rep in range(10)
+        ])
+        assert gap_mean >= -1e-10
         # the run never beats the certificate, and starting at the optimum
         # leaves only the stochastic-gradient noise floor
-        assert row.gap_mean < 20.0 * eta
+        assert gap_mean < 20.0 * eta
 
     def test_requires_grid(self):
         with pytest.raises(ValueError, match="step_grid"):
@@ -185,7 +186,6 @@ class TestExcessRiskStudy:
             t_max=512, output_mode="uniform_average",
         )
         assert result.rows[0].steps == 512
-        assert result.t_max == 512
         assert np.isnan(result.fitted_slope)
 
     def test_one_distinct_size_has_no_slope(self):
@@ -233,6 +233,16 @@ class TestStudyConfigValidation:
         with pytest.raises(ValueError, match="free_c must be positive"):
             tracking_study(tracking_c=tracking_c, replicates=4)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("eta, beta", [(1e300, 0.1), (1e-3, 1e-200)])
+    def test_unbounded_ceiling_rejected_before_any_run(self, monkeypatch, variant, eta, beta):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replicate ran before the ceiling was checked")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        with pytest.raises(ValueError, match="bound value must be finite and nonnegative"):
+            tracking_study(variant=variant, eta=eta, beta=beta, replicates=4)
+
     def test_excess_requires_sizes(self):
         with pytest.raises(ValueError, match="size_grid"):
             excess_risk_study(size_grid=(), replicates=4)
@@ -243,6 +253,7 @@ class TestStudyConfigValidation:
         (tracking_study, {"threads": 2}),
         (optimization_study, {"convexity": "convex"}),
         (optimization_study, {"t_max": 10}),
+        (optimization_study, {"x0": np.zeros(5)}),
         (excess_risk_study, {"n": 10}),
         (excess_risk_study, {"step_grid": ((8, 0.1, 0.5),)}),
     ])

@@ -7,7 +7,6 @@ import pytest
 from scolab.core import Rng, project_ball
 from scolab.optimizer import Variant
 from scolab.oracle import (
-    BoundValue,
     erm_minimizer,
     fd_gradient_check,
     population_minimizer,
@@ -19,6 +18,7 @@ from scolab.problems import (
     PopulationLaw,
     benchmark_law,
     empirical_risk,
+    empirical_risk_grad,
     population_risk,
     sample_dataset,
 )
@@ -30,12 +30,9 @@ def unit_params(**overrides):
     base = dict(
         lip_f=1.0,
         lip_g=1.0,
-        grad_lip_f=1.0,
         smooth_l=1.0,
         sigma=0.0,
         var_g=1.0,
-        var_grad_g=0.0,
-        d_x=1.0,
         d_y=1.0,
         free_c=1.0,
     )
@@ -194,21 +191,21 @@ class TestPopulationMinimizer:
 class TestTrackingBound:
     def test_hand_value_scgd(self):
         params = unit_params()
-        value = tracking_bound(Variant.SCGD, 10, params, eta=0.01, beta=0.1).value
+        value = tracking_bound(Variant.SCGD, 10, params, eta=0.01, beta=0.1)
         expected = math.exp(-1.0) * 1.0 + 0.01 + 0.2
         assert value == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.57788, abs=5e-6)
 
     def test_hand_value_scsc(self):
         params = unit_params()
-        value = tracking_bound(Variant.SCSC, 10, params, eta=0.01, beta=0.1).value
+        value = tracking_bound(Variant.SCSC, 10, params, eta=0.01, beta=0.1)
         expected = math.exp(-1.0) + 0.001 + 0.2
         assert value == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.56888, abs=5e-6)
 
     def test_surviving_term_when_variances_vanish(self):
         params = unit_params(var_g=0.0, d_y=0.0, lip_f=2.0, lip_g=3.0)
-        value = tracking_bound(Variant.SCGD, 5, params, eta=0.01, beta=0.1).value
+        value = tracking_bound(Variant.SCGD, 5, params, eta=0.01, beta=0.1)
         assert value == pytest.approx(4.0 * 27.0 * 1e-4 / 1e-2, rel=1e-12)
 
     def test_undefined_at_step_zero(self):
@@ -218,7 +215,7 @@ class TestTrackingBound:
     def test_monotone_decreasing_in_t(self):
         params = unit_params(free_c=2.0)
         values = [
-            tracking_bound(Variant.SCSC, t, params, eta=0.01, beta=0.1).value
+            tracking_bound(Variant.SCSC, t, params, eta=0.01, beta=0.1)
             for t in (1, 2, 5, 20, 100)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -228,13 +225,17 @@ class TestTrackingBound:
         hi = unit_params(var_g=1.5, d_y=1.5)
         for variant in (Variant.SCGD, Variant.SCSC):
             assert (
-                tracking_bound(variant, 7, hi, 0.01, 0.1).value
-                > tracking_bound(variant, 7, lo, 0.01, 0.1).value
+                tracking_bound(variant, 7, hi, 0.01, 0.1)
+                > tracking_bound(variant, 7, lo, 0.01, 0.1)
             )
 
-    def test_nonnegative_value_enforced(self):
-        with pytest.raises(ValueError):
-            BoundValue(formula="x", value=-1.0)
+    def test_returns_a_float(self):
+        assert type(tracking_bound(Variant.SCGD, 3, unit_params(), 0.01, 0.1)) is float
+
+    @pytest.mark.parametrize("eta, beta", [(1e300, 0.1), (0.01, 1e-200)])
+    def test_unbounded_value_rejected(self, eta, beta):
+        with pytest.raises(ValueError, match="bound value must be finite and nonnegative"):
+            tracking_bound(Variant.SCGD, 1, unit_params(), eta, beta)
 
 
 class TestFdGradientCheck:
@@ -257,6 +258,29 @@ class TestFdGradientCheck:
         coarse = fd_gradient_check(data, x, h=1e-2)
         fine = fd_gradient_check(data, x, h=1e-5)
         assert coarse < fine < 1e-6
+
+    def test_finite_errors_give_their_maximum(self):
+        data = sample_dataset(benchmark_law("convex"), 20, 20, RNG.split("fdmax"))
+        x = RNG.split("fdmaxx").generator().uniform(-3, 3, size=data.p)
+        h = 1e-5
+        analytic = empirical_risk_grad(data, x)
+        errors = []
+        for k in range(data.p):
+            bump = h * np.eye(data.p)[k]
+            fd = (empirical_risk(data, x + bump) - empirical_risk(data, x - bump)) / (2.0 * h)
+            errors.append(abs(analytic[k] - fd) / (1.0 + abs(fd)))
+        assert fd_gradient_check(data, x, h) == max(errors)
+
+    @pytest.mark.parametrize(
+        "x, h",
+        [([math.nan] * 5, 1e-5), ([1e200, 0, 0, 0, 0], 1e-5), ([1.0, 0, 0, 0, 0], 1e200)],
+        ids=["nan-point", "overflowing-point", "overflowing-step"],
+    )
+    def test_nan_error_is_reported_without_warning(self, x, h):
+        # A NaN coordinate must not be dropped by the maximum, and the
+        # overflow behind it must not warn (RuntimeWarnings are errors here).
+        data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("fdnan"))
+        assert math.isnan(fd_gradient_check(data, x, h))
 
     def test_rejects_bad_step(self):
         data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("fdb"))

@@ -2,9 +2,11 @@
 
 Each module's ``__all__`` and the names re-exported by ``scolab`` must
 resolve and must match the lists below, so that a stale export, or a
-helper that only the tests need, shows up as a change to this file.
+helper that only the tests need, shows up as a change to this file.  The
+same holds for the fields of every public result type.
 """
 
+import dataclasses
 import importlib
 import types
 
@@ -22,8 +24,8 @@ MODULE_ALL = {
     ],
     "optimizer": ["Variant", "OptimizerConfig", "Trajectory", "run", "schedule_preset"],
     "oracle": [
-        "MinimizerCertificate", "BoundValue", "erm_minimizer", "population_minimizer",
-        "tracking_bound", "fd_gradient_check",
+        "MinimizerCertificate", "erm_minimizer", "population_minimizer", "tracking_bound",
+        "fd_gradient_check",
     ],
     "problems": [
         "Dataset", "PopulationLaw", "BoundParams", "sample_dataset", "empirical_inner",
@@ -48,8 +50,8 @@ PACKAGE_EXPORTS = {
     },
     "optimizer": {"OptimizerConfig", "Trajectory", "Variant", "run", "schedule_preset"},
     "oracle": {
-        "BoundValue", "MinimizerCertificate", "erm_minimizer", "fd_gradient_check",
-        "population_minimizer", "tracking_bound",
+        "MinimizerCertificate", "erm_minimizer", "fd_gradient_check", "population_minimizer",
+        "tracking_bound",
     },
     "problems": {
         "BoundParams", "Dataset", "PopulationLaw", "benchmark_law", "compute_constants",
@@ -60,6 +62,31 @@ PACKAGE_EXPORTS = {
         "CoupledResult", "GapReport", "StabilityEstimate", "check_generalization_inequality",
         "coupled_run", "estimate_stability", "make_neighbor",
     },
+}
+
+
+# Every field of a public result type, in order, keyed by "module.Type".
+# A field earns its place by having a reader in src/, perfbench/ or the
+# acceptance criteria, or by being hashed by a sha256 pin.
+RESULT_FIELDS = {
+    "optimizer.Trajectory": [
+        "stored_steps", "iterates", "last", "uniform_avg", "final_output",
+        "tracking_sq_errors",
+    ],
+    "stability.CoupledResult": ["distance"],
+    "stability.StabilityEstimate": ["eps_nu", "eps_nu_se", "eps_omega", "eps_omega_se"],
+    "stability.GapReport": [
+        "gap_mean", "gap_se", "eps_nu", "eps_nu_se", "eps_omega", "eps_omega_se", "lip_f",
+        "lip_g", "variance_term", "rhs", "combined_se", "holds",
+    ],
+    "problems.BoundParams": ["lip_f", "lip_g", "smooth_l", "sigma", "var_g", "d_y", "free_c"],
+    "oracle.MinimizerCertificate": ["x_star", "value", "method", "kkt_residual"],
+    "experiments.TrackingStudyResult": ["rows"],
+    "experiments.OptimizationStudyResult": ["rows"],
+    "experiments.ExcessRiskStudyResult": ["rows", "fitted_slope"],
+    "experiments.TrackingRow": ["t", "mean_sq_error", "se", "bound"],
+    "experiments.OptimizationRow": ["steps", "eta", "beta", "gap_mean", "gap_se"],
+    "experiments.ExcessRow": ["n", "m", "steps", "eta", "beta", "excess_mean", "excess_se"],
 }
 
 
@@ -85,3 +112,14 @@ def test_package_exports_come_from_module_all(name):
     for attr in PACKAGE_EXPORTS[name]:
         assert attr in module.__all__
         assert getattr(scolab, attr) is getattr(module, attr)
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_FIELDS))
+def test_result_fields_are_pinned(name):
+    module, attr = name.split(".")
+    cls = getattr(importlib.import_module(f"scolab.{module}"), attr)
+    if dataclasses.is_dataclass(cls):
+        fields = [field.name for field in dataclasses.fields(cls)]
+    else:
+        fields = list(cls._fields)
+    assert fields == RESULT_FIELDS[name]

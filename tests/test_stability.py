@@ -35,12 +35,19 @@ def donor(data, a=0.0, b=0.0, c=0.0):
     )
 
 
+def same_samples(a, b):
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("inner_a", "inner_b", "outer_c")
+    )
+
+
 class TestMakeNeighbor:
     def test_identical_replacement_gives_equal_dataset(self):
         data = sample_dataset(benchmark_law("convex"), 6, 6, RNG.split("eq"))
         same = Dataset(data.inner_a[3:4], data.inner_b[3:4], data.outer_c[2:3])
-        assert make_neighbor(data, "nu", 2, same) == data
-        assert make_neighbor(data, "omega", 3, same) == data
+        assert same_samples(make_neighbor(data, "nu", 2, same), data)
+        assert same_samples(make_neighbor(data, "omega", 3, same), data)
 
     def test_nu_neighbor_keeps_inner_samples(self):
         data = sample_dataset(benchmark_law("convex"), 6, 6, RNG.split("nu"))
@@ -52,7 +59,7 @@ class TestMakeNeighbor:
         assert np.array_equal(np.delete(neighbor.outer_c, 1, axis=0),
                               np.delete(data.outer_c, 1, axis=0))
         # the original is untouched
-        assert data == original
+        assert same_samples(data, original)
         assert not np.array_equal(data.outer_c[1], np.zeros(data.d))
 
     def test_serialized_difference_is_one_record(self):
