@@ -178,7 +178,7 @@ def _emit(o, header, rows, title, x_values, series, log_axes=True):
         if log_axes:  # a log axis draws an exact zero at 1e-300
             series = {key: [max(v, 1e-300) for v in values] for key, values in series.items()}
         svg_path = out[: -len(".csv")] + ".svg" if out.endswith(".csv") else out + ".svg"
-        emit_svg(svg_path, title, x_values, series, log_x=log_axes, log_y=log_axes)
+        emit_svg(svg_path, title, x_values, series, log=log_axes)
 
 
 def cmd_gradcheck(o) -> int:
@@ -193,7 +193,8 @@ def cmd_gradcheck(o) -> int:
     worst = float(np.max(errors))  # NaN if any point's error is NaN
     print(f"max_relative_error={format_value(worst)}")
     if not worst < o["assert"]:
-        print(f"gradcheck failed: {worst:.3e} >= {o['assert']:.3e}", file=sys.stderr)
+        print(f"gradcheck failed: max relative error {worst:.3e} is not below {o['assert']:.3e}",
+              file=sys.stderr)
         return 1
     return 0
 

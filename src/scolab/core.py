@@ -27,13 +27,11 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def as_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Coerce ``a`` to a 2-d float64 array, optionally checking its shape."""
+def as_matrix(a) -> np.ndarray:
+    """Coerce ``a`` to a 2-d float64 array."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if shape is not None and m.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {m.shape}")
     return m
 
 

@@ -3,9 +3,10 @@
 Each study is a pure function of its keyword arguments and takes only
 the settings it reads, so passing any other raises ``TypeError``.  A
 study's ``law`` is a :class:`PopulationLaw` or the name of a
-:func:`benchmark_law`.  Replicates run one after another on child random
-streams keyed by (grid index, replicate index) and aggregate in
-replicate order, so results are bit-identical across reruns.
+:func:`benchmark_law`.  Replicates run one after another through
+``stability._replicates``, on child random streams keyed by (grid index,
+replicate index), and aggregate in replicate order, so results are
+bit-identical across reruns.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .problems import (
     population_risk,
     sample_dataset,
 )
-from .stability import _check_replicates, _mean_se
+from .stability import _check_replicates, _mean_se, _replicates
 
 __all__ = [
     "TrackingRow",
@@ -146,11 +147,10 @@ def tracking_study(
     # anchors the ceiling; the log grid starts at 1.
     ts = _log_step_grid(steps - 1, log_points)
     columns = np.concatenate(([0], ts))
-    errors = np.array([
-        run(data, opt_cfg, root.split(f"rep-{rep}")).tracking_sq_errors[columns]
-        for rep in range(replicates)
-    ])
-    mean, se = _mean_se(errors)
+    def one(rep_rng: Rng) -> np.ndarray:
+        return run(data, opt_cfg, rep_rng).tracking_sq_errors[columns]
+
+    mean, se = _mean_se(_replicates(one, root, "rep-", replicates))
 
     bound_params = dataclasses.replace(params, d_y=mean[0])
     rows = [
@@ -205,11 +205,11 @@ def optimization_study(
             sigma=sigma,
         )
 
-        gaps = []
-        for rep in range(replicates):
-            traj = run(data, opt_cfg, root.split(f"grid-{gi}-rep-{rep}"))
-            gaps.append(empirical_risk(data, traj.final_output) - cert.value)
-        rows.append(OptimizationRow(steps, eta, beta, *_mean_se(np.asarray(gaps))))
+        def one(rep_rng: Rng) -> float:
+            return empirical_risk(data, run(data, opt_cfg, rep_rng).final_output) - cert.value
+
+        gaps = _replicates(one, root, f"grid-{gi}-rep-", replicates)
+        rows.append(OptimizationRow(steps, eta, beta, *_mean_se(gaps)))
     return OptimizationStudyResult(rows)
 
 
@@ -278,13 +278,13 @@ def excess_risk_study(
             sigma=sigma,
         )
 
-        excess = []
-        for rep in range(replicates):
-            rep_rng = root.split(f"grid-{gi}-rep-{rep}")
+        def one(rep_rng: Rng) -> float:
             data = sample_dataset(law, size, size, rep_rng.split("data"))
-            traj = run(data, opt_cfg, rep_rng.split("opt"))
-            excess.append(population_risk(law, traj.final_output) - pop.value)
-        rows.append(ExcessRow(size, size, steps, eta, beta, *_mean_se(np.asarray(excess))))
+            out = run(data, opt_cfg, rep_rng.split("opt")).final_output
+            return population_risk(law, out) - pop.value
+
+        excess = _replicates(one, root, f"grid-{gi}-rep-", replicates)
+        rows.append(ExcessRow(size, size, steps, eta, beta, *_mean_se(excess)))
     if len({r.n for r in rows}) >= 2:
         slope = fit_loglog_slope(
             [r.n for r in rows], [max(r.excess_mean, 1e-300) for r in rows]

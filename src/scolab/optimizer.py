@@ -45,15 +45,15 @@ runs each segment of steps without it: the run's first ``PROBE_STEPS``
 steps, then the rest of each block.  After a segment, one stacked
 ``np.matmul`` computes every iterate's ``x.dot(x)`` with the same ddot
 the pre-test runs.  If none exceeds ``R^2`` the pre-test would have
-fired on no step, and the segment stands.  Otherwise, or if the segment
-met an invalid operation, the loop restores the segment's starting
-state (``x``, ``x_prev`` and the tracker) and replays it with the
-pre-test, and ``project_ball`` where it fires, after every step; the
-rest of the run keeps the per-step test.  So a run whose projection
-fires computes one segment twice: ``PROBE_STEPS = 8`` steps when it
-first fires within them (a large first step from the start point), at
-most ``BLOCK_STEPS = 256`` otherwise.  The replay is exact, down to the
-step at which a run warns or raises.
+fired on no step, and the segment stands.  Otherwise (and a NaN iterate
+fails the same test) the loop restores the segment's starting state
+(``x``, ``x_prev`` and the tracker) and replays it with the pre-test,
+and ``project_ball`` where it fires, after every step; the rest of the
+run keeps the per-step test.  So a run whose projection fires computes
+one segment twice: ``PROBE_STEPS = 8`` steps when it first fires within
+them (a large first step from the start point), at most
+``BLOCK_STEPS = 256`` otherwise.  The replay is exact, down to the step
+at which a run warns or raises.
 """
 
 from __future__ import annotations
@@ -155,11 +155,6 @@ class Trajectory:
     tracking_sq_errors: np.ndarray | None
 
 
-def _storage_stride(steps: int) -> int:
-    stride = -(-steps // MAX_STORED_ITERATES)  # ceil division
-    return max(stride, 1)
-
-
 def _draw_indices(
     dataset: Dataset, cfg: OptimizerConfig, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray, int | None]:
@@ -204,11 +199,12 @@ def _tracking_sq_errors(dataset: Dataset, pre: np.ndarray, ys: np.ndarray) -> np
 
 
 def _leaves_ball(xs: np.ndarray, radius_sq: float) -> bool:
-    """Whether the pre-test ``x.dot(x) > radius_sq`` holds for any row of ``xs``.
+    """Whether, for any row of ``xs``, the pre-test ``x.dot(x) > radius_sq``
+    holds or ``x.dot(x)`` is NaN.
 
     Stacked matmul runs, per row, the ddot that ndarray.dot runs.
     """
-    return bool((np.matmul(xs[:, None, :], xs[:, :, None]) > radius_sq).any())
+    return not (np.matmul(xs[:, None, :], xs[:, :, None]) <= radius_sq).all()
 
 
 def _run_with_indices(
@@ -260,7 +256,7 @@ def _run_with_indices(
     if cfg.record_tracking:
         track = np.empty(steps)
         ys = np.empty((block, d))
-    stride = _storage_stride(steps)
+    stride = -(-steps // MAX_STORED_ITERATES)  # ceil division
     # The last multiple of the stride is at or past T; T itself is stored.
     stored_steps = np.arange(stride, steps + stride, stride, dtype=np.int64)
     stored_steps[-1] = steps
@@ -290,45 +286,44 @@ def _run_with_indices(
                 x_lo, x_prev_lo, y_lo, y_saved = x, x_prev, y, y.copy()
                 while True:
                     x, x_prev, y = x_lo, x_prev_lo, y_lo
-                    try:
-                        # An unchecked pass may run on past a step the pre-test
-                        # would have projected or failed; an invalid operation
-                        # sends it to the checked replay, which then warns or
-                        # raises where a per-step loop would.
-                        with np.errstate(invalid=None if checked else "raise"):
-                            for j, i, x_out, y_out in zip(
-                                j_idx[start + lo : start + hi].tolist(),
-                                i_idx[start + lo : start + hi].tolist(),
-                                xs[lo + 1 : hi + 1],
-                                y_rows[lo:hi],
-                            ):
-                                a_j = a_rows[j]
-                                a_j.dot(x, g)
-                                if scsc:
-                                    a_j.dot(x_prev, g_prev)
-                                    np.add(gg, b_rows[j], gg)
-                                    np.add(y, g, s)
-                                    np.subtract(s, g_prev, s)
-                                else:
-                                    np.add(g, b_rows[j], g)
-                                    if y is not s:
-                                        np.copyto(s, y)
-                                np.multiply(coef, u, prod)
-                                y = np.add(prod_s, prod_g, y_out)
-                                np.subtract(y, c_rows[i], r)
-                                r.dot(a_j, dx)
-                                np.multiply(eta, dx, dx)
-                                x_prev = x
-                                x = np.subtract(x, dx, x_out)
-                                if checked and x.dot(x) > radius_sq:
-                                    x[...] = project_ball(x, radius)
-                            if checked or not _leaves_ball(xs[lo + 1 : hi + 1], radius_sq):
-                                break
-                    except FloatingPointError:
-                        if checked:
-                            raise
-                    # The pre-test would have fired in this segment: replay
-                    # it, and the rest of the run, with the test after every step.
+                    # An unchecked pass may run on past a step the pre-test would
+                    # have projected, or past an invalid operation: every value a
+                    # step computes (g, g_prev, s, prod, y, r, dx) feeds that step's
+                    # x, so the operation leaves NaN in x, which fails the ball test
+                    # as an overflow to inf does.  The checked replay, under the
+                    # caller's errstate, then warns or raises where a per-step loop would.
+                    with np.errstate(invalid=None if checked else "ignore"):
+                        for j, i, x_out, y_out in zip(
+                            j_idx[start + lo : start + hi].tolist(),
+                            i_idx[start + lo : start + hi].tolist(),
+                            xs[lo + 1 : hi + 1],
+                            y_rows[lo:hi],
+                        ):
+                            a_j = a_rows[j]
+                            a_j.dot(x, g)
+                            if scsc:
+                                a_j.dot(x_prev, g_prev)
+                                np.add(gg, b_rows[j], gg)
+                                np.add(y, g, s)
+                                np.subtract(s, g_prev, s)
+                            else:
+                                np.add(g, b_rows[j], g)
+                                if y is not s:
+                                    np.copyto(s, y)
+                            np.multiply(coef, u, prod)
+                            y = np.add(prod_s, prod_g, y_out)
+                            np.subtract(y, c_rows[i], r)
+                            r.dot(a_j, dx)
+                            np.multiply(eta, dx, dx)
+                            x_prev = x
+                            x = np.subtract(x, dx, x_out)
+                            if checked and x.dot(x) > radius_sq:
+                                x[...] = project_ball(x, radius)
+                        if checked or not _leaves_ball(xs[lo + 1 : hi + 1], radius_sq):
+                            break
+                    # The pre-test would have fired in this segment, or an
+                    # iterate is NaN: replay it, and the rest of the run, with
+                    # the test after every step.
                     checked = True
                     np.copyto(y_lo, y_saved)
             # Both are rows of xs, which the sum below and the next block rewrite.
@@ -408,7 +403,6 @@ def schedule_preset(
     exponent, a, b = _PRESETS[(variant, convexity)]
     # Guard against pow() landing an ulp above an exact integer.
     steps = int(math.ceil(float(max(n, m)) ** exponent - 1e-9))
-    steps = max(steps, 1)
     if t_max is not None:
         steps = min(steps, int(t_max))
     return steps, float(steps) ** -a, float(steps) ** -b

@@ -46,8 +46,6 @@ def format_value(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -123,13 +121,12 @@ def emit_svg(
     title: str,
     x_values: Sequence[float],
     series: dict[str, Sequence[float]],
-    log_x: bool = False,
-    log_y: bool = False,
+    log: bool = False,
 ) -> None:
-    """Write a self-contained SVG line chart of the given series."""
-    xs = _axis_transform(np.asarray(x_values, dtype=float), log_x)
+    """Write a self-contained SVG line chart; ``log`` makes both axes logarithmic."""
+    xs = _axis_transform(np.asarray(x_values, dtype=float), log)
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    ys_all = _axis_transform(all_y, log_y)
+    ys_all = _axis_transform(all_y, log)
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
     y_lo, y_hi = float(np.min(ys_all)), float(np.max(ys_all))
     if x_hi == x_lo:
@@ -159,8 +156,8 @@ def emit_svg(
     for frac in (0.0, 0.5, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)
         yv = y_lo + frac * (y_hi - y_lo)
-        x_label = 10**xv if log_x else xv
-        y_label = 10**yv if log_y else yv
+        x_label = 10**xv if log else xv
+        y_label = 10**yv if log else yv
         parts.append(
             f'<text x="{px(xv):.1f}" y="{_HEIGHT - _MARGIN + 18}" text-anchor="middle" '
             f'font-family="monospace" font-size="11">{x_label:.4g}</text>'
@@ -170,7 +167,7 @@ def emit_svg(
             f'font-family="monospace" font-size="11">{y_label:.4g}</text>'
         )
     for idx, (name, values) in enumerate(series.items()):
-        ys = _axis_transform(np.asarray(values, dtype=float), log_y)
+        ys = _axis_transform(np.asarray(values, dtype=float), log)
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
         color = _PALETTE[idx % len(_PALETTE)]
         parts.append(

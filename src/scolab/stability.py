@@ -12,8 +12,10 @@ and measures a larger, noise-dominated displacement.
 
 The replaced position is drawn uniformly per replicate, so the reported
 estimates are average-case readings of the worst-case quantity; scaling
-behavior in n, m, and T is preserved.  Replicates run serially in
-replicate order; the ``threads`` arguments are accepted and ignored.
+behavior in n, m, and T is preserved.  Every Monte Carlo loop in the
+package is ``_replicates``: replicates run serially in replicate order,
+each on its own child stream; the ``threads`` arguments are accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -125,25 +127,10 @@ def _check_replicates(replicates: int) -> None:
         raise ValueError("replicates must be >= 2")
 
 
-def _stability_replicate(
-    law: PopulationLaw,
-    n: int,
-    m: int,
-    cfg: OptimizerConfig,
-    rep_rng: Rng,
-    kinds: tuple[str, ...],
-    coupled: bool,
-) -> tuple[float, float]:
-    data = sample_dataset(law, n, m, rep_rng.split("data"))
-    distance = {"nu": np.nan, "omega": np.nan}
-    for kind in kinds:
-        donor = sample_dataset(law, 1, 1, rep_rng.split(f"swap-{kind}"))
-        size = n if kind == "nu" else m
-        index = int(rep_rng.split(f"index-{kind}").generator().integers(0, size))
-        neighbor = make_neighbor(data, kind, index, donor)
-        run_rng = rep_rng.split(f"run-{kind}")
-        distance[kind] = coupled_run(data, neighbor, cfg, run_rng, coupled).distance
-    return distance["nu"], distance["omega"]
+def _replicates(one, rng: Rng, label: str, replicates: int) -> np.ndarray:
+    """``np.array`` of ``one(rng.split(f"{label}{rep}"))`` for each replicate,
+    run one after another in replicate order."""
+    return np.array([one(rng.split(f"{label}{rep}")) for rep in range(replicates)])
 
 
 def estimate_stability(
@@ -161,29 +148,33 @@ def estimate_stability(
 
     Each replicate draws a fresh dataset, a fresh replacement sample and
     a uniform position on its own child stream, then runs one coupled
-    pair per requested side.  Replicates run one after another and are
-    aggregated in replicate order; ``threads`` is accepted for
-    compatibility and has no effect.
+    pair per requested side.  Replicates run one after another through
+    ``_replicates`` and are aggregated in replicate order; ``threads`` is
+    accepted for compatibility and has no effect.
     """
     _check_replicates(replicates)
     for kind in kinds:
         if kind not in ("nu", "omega"):
             raise ValueError(f"unknown neighbor kind {kind!r}")
 
-    results = [
-        _stability_replicate(law, n, m, cfg, rng.split(f"rep-{rep}"), tuple(kinds), coupled)
-        for rep in range(replicates)
-    ]
-    d_nu = np.asarray([r[0] for r in results])
-    d_omega = np.asarray([r[1] for r in results])
-    if "nu" in kinds:
-        eps_nu, eps_nu_se = _mean_se(d_nu)
-    else:
-        eps_nu, eps_nu_se = np.nan, np.nan
-    if "omega" in kinds:
-        eps_omega, eps_omega_se = _mean_se(d_omega)
-    else:
-        eps_omega, eps_omega_se = np.nan, np.nan
+    def one(rep_rng: Rng) -> tuple[float, float]:
+        data = sample_dataset(law, n, m, rep_rng.split("data"))
+        distance = {"nu": np.nan, "omega": np.nan}
+        for kind in kinds:
+            donor = sample_dataset(law, 1, 1, rep_rng.split(f"swap-{kind}"))
+            size = n if kind == "nu" else m
+            index = int(rep_rng.split(f"index-{kind}").generator().integers(0, size))
+            neighbor = make_neighbor(data, kind, index, donor)
+            run_rng = rep_rng.split(f"run-{kind}")
+            distance[kind] = coupled_run(data, neighbor, cfg, run_rng, coupled).distance
+        return distance["nu"], distance["omega"]
+
+    # An unrequested side is an all-NaN column, whose mean and SE are NaN.
+    # Each column is reduced on its own: a 1-D sum is pairwise, an axis-0
+    # sum of the 2-D array is not.
+    (eps_nu, eps_nu_se), (eps_omega, eps_omega_se) = (
+        _mean_se(col) for col in _replicates(one, rng, "rep-", replicates).T
+    )
     return StabilityEstimate(eps_nu, eps_nu_se, eps_omega, eps_omega_se)
 
 
@@ -234,23 +225,18 @@ def check_generalization_inequality(
     """
     _check_replicates(replicates)
 
-    results = []
-    for rep in range(replicates):
-        rep_rng = rng.split(f"gap-rep-{rep}")
+    def one(rep_rng: Rng) -> tuple[float, float, float, float]:
         data = sample_dataset(law, n, m, rep_rng.split("data"))
-        traj = run(data, cfg, rep_rng.split("opt"))
-        out = traj.final_output
+        out = run(data, cfg, rep_rng.split("opt")).final_output
         gap = population_risk(law, out) - empirical_risk(data, out)
         variance = law.inner_variance_at(out)
         consts = compute_constants(data, cfg.domain_radius)
-        results.append((gap, variance, consts.lip_f, consts.lip_g))
-    gaps = np.asarray([r[0] for r in results])
-    variances = np.asarray([r[1] for r in results])
-    lip_f = max(r[2] for r in results)
-    lip_g = max(r[3] for r in results)
+        return gap, variance, consts.lip_f, consts.lip_g
 
-    gap_mean, gap_se = _mean_se(gaps)
-    var_mean, var_se = _mean_se(variances)
+    results = _replicates(one, rng, "gap-rep-", replicates)
+    # One column at a time, as in estimate_stability.
+    (gap_mean, gap_se), (var_mean, var_se) = (_mean_se(col) for col in results[:, :2].T)
+    lip_f, lip_g = results[:, 2:].max(axis=0).tolist()
 
     est = estimate_stability(
         law, n, m, cfg, replicates, rng.split("stability"), threads=threads

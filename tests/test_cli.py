@@ -168,7 +168,7 @@ class TestGradcheck:
         code, out, err = dispatch(capsys, "gradcheck", "--h", "1e200")
         assert code == 1
         assert out == "max_relative_error=nan\n"
-        assert "gradcheck failed" in err
+        assert err == "gradcheck failed: max relative error nan is not below 1.000e-05\n"
 
 
 class TestOptimize:
@@ -431,12 +431,11 @@ class TestStudyCommands:
 class TestSvg:
     def test_log_axes_reject_nonpositive(self, tmp_path):
         with pytest.raises(ValueError, match="log axis"):
-            emit_svg(tmp_path / "x.svg", "t", [1, 2], {"s": [0.0, 1.0]}, log_y=True)
+            emit_svg(tmp_path / "x.svg", "t", [1, 2], {"s": [0.0, 1.0]}, log=True)
 
     def test_self_contained_single_file(self, tmp_path):
         path = tmp_path / "c.svg"
-        emit_svg(path, "demo", [1, 2, 4], {"a": [1.0, 2.0, 4.0], "b": [4.0, 2.0, 1.0]},
-                 log_x=True, log_y=True)
+        emit_svg(path, "demo", [1, 2, 4], {"a": [1.0, 2.0, 4.0], "b": [4.0, 2.0, 1.0]}, log=True)
         text = path.read_text()
         assert text.count("<svg") == 1
         assert "polyline" in text

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -516,6 +517,49 @@ class TestSegmentReplay:
         assert len(caught) == 1
         assert np.isnan(traj.last).all()
 
+    @pytest.mark.parametrize("variant, op", [(Variant.SCGD, "multiply"), (Variant.SCSC, "subtract")])
+    @pytest.mark.parametrize("first", [300, BLOCK_STEPS, 2 * BLOCK_STEPS],
+                             ids=["step-300", "block-1-last", "block-2-last"])
+    def test_late_invalid_operation_warns_once_at_its_step(self, first, variant, op):
+        # From x0 = (1, 1) with eta = 0, inner sample 0 (a = 0) leaves x where
+        # it is, and sample 1 (a = 1e308) makes g = a @ x overflow at step
+        # `first`.  There SCGD's eta * (r @ a) is 0 * inf and SCSC's tracker
+        # correction g - g_prev is inf - inf: the run's first invalid
+        # operation, well past the probe segment.  Every later step is NaN.
+        data = Dataset(inner_a=np.array([[[0.0, 0.0]], [[1e308, 1e308]]]),
+                       inner_b=np.zeros((2, 1)), outer_c=np.zeros((1, 1)))
+        steps = 2 * BLOCK_STEPS + 88
+        cfg = OptimizerConfig(variant=variant, steps=steps, eta=0.0, beta=0.5, x0=np.ones(2),
+                              output_mode="uniform_average")
+        j_idx = np.zeros(steps, dtype=np.int64)
+        j_idx[first - 1] = 1
+        i_idx = np.zeros(steps, dtype=np.int64)
+
+        # The scalar reference, one step at a time, noting where it warns.
+        # Like the kernel, it ignores overflow; the ball never binds.
+        x = x_prev = cfg.x0
+        y = np.zeros(1)
+        xs, warned_at = [], []
+        total = np.zeros(2)
+        for t, j in enumerate(j_idx.tolist(), start=1):
+            a, b, c = data.inner_a[j], data.inner_b[j], data.outer_c[0]
+            with warnings.catch_warnings(record=True) as seen, np.errstate(over="ignore"):
+                warnings.simplefilter("always")
+                y = tracking_step(variant, y, inner_eval(a, b, x), inner_eval(a, b, x_prev), cfg.beta)
+                x_prev = x
+                x = x - cfg.eta * (inner_jac(a, x) @ outer_grad(c, y))
+            warned_at += [(t, str(w.message)) for w in seen]
+            xs.append(x)
+            total = total + x
+        assert warned_at == [(first, f"invalid value encountered in {op}")]
+
+        with pytest.warns(RuntimeWarning) as caught:
+            traj = _run_with_indices(data, cfg, j_idx, i_idx, None)
+        assert [str(w.message) for w in caught] == [f"invalid value encountered in {op}"]
+        assert np.flatnonzero(np.isnan(traj.iterates).any(axis=1))[0] == first - 1
+        assert traj.iterates.tobytes() == np.array(xs).tobytes()
+        assert traj.uniform_avg.tobytes() == (total / steps).tobytes()
+
 
 class TestStackedMatmulMatchesDot:
     """The kernel derives per-step products after each block with stacked
@@ -549,6 +593,13 @@ class TestStackedMatmulMatchesDot:
             top = max(sq)
             for radius_sq in (top, np.nextafter(top, 0.0), np.nextafter(top, np.inf)):
                 assert _leaves_ball(xs, radius_sq) == any(s > radius_sq for s in sq)
+
+    def test_ball_check_fails_on_a_nan_row(self):
+        # NaN > R^2 is false, but a NaN iterate must still send the segment
+        # to the checked replay, which warns or raises where it arose.
+        xs = np.array([[0.0, 0.0], [np.nan, 0.0], [0.5, 0.0]])
+        assert _leaves_ball(xs, 1.0)
+        assert not _leaves_ball(xs[[0, 2]], 1.0)
 
 
 class TestDotOutMatchesDot:

@@ -166,6 +166,16 @@ class TestEstimateStability:
         )
         assert est.eps_nu >= 0.0
         assert np.isnan(est.eps_omega)
+        assert np.isnan(est.eps_omega_se)
+
+    def test_requested_omega_only(self):
+        est = estimate_stability(
+            benchmark_law("convex"), 6, 6, small_cfg(steps=50), 4,
+            RNG.split("kind"), kinds=("omega",),
+        )
+        assert est.eps_omega >= 0.0
+        assert np.isnan(est.eps_nu)
+        assert np.isnan(est.eps_nu_se)
 
     def test_replicates_validated(self):
         with pytest.raises(ValueError, match="replicates"):
