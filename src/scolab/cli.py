@@ -26,15 +26,8 @@ from .core import Rng, project_ball
 from .experiments import excess_risk_study, optimization_study, tracking_study
 from .optimizer import OptimizerConfig, Variant, run, schedule_preset
 from .oracle import erm_minimizer, fd_gradient_check, population_minimizer
-from .problems import benchmark_law, sample_dataset
-from .reporting import (
-    STABILITY_HEADER,
-    TRAJECTORY_HEADER,
-    emit_csv,
-    emit_svg,
-    format_value,
-    trajectory_rows,
-)
+from .problems import benchmark_law, empirical_risk, sample_dataset
+from .reporting import emit_csv, emit_svg, format_value
 from .stability import estimate_stability
 
 __all__ = ["main", "parse_and_dispatch"]
@@ -221,8 +214,12 @@ def cmd_optimize(o) -> int:
         record_tracking=True,
     )
     traj = run(data, cfg, rng.split("run"))
-    rows = trajectory_rows(traj, data)
-    _emit(o, TRAJECTORY_HEADER, rows, "empirical objective",
+    rows = [
+        (int(t), empirical_risk(data, x), float(traj.tracking_sq_errors[t - 1]),
+         float(np.linalg.norm(x)))
+        for t, x in zip(traj.stored_steps, traj.iterates)
+    ]
+    _emit(o, ["t", "f_empirical", "tracking_sq_error", "x_norm"], rows, "empirical objective",
           [r[0] for r in rows], {"f_empirical": [r[1] for r in rows]}, log_axes=False)
     record = {
         "mode": o["output-mode"],
@@ -280,7 +277,9 @@ def cmd_stability(o) -> int:
                                      coupled=not o["uncoupled"], threads=o["threads"])
             cell = (o["variant"], o["benchmark"], n, m, o["T"], o["eta"], o["beta"], o["replicates"])
             rows.append(cell + (est.eps_nu, est.eps_nu_se, est.eps_omega, est.eps_omega_se))
-    _emit(o, STABILITY_HEADER, rows, "replacement sensitivity",
+    header = ["variant", "convexity", "n", "m", "T", "eta", "beta", "replicates",
+              "eps_nu_hat", "eps_nu_se", "eps_omega_hat", "eps_omega_se"]
+    _emit(o, header, rows, "replacement sensitivity",
           [row[2] for row in rows], {"eps_nu_hat": [row[8] for row in rows]})
     print(f"wrote {o['out']}", file=sys.stderr)
     return 0

@@ -71,14 +71,10 @@ def project_ball(x, radius: float) -> np.ndarray:
         nrm = float(np.linalg.norm(v))
     out = v * (radius / nrm)
     # A single rescale can land an ulp outside the ball; repeat until the
-    # norm test holds so that re-projection is a bitwise no-op.  The ratio
-    # can round to exactly 1.0 right at the boundary, so force strict
-    # shrinkage to guarantee progress.
+    # norm test holds so that re-projection is a bitwise no-op.  For finite
+    # 0 < a < b, a / b rounds to at most 1 - 2**-53, so the scale is below 1.
     while _norm(out) > radius:
-        scale = radius / _norm(out)
-        if scale >= 1.0:
-            scale = np.nextafter(1.0, 0.0)
-        out = out * scale
+        out = out * (radius / _norm(out))
     return out
 
 

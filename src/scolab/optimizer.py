@@ -265,7 +265,7 @@ def _run_with_indices(
     sigma_mode = cfg.output_mode == "sigma_weighted"
     if sigma_mode:
         rho = float(1.0 - cfg.sigma * cfg.eta / 2.0)
-        wacc = [0.0] * p
+        wacc = [0.0] * (p + 1)  # the weighted sum of x, then the sum of the weights
     drawn_iterate = None
 
     # A huge step may overflow ||x||^2 to inf; the pre-test then fires and
@@ -337,10 +337,10 @@ def _run_with_indices(
             if tau is not None and start < tau <= stop:
                 drawn_iterate = xs[tau - start].copy()
             if sigma_mode:
-                # Rounds exactly like wacc *= rho; wacc += x, one coordinate at a time.
-                for c in range(p):
+                # Rounds exactly like wacc *= rho; wacc += [x, 1], one coordinate at a time.
+                for c, col in enumerate([*xs[1 : k + 1].T.tolist(), [1.0] * k]):
                     w = wacc[c]
-                    for v in xs[1 : k + 1, c].tolist():
+                    for v in col:
                         w = rho * w + v
                     wacc[c] = w
             # accumulate adds row by row for every p; reduce sums pairwise when
@@ -356,10 +356,7 @@ def _run_with_indices(
     elif cfg.output_mode == "uniform_average":
         final = uniform_avg.copy()
     elif sigma_mode:
-        wsum = 0.0
-        for _ in range(steps):
-            wsum = rho * wsum + 1.0
-        final = np.array(wacc) / wsum
+        final = np.array(wacc[:p]) / wacc[p]
     else:
         final = drawn_iterate
 

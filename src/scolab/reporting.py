@@ -2,43 +2,17 @@
 
 Floats are serialized with 17 significant digits so that emitted files
 round-trip 64-bit values exactly; two runs of the same study with the
-same seed therefore produce byte-identical output.
+same seed therefore produce byte-identical output.  Each CLI command
+builds its own header and rows; this module only formats and writes them.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .problems import Dataset, empirical_risk
-
-__all__ = [
-    "format_value",
-    "emit_csv",
-    "read_csv",
-    "emit_svg",
-    "trajectory_rows",
-    "TRAJECTORY_HEADER",
-    "STABILITY_HEADER",
-]
-
-TRAJECTORY_HEADER = ["t", "f_empirical", "tracking_sq_error", "x_norm"]
-STABILITY_HEADER = [
-    "variant",
-    "convexity",
-    "n",
-    "m",
-    "T",
-    "eta",
-    "beta",
-    "replicates",
-    "eps_nu_hat",
-    "eps_nu_se",
-    "eps_omega_hat",
-    "eps_omega_se",
-]
+__all__ = ["format_value", "emit_csv", "read_csv", "emit_svg"]
 
 
 def format_value(value) -> str:
@@ -82,25 +56,6 @@ def read_csv(path) -> tuple[list[str], list[list]]:
     header = lines[0].split(",")
     rows = [[_coerce(cell) for cell in line.split(",")] for line in lines[1:]]
     return header, rows
-
-
-def trajectory_rows(traj, dataset: Dataset) -> list[tuple]:
-    """Rows (t, empirical value, tracking gap, iterate norm) at the stored steps."""
-    rows = []
-    track = traj.tracking_sq_errors
-    for step, point in zip(traj.stored_steps, traj.iterates):
-        gap = None
-        if track is not None:
-            gap = float(track[step - 1])
-        rows.append(
-            (
-                int(step),
-                empirical_risk(dataset, point),
-                gap,
-                float(np.linalg.norm(point)),
-            )
-        )
-    return rows
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")

@@ -93,6 +93,28 @@ class TestUsageErrors:
         assert code == 2
         assert f"{argv[1].lstrip('-')} is out of range" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("optimize", "--T", "1.5"), "T must be an integer"),
+        (("optimize", "--eta", "abc"), "eta must be a real number"),
+        (("optimize", "--eta", "inf"), "eta must be finite"),
+        (("optimize", "--radius", "0"), "radius must be > 0.0"),
+        (("optimize", "--beta", "2"), "beta must be <= 1.0"),
+        (("excess-risk", "--sizes", "a,b"), "sizes must be a comma-separated list of integers"),
+        (("excess-risk", "--sizes", ","), "sizes must be nonempty"),
+        (("excess-risk", "--sizes", "0,4"), "sizes entries must be >= 1"),
+    ])
+    def test_bad_value_message(self, capsys, tmp_path, argv, message):
+        code, out, err = dispatch(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert (code, out, err) == (2, "", message + "\n")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unreadable_config(self, capsys, tmp_path):
+        path = tmp_path / "missing.cfg"
+        code, out, err = dispatch(capsys, "oracle", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("cannot read config file: ")
+        assert str(path) in err
+
     def test_bad_replicates(self, capsys):
         code, _, err = dispatch(capsys, "tracking", "--replicates", "1")
         assert code == 2
@@ -187,6 +209,24 @@ class TestOptimize:
         assert header == ["t", "f_empirical", "tracking_sq_error", "x_norm"]
         assert len(rows) == 50
 
+    # sha256 prefixes of the trajectory CSV (and SVG) bytes; a changed row
+    # formula, stored-step stride or output mode shows here.
+    @pytest.mark.parametrize("argv, digests", [
+        (("--T", "300", "--svg"), ("eedecac6cd4f2fd5", "e18da690c9159ef2")),
+        (("--T", "9000", "--output-mode", "uniform_random", "--radius", "0.3", "--eta", "0.5",
+          "--variant", "scsc", "--svg"), ("2bf15cb27959b632", "3fbe6c9abf27efbb")),
+        (("--T", "50", "--output-mode", "sigma_weighted", "--sigma", "0.5"),
+         ("839989b3cb73ec0a",)),
+        (("--T", "5000", "--output-mode", "uniform_average", "--variant", "scsc"),
+         ("55e6f8443e519d5e",)),
+    ], ids=["last-svg", "uniform-random-projected-thinned", "sigma-weighted", "uniform-average"])
+    def test_output_bytes_pinned(self, capsys, tmp_path, argv, digests):
+        out_path = tmp_path / "trajectory.csv"
+        code, _, _ = dispatch(capsys, "optimize", *argv, "--out", str(out_path))
+        assert code == 0
+        written = [out_path, tmp_path / "trajectory.svg"][: len(digests)]
+        assert [hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in written] == list(digests)
+
     def test_huge_step_lands_on_sphere(self, capsys, tmp_path):
         # ||x||^2 of the unprojected step overflows; the projection must
         # still land on the sphere, not at the origin.
@@ -276,6 +316,13 @@ class TestCsvRoundTrip:
         assert path.read_text() == "a,b\n"
         header, rows = read_csv(path)
         assert header == ["a", "b"] and rows == []
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n\n")
+        with pytest.raises(ValueError) as caught:
+            read_csv(path)
+        assert str(caught.value) == f"empty csv file {path}"
 
     def test_float_round_trip(self, tmp_path):
         gen = Rng(77).split("csv").generator()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scalar_reference import mat_vec
-from scolab.core import Rng, project_ball
+from scolab.core import Rng, as_matrix, as_vector, project_ball
 
 finite_vecs = hnp.arrays(
     dtype=np.float64,
@@ -68,6 +70,25 @@ class TestProjectBall:
         v = data.draw(hnp.arrays(np.float64, dim, elements=elems))
         pu, pv = project_ball(u, radius), project_ball(v, radius)
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) * (1 + 1e-12) + 1e-15
+
+    @given(st.floats(0.0, np.nextafter(np.finfo(float).max, 0.0), exclude_min=True), st.data())
+    def test_rescale_ratio_is_below_one(self, a, data):
+        # The rescale loop divides the radius by a larger norm; it needs the
+        # quotient below 1.0, which rounding to nearest gives for 0 < a < b.
+        b = data.draw(st.floats(a, np.finfo(float).max, exclude_min=True))
+        assert a / b < 1.0
+        assert a / np.nextafter(a, np.inf) < 1.0
+
+
+class TestCoercion:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: as_vector(np.zeros((2, 2))), "expected a 1-d vector, got shape (2, 2)"),
+        (lambda: as_vector([1.0, 2.0], dim=3), "expected dimension 3, got 2"),
+        (lambda: as_matrix([1.0, 2.0]), "expected a 2-d matrix, got shape (2,)"),
+    ])
+    def test_shape_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestMatVec:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -662,6 +663,15 @@ class TestSchedulePreset:
         with pytest.raises(ValueError, match="t_max must be >= 1"):
             schedule_preset(Variant.SCGD, "convex", 8, 8, t_max=t_max)
 
+    @pytest.mark.parametrize("convexity, n, m, message", [
+        ("wavy", 8, 8, "unknown convexity 'wavy'"),
+        ("convex", 0, 8, "n and m must be >= 1"),
+        ("convex", 8, 0, "n and m must be >= 1"),
+    ])
+    def test_bad_arguments_rejected(self, convexity, n, m, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            schedule_preset(Variant.SCGD, convexity, n, m)
+
     def test_scsc_needs_fewer_iterations_in_convex_regime(self):
         for size in range(2, 101):
             scgd = schedule_preset(Variant.SCGD, "convex", size, size)[0]
@@ -681,6 +691,18 @@ class TestConfigValidation:
     def test_bad_beta(self):
         with pytest.raises(ValueError, match="beta"):
             OptimizerConfig(variant=Variant.SCGD, steps=1, eta=0.1, beta=0.0)
+
+    @pytest.mark.parametrize("field, message", [
+        ({"eta": -0.1}, "eta must be a finite nonnegative real"),
+        ({"eta": np.inf}, "eta must be a finite nonnegative real"),
+        ({"domain_radius": 0.0}, "invalid domain"),
+        ({"domain_radius": np.inf}, "invalid domain"),
+        ({"output_mode": "best"}, "unknown output mode 'best'"),
+    ])
+    def test_bad_field_rejected(self, field, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OptimizerConfig(**{"variant": Variant.SCGD, "steps": 1, "eta": 0.1, "beta": 0.5,
+                               **field})
 
     def test_unstable_sigma_weights(self):
         with pytest.raises(ValueError, match="unstable weights"):

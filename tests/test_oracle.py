@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,14 @@ class TestErmMinimizer:
         with pytest.raises(ValueError, match="unknown solve method"):
             erm_minimizer(data, 1.0, method=method)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_radius_rejected(self, radius):
+        data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("radius"))
+        with pytest.raises(ValueError, match="^invalid domain$"):
+            erm_minimizer(data, radius)
+        with pytest.raises(ValueError, match="^invalid domain$"):
+            population_minimizer(benchmark_law("convex"), radius)
+
 
 def assert_boundary_certificate(auto, reference, radius):
     """The exact solve sits on the sphere, is stationary there, and is no
@@ -188,6 +197,17 @@ class TestPopulationMinimizer:
         assert values.mean() >= population_risk(law, pop.x_star) - 3 * se
 
 
+class TestBoundParams:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"lip_f": -1.0}, "lip_f must be a finite nonnegative real"),
+        ({"var_g": np.nan}, "var_g must be a finite nonnegative real"),
+        ({"sigma": 2.0}, "sigma cannot exceed the smoothness constant"),
+    ])
+    def test_bad_constant_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            unit_params(**overrides)
+
+
 class TestTrackingBound:
     def test_hand_value_scgd(self):
         params = unit_params()
@@ -211,6 +231,11 @@ class TestTrackingBound:
     def test_undefined_at_step_zero(self):
         with pytest.raises(ValueError, match="bound undefined at t=0"):
             tracking_bound(Variant.SCGD, 0, unit_params(), eta=0.01, beta=0.1)
+
+    @pytest.mark.parametrize("eta, beta", [(-0.01, 0.1), (0.01, 0.0), (0.01, 1.5)])
+    def test_bad_step_sizes_rejected(self, eta, beta):
+        with pytest.raises(ValueError, match=f"^{re.escape('need eta >= 0 and beta in (0, 1]')}$"):
+            tracking_bound(Variant.SCGD, 1, unit_params(), eta, beta)
 
     def test_monotone_decreasing_in_t(self):
         params = unit_params(free_c=2.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,40 @@ class TestSampling:
             sample_dataset(law, 0, 5, RNG.split("e"))
         with pytest.raises(ValueError, match="empty dataset"):
             sample_dataset(law, 5, 0, RNG.split("e"))
+
+    @pytest.mark.parametrize("shapes, message", [
+        (((2, 2), (2, 2), (1, 2)), "inner_a must be (m, d, p); inner_b (m, d); outer_c (n, d)"),
+        (((0, 2, 3), (0, 2), (1, 2)), "empty dataset"),
+        (((2, 2, 3), (2, 2), (0, 2)), "empty dataset"),
+        (((2, 2, 3), (3, 2), (1, 2)), "inner_b shape does not match inner_a"),
+        (((2, 2, 3), (2, 2), (1, 3)), "outer_c dimension does not match the inner range"),
+    ])
+    def test_malformed_dataset_rejected(self, shapes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(*(np.zeros(shape) for shape in shapes))
+
+    @pytest.mark.parametrize("field", ["inner_a", "inner_b", "outer_c"])
+    def test_non_finite_dataset_rejected(self, field):
+        arrays = {"inner_a": np.zeros((2, 2, 3)), "inner_b": np.zeros((2, 2)),
+                  "outer_c": np.zeros((1, 2))}
+        arrays[field].flat[0] = np.nan
+        with pytest.raises(ValueError, match="^non-finite dataset entries$"):
+            Dataset(**arrays)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"a0": [[np.inf, 0.0], [0.0, 1.0]]}, "non-finite law parameters"),
+        ({"c0": [np.nan, 0.0]}, "non-finite law parameters"),
+        ({"tau_a": -0.1}, "tau_a must be a finite nonnegative real"),
+        ({"tau_c": np.inf}, "tau_c must be a finite nonnegative real"),
+    ])
+    def test_bad_law_rejected(self, overrides, message):
+        fields = {"a0": np.eye(2), "b0": [0.0, 0.0], "c0": [1.0, 0.0], **overrides}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PopulationLaw(**fields)
+
+    def test_unknown_benchmark_rejected(self):
+        with pytest.raises(ValueError, match="^unknown benchmark 'wavy'$"):
+            benchmark_law("wavy")
 
     def test_outer_mean_concentrates(self):
         law = dataclasses.replace(benchmark_law("convex"), tau_c=1.0)
@@ -223,6 +258,11 @@ class TestPopulationRisk:
 
 
 class TestComputeConstants:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="^invalid domain$"):
+            compute_constants(default_dataset(4, 4), radius)
+
     def test_degenerate_inner_family(self):
         law = dataclasses.replace(benchmark_law("convex"), tau_a=0.0, tau_b=0.0)
         data = sample_dataset(law, 10, 10, RNG.split("deg"))

@@ -3,12 +3,16 @@
 Each module's ``__all__`` and the names re-exported by ``scolab`` must
 resolve and must match the lists below, so that a stale export, or a
 helper that only the tests need, shows up as a change to this file.  The
-same holds for the fields of every public result type.
+same holds for the fields of every public result type.  ``reporting``
+only writes bytes: each CLI command builds its own header and rows, so
+that module imports no other part of ``scolab``.
 """
 
+import ast
 import dataclasses
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
@@ -32,10 +36,7 @@ MODULE_ALL = {
         "empirical_risk", "empirical_risk_grad", "population_risk", "compute_constants",
         "benchmark_law",
     ],
-    "reporting": [
-        "format_value", "emit_csv", "read_csv", "emit_svg", "trajectory_rows",
-        "TRAJECTORY_HEADER", "STABILITY_HEADER",
-    ],
+    "reporting": ["format_value", "emit_csv", "read_csv", "emit_svg"],
     "stability": [
         "CoupledResult", "StabilityEstimate", "GapReport", "make_neighbor", "coupled_run",
         "estimate_stability", "check_generalization_inequality",
@@ -123,3 +124,14 @@ def test_result_fields_are_pinned(name):
     else:
         fields = list(cls._fields)
     assert fields == RESULT_FIELDS[name]
+
+
+def test_reporting_imports_no_scolab_module():
+    tree = ast.parse(Path(importlib.import_module("scolab.reporting").__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert [name for name in imported if name.startswith((".", "scolab"))] == []

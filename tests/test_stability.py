@@ -177,6 +177,10 @@ class TestEstimateStability:
         assert np.isnan(est.eps_nu)
         assert np.isnan(est.eps_nu_se)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown neighbor kind 'mu'$"):
+            estimate_stability(benchmark_law("convex"), 4, 4, small_cfg(), 2, RNG, kinds=("mu",))
+
     def test_replicates_validated(self):
         with pytest.raises(ValueError, match="replicates"):
             estimate_stability(benchmark_law("convex"), 4, 4, small_cfg(), 1, RNG)
