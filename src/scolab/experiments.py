@@ -256,8 +256,11 @@ def excess_risk_study(
     law = _resolve_law(law)
     sigma = None
     if output_mode == "sigma_weighted":
-        sigma = max(float(np.linalg.eigvalsh(law.a0.T @ law.a0)[0]), 0.0)
-        if not sigma > 0:
+        eigs = np.linalg.eigvalsh(law.a0.T @ law.a0)
+        sigma = float(eigs[0])
+        # On a rank-deficient a0^T a0, eigs[0] is rounding noise of either sign;
+        # _min_quadratic_on_ball's rank cutoff tells it from a true modulus.
+        if not sigma > 1e-12 * max(float(eigs[-1]), 1.0):
             raise ValueError(
                 "sigma_weighted output needs a strongly convex law, but this law's "
                 "population modulus (the least eigenvalue of a0^T a0) is 0"

@@ -26,7 +26,12 @@ geometric average and tracking gaps.  Working memory is O(block), plus
 the length-T tracking array when it is requested.  The loop uses
 ``ndarray.dot``, per-run lists of the data rows and same-shape step-size
 arrays on purpose: ``@``, numpy scalar indexing and Python-float
-operands give the same bits but cost microseconds more per step.
+operands give the same bits but cost microseconds more per step.  For
+the same reason it calls ``np.add`` and the other ufuncs through local
+names, bound once per run (``np.add`` is a global and an attribute
+lookup on each of its 6 to 9 calls per step), and it zips over slices
+of per-run lists of the block buffers' row views (slicing the buffer
+itself makes a new ndarray view for every step).
 
 A step allocates nothing: each run allocates its step buffers once
 (``w = [s, g, g_prev]``, the residual ``r``, the step ``dx`` and
@@ -252,10 +257,12 @@ def _run_with_indices(
     # after the block's step t; ys row t - 1 holds the tracker after step t.
     block = min(steps, BLOCK_STEPS)
     xs = np.empty((block + 1, p))
+    x_rows = list(xs)
     track = ys = None
     if cfg.record_tracking:
         track = np.empty(steps)
         ys = np.empty((block, d))
+        y_rows = list(ys)
     stride = -(-steps // MAX_STORED_ITERATES)  # ceil division
     # The last multiple of the stride is at or past T; T itself is stored.
     stored_steps = np.arange(stride, steps + stride, stride, dtype=np.int64)
@@ -268,6 +275,7 @@ def _run_with_indices(
         wacc = [0.0] * (p + 1)  # the weighted sum of x, then the sum of the weights
     drawn_iterate = None
 
+    add, subtract, multiply, copyto = np.add, np.subtract, np.multiply, np.copyto
     # A huge step may overflow ||x||^2 to inf; the pre-test then fires and
     # project_ball handles it, so numpy's overflow warning is noise.
     checked = False
@@ -277,7 +285,8 @@ def _run_with_indices(
             k = stop - start
             xs[0] = x
             x = xs[0]
-            y_rows = [y] * k if ys is None else ys[:k]  # untracked: y updates in place
+            if ys is None:
+                y_rows = [y] * k  # untracked: y updates in place
             # Steps lo + 1 .. hi of the block run as one segment, checked or
             # replayed as a whole; the run's first segment is short.
             cuts = (0, PROBE_STEPS, k) if start == 0 and k > PROBE_STEPS else (0, k)
@@ -296,29 +305,36 @@ def _run_with_indices(
                         for j, i, x_out, y_out in zip(
                             j_idx[start + lo : start + hi].tolist(),
                             i_idx[start + lo : start + hi].tolist(),
-                            xs[lo + 1 : hi + 1],
+                            x_rows[lo + 1 : hi + 1],
                             y_rows[lo:hi],
                         ):
                             a_j = a_rows[j]
                             a_j.dot(x, g)
                             if scsc:
                                 a_j.dot(x_prev, g_prev)
-                                np.add(gg, b_rows[j], gg)
-                                np.add(y, g, s)
-                                np.subtract(s, g_prev, s)
+                                add(gg, b_rows[j], gg)
+                                add(y, g, s)
+                                subtract(s, g_prev, s)
                             else:
-                                np.add(g, b_rows[j], g)
+                                add(g, b_rows[j], g)
                                 if y is not s:
-                                    np.copyto(s, y)
-                            np.multiply(coef, u, prod)
-                            y = np.add(prod_s, prod_g, y_out)
-                            np.subtract(y, c_rows[i], r)
+                                    copyto(s, y)
+                            multiply(coef, u, prod)
+                            y = add(prod_s, prod_g, y_out)
+                            subtract(y, c_rows[i], r)
                             r.dot(a_j, dx)
-                            np.multiply(eta, dx, dx)
+                            multiply(eta, dx, dx)
                             x_prev = x
-                            x = np.subtract(x, dx, x_out)
+                            x = subtract(x, dx, x_out)
                             if checked and x.dot(x) > radius_sq:
-                                x[...] = project_ball(x, radius)
+                                try:
+                                    x[...] = project_ball(x, radius)
+                                except ValueError:
+                                    # A NaN x fails the pre-test, so x holds an inf.
+                                    raise ValueError(
+                                        "the step x - eta * gradient overflowed to inf "
+                                        f"(eta = {cfg.eta:g}); use a smaller eta"
+                                    ) from None
                         if checked or not _leaves_ball(xs[lo + 1 : hi + 1], radius_sq):
                             break
                     # The pre-test would have fired in this segment, or an

@@ -16,6 +16,11 @@ from scolab.core import Rng
 from scolab.reporting import emit_csv, emit_svg, read_csv
 
 
+OVERFLOW_ERR = (
+    "the step x - eta * gradient overflowed to inf (eta = 1.7e+308); use a smaller eta\n"
+)
+
+
 def dispatch(capsys, *argv):
     code = parse_and_dispatch(list(argv))
     captured = capsys.readouterr()
@@ -230,25 +235,28 @@ class TestOptimize:
     def test_huge_step_lands_on_sphere(self, capsys, tmp_path):
         # ||x||^2 of the unprojected step overflows; the projection must
         # still land on the sphere, not at the origin.
-        code, out, _ = dispatch(
-            capsys, "optimize", "--eta", "1e200", "--T", "5", "--out", str(tmp_path / "t.csv"),
-        )
-        assert code == 0
-        norm = float(np.linalg.norm(json.loads(out)["x"]))
-        assert norm <= 10.0
-        assert norm == pytest.approx(10.0, rel=1e-15)
+        for eta in ("1e200", "1e300"):
+            code, out, _ = dispatch(
+                capsys, "optimize", "--eta", eta, "--T", "5", "--out", str(tmp_path / "t.csv"),
+            )
+            assert code == 0
+            norm = float(np.linalg.norm(json.loads(out)["x"]))
+            assert norm <= 10.0
+            assert norm == pytest.approx(10.0, rel=1e-15)
 
     def test_overflowing_step_is_usage_error(self, capsys, tmp_path):
+        # eta * gradient overflows to inf, which no projection can place.
         code, out, err = dispatch(
             capsys, "optimize", "--eta", "1.7e308", "--T", "5", "--out", str(tmp_path / "t.csv"),
         )
         assert code == 2
         assert out == ""
-        assert "non-finite vector" in err
+        assert err == OVERFLOW_ERR
+        assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("eta, code, expected_err", [
         ("1e200", 0, ""),
-        ("1.7e308", 2, "non-finite vector\n"),
+        ("1.7e308", 2, OVERFLOW_ERR),
     ])
     def test_overflowing_steps_raise_no_warning(self, capsys, tmp_path, eta, code, expected_err):
         # Overflow of ||x||^2 is handled by the projection; numpy must not

@@ -193,6 +193,18 @@ class TestExcessRiskStudy:
         assert [row.n for row in result.rows] == [6, 6]
         assert np.isnan(result.fitted_slope)
 
+    def test_sigma_weighted_rejects_rounding_noise_modulus(self):
+        # a0^T a0 has rank 1, but eigvalsh returns a least eigenvalue of
+        # about +1e-18 for it under every x86-64 OpenBLAS core type, so a
+        # sign test alone would start the study at that sigma.
+        law = PopulationLaw(a0=[[0.1, 0.3, 0.1]], b0=[0.0], c0=[1.0])
+        with pytest.raises(ValueError, match=r"population modulus \(the least eigenvalue of "
+                           r"a0\^T a0\) is 0$"):
+            excess_risk_study(
+                variant=Variant.SCSC, convexity="strongly_convex", law=law,
+                size_grid=(4,), replicates=2, output_mode="sigma_weighted",
+            )
+
     def test_reproducible_bit_for_bit(self):
         settings = dict(
             variant=Variant.SCSC, convexity="strongly_convex",

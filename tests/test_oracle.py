@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from scolab import oracle
 from scolab.core import Rng, project_ball
 from scolab.optimizer import Variant
 from scolab.oracle import (
@@ -161,6 +162,17 @@ class TestTrustRegionBoundary:
         reference = population_minimizer(law, 0.5, method="projected_gradient")
         assert_boundary_certificate(auto, reference, 0.5)
         assert auto.value == pytest.approx(population_risk(law, auto.x_star), abs=1e-14)
+
+
+class TestProjectedGradient:
+    def test_stall_at_iteration_cap_raises(self):
+        # One iteration from the origin cannot reach the KKT tolerance.
+        data = sample_dataset(benchmark_law("convex"), 20, 20, RNG.split("stall"))
+        gram = data.a_bar.T @ data.a_bar
+        rhs = data.a_bar.T @ (data.c_bar - data.b_bar)
+        with pytest.raises(RuntimeError, match=r"^projected gradient stalled at residual "
+                           r"\d\.\d{3}e[+-]\d\d$"):
+            oracle._projected_gradient(gram, rhs, 10.0, max_iters=1)
 
 
 class TestPopulationMinimizer:
