@@ -18,11 +18,11 @@ from .problems import (
     BoundParams,
     Dataset,
     PopulationLaw,
-    _min_quadratic_on_ball,
     empirical_risk,
     empirical_risk_grad,
     population_risk,
 )
+from .trust_region import _min_quadratic_on_ball
 
 __all__ = [
     "MinimizerCertificate",

@@ -15,7 +15,7 @@ the bounded-uniform noise model used here every population moment is
 available in closed form, and every supremum over the domain ball
 behind a bound constant is a convex quadratic solved exactly as a
 trust-region subproblem, which is what makes the rest of the lab's bound
-checks exact.
+checks exact (:mod:`scolab.trust_region`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Rng, as_matrix, as_vector, project_ball
+from .core import Rng, as_matrix, as_vector
+from .trust_region import _max_quadratic_on_ball
 
 __all__ = [
     "Dataset",
@@ -246,74 +247,6 @@ class BoundParams:
             raise ValueError("sigma cannot exceed the smoothness constant")
 
 
-def _secular_point(w: np.ndarray, shift: np.ndarray, radius: float) -> np.ndarray:
-    """Point ``x_i = w_i / (mu + shift_i)`` with ``||x|| = radius``, batched.
-
-    The trust-region secular equation in an eigenbasis (Moré & Sorensen
-    1983; Conn, Gould & Toint 2000, ch. 7).  ``||x||`` falls in ``mu`` and
-    is at most ``radius`` at ``mu = ||w|| / radius``, so the root is bisected
-    on ``(0, ||w|| / radius]``; the point at the bracket's upper end, which
-    never leaves the ball, is returned.  Nonpositive denominators give zeros.
-    """
-
-    def point(mu):
-        denom = mu[..., None] + shift
-        return np.divide(w, denom, out=np.zeros_like(w), where=denom > 0)
-
-    lo = np.zeros(w.shape[:-1])
-    hi = np.linalg.norm(w, axis=-1) / radius
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        outside = np.linalg.norm(point(mid), axis=-1) > radius
-        bracket = np.where(outside, mid, lo), np.where(outside, hi, mid)
-        if np.array_equal(bracket[0], lo) and np.array_equal(bracket[1], hi):
-            break  # a fixed point: the remaining halvings change nothing
-        lo, hi = bracket
-    return point(hi)
-
-
-def _max_quadratic_on_ball(mat: np.ndarray, vec: np.ndarray, const, radius: float) -> np.ndarray:
-    """Exact sup over ||x|| <= radius of ``x' mat x + 2 vec' x + const``, batched.
-
-    ``mat`` (..., p, p) is PSD, ``vec`` (..., p) and ``const`` (...).  A
-    convex quadratic peaks on the sphere, where the global maximizer solves
-    ``(lam I - mat) x = vec`` with ``lam >= lambda_max``: :func:`_secular_point`
-    with ``mu = lam - lambda_max`` and shifts ``lambda_max - lambda_i``.  The
-    leftover radius goes along the top eigenvector; it is nonzero only in
-    the hard case (no weight of ``vec`` on the top eigenspace and the rest
-    of ``x`` inside the ball).  The point is rescaled onto the sphere before
-    it is evaluated, so the value is attained by a feasible point.
-    """
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    w = np.einsum("...pq,...p->...q", eigvecs, vec)
-    x = _secular_point(w, eigvals[..., -1:] - eigvals, radius)
-    left = np.sqrt(np.maximum(radius**2 - np.sum(x * x, axis=-1), 0.0))
-    x[..., -1] += np.copysign(left, w[..., -1])
-    x *= (radius / np.linalg.norm(x, axis=-1))[..., None]
-    vals = np.sum(eigvals * x * x, axis=-1) + 2.0 * np.sum(w * x, axis=-1) + const
-    return np.maximum(vals, const)
-
-
-def _min_quadratic_on_ball(gram: np.ndarray, rhs: np.ndarray, radius: float):
-    """Exact argmin over ||x|| <= radius of ``0.5 x' gram x - rhs' x``, and its tag.
-
-    ``gram`` is PSD and ``rhs`` lies in its range, so there is no hard case.
-    Eigen-directions below the rank cutoff get zero weight, so an interior
-    solution is the minimum-norm one.  Otherwise the minimizer solves
-    ``(gram + mu I) x = rhs`` on the sphere: :func:`_secular_point` with
-    shifts ``lambda_i``, projected to be feasible in exact float comparison.
-    """
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    kept = eigvals > max(float(eigvals[-1]), 1.0) * 1e-12
-    w = np.where(kept, eigvecs.T @ rhs, 0.0)
-    x = np.divide(w, eigvals, out=np.zeros_like(w), where=kept)
-    if np.linalg.norm(x) <= radius:
-        tag = "closed_form" if kept.all() else "closed_form_min_norm"
-    else:
-        x, tag = _secular_point(w, eigvals, radius), "trust_region"
-    return project_ball(eigvecs @ x, radius), tag
-
-
 def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     """Compute every bound constant for the affine-quadratic family.
 
@@ -337,8 +270,10 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
 
     gram = a_bar.T @ a_bar
     eigs = np.linalg.eigvalsh(gram)
-    sigma = max(float(eigs[0]), 0.0)
     smooth_l = max(float(eigs[-1]), 0.0)
+    # On a rank-deficient gram, eigs[0] is rounding noise of either sign;
+    # the rank cutoff of _min_quadratic_on_ball tells it from a modulus.
+    sigma = float(eigs[0]) if eigs[0] > 1e-12 * max(float(eigs[-1]), 1.0) else 0.0
 
     # var_g: (1/m) sum_j ||(a_j - a_bar) x + (b_j - b_bar)||^2 is one convex
     # quadratic in x (its moment form).  The other suprema are of
@@ -347,13 +282,16 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     mom_mat = np.einsum("jdp,jdq->pq", diffs_a, diffs_a) / m
     mom_vec = np.einsum("jdp,jd->p", diffs_a, diffs_b) / m
     mom_const = float(np.mean(np.sum(diffs_b * diffs_b, axis=1)))
+    # The n target-shifted maps share the mean map's matrix, so the batch
+    # decomposes m + 2 matrices for its m + n + 2 problems.
     aff_b = np.concatenate([a_bar[None], diffs_a, np.broadcast_to(a_bar, (n, d, p))])
     aff_u = np.concatenate([b_bar[None], diffs_b, b_bar - dataset.outer_c])
     sups = _max_quadratic_on_ball(
-        np.concatenate([mom_mat[None], np.einsum("kdp,kdq->kpq", aff_b, aff_b)]),
+        np.concatenate([mom_mat[None], np.einsum("kdp,kdq->kpq", aff_b[: m + 1], aff_b[: m + 1])]),
         np.concatenate([mom_vec[None], np.einsum("kdp,kd->kp", aff_b, aff_u)]),
         np.concatenate([[mom_const], np.sum(aff_u * aff_u, axis=1)]),
         domain_radius,
+        which=np.concatenate([np.arange(m + 2), np.ones(n, dtype=np.intp)]),
     )
     var_g = float(sups[0])
 

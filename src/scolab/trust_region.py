@@ -1,0 +1,180 @@
+"""Exact trust-region solves: extrema of quadratics over a ball.
+
+:func:`_max_quadratic_on_ball` gives the suprema behind the bound
+constants and :func:`_min_quadratic_on_ball` the minimizer certificates.
+Both reduce to :func:`_secular_point` in an eigenbasis, whose boundary
+point is defined by bisecting the secular equation and found in a few
+Newton steps with the same bits.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .core import project_ball
+
+__all__: list[str] = []
+
+
+# The secular point is defined by bisection: at most _HALVINGS halvings.
+_HALVINGS = 100
+# Newton steps before the exact search, and that search's half-width in ulps.
+_NEWTON_STEPS = 6
+_WINDOW = 8
+
+
+def _outside(w: np.ndarray, live: np.ndarray, mu: np.ndarray, radius: float) -> np.ndarray:
+    """The bisection's test ``||x(mu)|| > radius`` at the K positive
+    columns of ``mu`` (rows, K), for ``w`` (rows, p).  ``live`` is the
+    shift, or 1 where ``w`` is 0: every denominator is then positive, and
+    each square equals the bisection's, which has no ``where`` to mask."""
+    x = mu[:, :, None] + live[:, None, :]
+    np.divide(w[:, None, :], x, out=x)
+    np.multiply(x, x, out=x)
+    return np.sqrt(np.add.reduce(x, axis=-1)) > radius
+
+
+def _replay_halving(h: float, t: float, w: np.ndarray, shift: np.ndarray, radius: float) -> float:
+    """Upper end of the bisection of (0, h] for one row, in the batched
+    loop's float arithmetic, with ``mid < t`` as its test at ``mid > 0``.
+    At ``mid = 0``, where a zero denominator gives a zero entry, it runs
+    the test itself."""
+    lo, hi = 0.0, h
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        if mid > 0:
+            outside = mid < t
+        else:
+            x = np.divide(w, shift, out=np.zeros_like(w), where=shift > 0)
+            outside = np.linalg.norm(x, axis=-1) > radius
+        bracket = (mid, hi) if outside else (lo, mid)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
+    return hi
+
+
+def _secular_point(w: np.ndarray, shift: np.ndarray, radius: float) -> np.ndarray:
+    """Point ``x_i = w_i / (mu + shift_i)`` with ``||x|| = radius``, batched.
+
+    The trust-region secular equation in an eigenbasis (Moré & Sorensen
+    1983; Conn, Gould & Toint 2000, ch. 7), with ``shift_i >= 0`` wherever
+    ``w_i != 0``.  ``||x||`` falls in ``mu`` and is at most ``radius`` at
+    ``H = ||w|| / radius``.  The result is defined by bisection: halve
+    ``(0, H]`` on the float test ``||x(mu)|| > radius`` until the bracket
+    stops moving, at most 100 times, and take the point at its upper end,
+    which never leaves the ball.  Nonpositive denominators give zeros.
+
+    Every operation of that test is correctly rounded and monotone in
+    ``mu``, so it flips once, at the least float ``t`` in ``(0, H]`` where
+    it is false, and each halving keeps ``t`` in the bracket; one that
+    converges ends at ``hi = t``.  So ``t`` is found directly, and the
+    result equals the bisection's bit for bit:
+
+    - safeguarded Newton steps on ``1/||x(mu)|| - 1/radius`` climb to the
+      root from the lower bound ``max_i |w_i| / radius - shift_i``;
+    - one stacked test of the floats within ``_WINDOW`` ulps of the last
+      iterate, and of ``H``, brackets ``t`` between neighbouring floats; a
+      17-way search on the float bits finishes any row it misses;
+    - a row whose bisection cannot converge in 100 halvings
+      (``t < H 2^-40``, near the hard case, or ``H`` near underflow)
+      replays the bisection with ``mid < t`` as its test.
+    """
+    batch, p = w.shape[:-1], w.shape[-1]
+    rows = w.reshape(-1, p)
+    shifts = np.broadcast_to(shift, w.shape).reshape(-1, p)
+    h = np.atleast_1d(np.linalg.norm(w, axis=-1) / radius).reshape(-1)
+
+    # Newton from below in units of radius.  Entries with no weight get
+    # shift 1 and rows with H = 0 a cap of 1, so no denominator is zero.
+    scaled = rows / radius
+    inert = np.where(scaled != 0, shifts, 1.0)
+    cap = np.where(h > 0, h, 1.0)
+    mu = np.minimum(np.max(np.abs(scaled) - inert, axis=-1, initial=0.0), cap)
+    for _ in range(_NEWTON_STEPS):
+        denom = mu[:, None] + inert
+        y2 = np.square(scaled / denom)
+        norm2 = y2.sum(axis=-1)
+        slope = (y2 / denom).sum(axis=-1)
+        step = np.divide(norm2 * (np.sqrt(norm2) - 1.0), slope,
+                         out=np.zeros_like(mu), where=slope > 0)
+        mu = np.minimum(mu + np.maximum(step, 0.0), cap)
+
+    # Bracket t by its float bits between lo (test true, or 0) and hi (test
+    # false, or H where the test holds on all of (0, H]); rows with H = 0
+    # start closed.  The first round tests the floats within _WINDOW ulps
+    # of the Newton iterate, and H; each later round tests 16 evenly spaced
+    # floats of a row's bracket, shrinking it 17-fold.
+    live = np.where(rows != 0, shifts, 1.0)
+    h_bits = h.view(np.int64)
+    lo, hi = np.zeros_like(h_bits), h_bits.copy()
+    todo = np.flatnonzero(h > 0)
+    window = mu.view(np.int64)[todo, None] + np.arange(-_WINDOW, _WINDOW + 1)
+    cands = np.concatenate([np.clip(window, 1, h_bits[todo, None]), h_bits[todo, None]], axis=1)
+    with np.errstate(over="ignore"):  # an inf norm is a true test
+        while todo.size:
+            tests = _outside(rows[todo], live[todo], cands.view(np.float64), radius)
+            below = np.sum(tests, axis=-1)  # true on a prefix of the sorted cands
+            pick = np.arange(todo.size)
+            lo[todo] = np.where(below > 0, cands[pick, below - 1], lo[todo])
+            last = cands.shape[1] - 1
+            hi[todo] = np.where(below <= last, cands[pick, np.minimum(below, last)], hi[todo])
+            todo = np.flatnonzero(hi - lo > 1)
+            step = np.maximum((hi[todo] - lo[todo]) // 17, 1)
+            cands = lo[todo, None] + step[:, None] * np.arange(1, 17)
+            cands = np.minimum(cands, hi[todo, None] - 1)
+    t = hi.view(np.float64)
+    # From H the halving passes below t within 41 steps when t >= H 2^-40,
+    # then closes on it within 54 (in normal floats), so only these rows
+    # may stop short of t.
+    for i in np.flatnonzero(((t < h * 2.0**-40) | (h < 2.0**-980)) & (h > 0)):
+        t[i] = _replay_halving(float(h[i]), float(t[i]), rows[i], shifts[i], radius)
+    denom = t.reshape(batch)[..., None] + shift
+    return np.divide(w, denom, out=np.zeros_like(w), where=denom > 0)
+
+
+def _max_quadratic_on_ball(mat: np.ndarray, vec: np.ndarray, const, radius: float,
+                           which=None) -> np.ndarray:
+    """Exact sup over ||x|| <= radius of ``x' mat x + 2 vec' x + const``, batched.
+
+    ``mat`` (..., p, p) is PSD, ``vec`` (..., p) and ``const`` (...); with
+    ``which``, problem k uses ``mat[which[k]]``, so a matrix that several
+    problems share is decomposed once.  A convex quadratic peaks on the
+    sphere, where the global maximizer solves ``(lam I - mat) x = vec`` with
+    ``lam >= lambda_max``: :func:`_secular_point` with
+    ``mu = lam - lambda_max`` and shifts ``lambda_max - lambda_i``.  The
+    leftover radius goes along the top eigenvector; it is nonzero only in
+    the hard case (no weight of ``vec`` on the top eigenspace and the rest
+    of ``x`` inside the ball).  The point is rescaled onto the sphere before
+    it is evaluated, so the value is attained by a feasible point.
+    """
+    eigvals, eigvecs = np.linalg.eigh(mat)
+    if which is not None:
+        eigvals, eigvecs = eigvals[which], eigvecs[which]
+    w = np.einsum("...pq,...p->...q", eigvecs, vec)
+    x = _secular_point(w, eigvals[..., -1:] - eigvals, radius)
+    left = np.sqrt(np.maximum(radius**2 - np.sum(x * x, axis=-1), 0.0))
+    x[..., -1] += np.copysign(left, w[..., -1])
+    x *= (radius / np.linalg.norm(x, axis=-1))[..., None]
+    vals = np.sum(eigvals * x * x, axis=-1) + 2.0 * np.sum(w * x, axis=-1) + const
+    return np.maximum(vals, const)
+
+
+def _min_quadratic_on_ball(gram: np.ndarray, rhs: np.ndarray, radius: float):
+    """Exact argmin over ||x|| <= radius of ``0.5 x' gram x - rhs' x``, and its tag.
+
+    ``gram`` is PSD and ``rhs`` lies in its range, so there is no hard case.
+    Eigen-directions below the rank cutoff get zero weight, so an interior
+    solution is the minimum-norm one.  Otherwise the minimizer solves
+    ``(gram + mu I) x = rhs`` on the sphere: :func:`_secular_point` with
+    shifts ``lambda_i``, projected to be feasible in exact float comparison.
+    """
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    kept = eigvals > max(float(eigvals[-1]), 1.0) * 1e-12
+    w = np.where(kept, eigvecs.T @ rhs, 0.0)
+    x = np.divide(w, eigvals, out=np.zeros_like(w), where=kept)
+    if np.linalg.norm(x) <= radius:
+        tag = "closed_form" if kept.all() else "closed_form_min_norm"
+    else:
+        x, tag = _secular_point(w, eigvals, radius), "trust_region"
+    return project_ball(eigvecs @ x, radius), tag

@@ -1,9 +1,10 @@
 """Names the BLAS kernels a test run uses in pytest's header.
 
-The sha256 pins in ``test_optimizer.py`` and ``test_cli.py`` hold only
-under the OpenBLAS kernels they were recorded with (SkylakeX), and
-OpenBLAS picks its kernels for the CPU at run time.  With the core type
-in the header, a pin failure on another core explains itself.
+The sha256 pins in ``test_optimizer.py``, ``test_cli.py`` and
+``test_problems.py`` hold only under the OpenBLAS kernels they were
+recorded with (SkylakeX), and OpenBLAS picks its kernels for the CPU at
+run time.  With the core type in the header, a pin failure on another
+core explains itself.
 """
 
 import ctypes

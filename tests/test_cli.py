@@ -172,6 +172,20 @@ class TestUsageErrors:
         assert "population modulus" in err
         assert "is 0" in err
 
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_sigma_weighted_optimization_on_convex_law_is_usage_error(self, capsys, tmp_path, seed):
+        # The convex law's mean Gram matrix is rank-deficient: its least
+        # eigenvalue is rounding noise of either sign, cut to 0 at every seed.
+        out_path = tmp_path / "o.csv"
+        code, out, err = dispatch(
+            capsys, "optimization", "--output-mode", "sigma_weighted", "--T-grid", "64",
+            "--replicates", "2", "--seed", seed, "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "sigma_weighted output needs sigma > 0\n"
+        assert not out_path.exists()
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = dispatch(capsys, "--help")
         assert code == 0

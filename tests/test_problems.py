@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -6,10 +7,9 @@ import pytest
 
 from scalar_reference import inner_eval, inner_jac, outer_eval, outer_grad
 from scolab.core import Rng, project_ball
-from scolab.oracle import erm_minimizer
+from scolab.oracle import erm_minimizer, population_minimizer
 from scolab.problems import (
     Dataset,
-    _max_quadratic_on_ball,
     PopulationLaw,
     benchmark_law,
     compute_constants,
@@ -19,6 +19,7 @@ from scolab.problems import (
     population_risk,
     sample_dataset,
 )
+from scolab.trust_region import _max_quadratic_on_ball
 
 RNG = Rng(101)
 
@@ -308,6 +309,15 @@ class TestComputeConstants:
             params = compute_constants(data, 10.0)
             assert params.sigma <= params.smooth_l + 1e-12
 
+    def test_sigma_is_zero_on_a_rank_deficient_gram(self):
+        # The convex law's a_bar is 4 x 5, so a_bar' a_bar has a null
+        # direction; its least eigenvalue is rounding noise, cut to 0.
+        for seed in range(8):
+            data = sample_dataset(benchmark_law("convex"), 40, 40, Rng(seed).split("data"))
+            assert compute_constants(data, 10.0).sigma == 0.0
+            data = sample_dataset(benchmark_law("strongly_convex"), 40, 40, Rng(seed).split("data"))
+            assert compute_constants(data, 10.0).sigma > 0.5
+
     def test_var_g_exact_in_near_hard_case(self):
         # Two inner maps a_bar +- D, offsets +-e: var_g = sup ||D x + e||^2.
         # D'D = diag(1, 1 - delta) has a small eigengap and D'e has no weight
@@ -341,6 +351,77 @@ class TestComputeConstants:
         assert params.d_y == pytest.approx((alpha * radius) ** 2, rel=1e-13)
         far = np.max(np.linalg.norm(targets, axis=1))
         assert params.lip_f == pytest.approx(2.0 * alpha * radius + far, rel=1e-13)
+
+
+# sha256 prefixes of the float64 bytes of (lip_f, lip_g, smooth_l, var_g,
+# d_y) from compute_constants, recorded before the secular solve and the
+# shared mean-map decomposition changed; sigma is left out because the rank
+# cutoff set the convex law's to exactly 0.  Like the other sha256 pins,
+# they hold under the OpenBLAS SkylakeX kernels.
+CONSTANTS_PINS = [
+    ("convex", 40, 40, 10.0, "250400eeabb87821"),
+    ("convex", 1, 1, 0.1, "6c90969f0d844cc2"),
+    ("convex", 3, 17, 0.3, "558f7f06e6c32289"),
+    ("convex", 80, 5, 1.0, "cf8c6a4d6462fc21"),
+    ("convex", 12, 60, 100.0, "1f98e7bade150f17"),
+    ("convex", 7, 7, 10.0, "66bed905efe283d1"),
+    ("strongly_convex", 40, 40, 10.0, "b2e7980e785d8ca5"),
+    ("strongly_convex", 1, 2, 0.3, "a476a30637085a0e"),
+    ("strongly_convex", 25, 80, 1.0, "acba39291b37d097"),
+    ("strongly_convex", 64, 9, 100.0, "c17d0cfb0fc50c74"),
+    ("strongly_convex", 2, 1, 0.1, "64f3089216515979"),
+    ("strongly_convex", 33, 33, 3.0, "3bd5d6e07ff2b647"),
+]
+
+# sha256 prefixes of the x_star bytes of boundary ("trust_region")
+# certificates, recorded with CONSTANTS_PINS; n and m are None for the
+# population minimizer.
+CERTIFICATE_PINS = [
+    ("erm", "convex", 40, 40, 0.1, "d72d86af0b7d8df4"),
+    ("erm", "convex", 40, 40, 0.3, "8f83e0d6bc0d1e1f"),
+    ("erm", "convex", 1, 1, 0.1, "4d7076cc6a95757e"),
+    ("erm", "convex", 1, 1, 0.3, "1d9bd66464863893"),
+    ("erm", "convex", 3, 17, 0.1, "e93bc3d3d695da46"),
+    ("erm", "convex", 3, 17, 0.3, "17f500c5a1a28f76"),
+    ("erm", "convex", 80, 5, 0.1, "e32f9484b9a7719c"),
+    ("erm", "convex", 80, 5, 1.0, "6b1f72980035a417"),
+    ("erm", "strongly_convex", 40, 40, 0.1, "4cc48527b7fa23fc"),
+    ("erm", "strongly_convex", 40, 40, 0.3, "db4558a6f6b39cef"),
+    ("erm", "strongly_convex", 1, 2, 0.1, "3cf189b94aa97d87"),
+    ("erm", "strongly_convex", 1, 2, 1.0, "4e6ce43290604ac7"),
+    ("erm", "strongly_convex", 25, 80, 0.1, "59d0c391a495ba3c"),
+    ("erm", "strongly_convex", 25, 80, 0.3, "54022495970705bf"),
+    ("erm", "strongly_convex", 64, 9, 0.1, "6e9a5c1b6961ce04"),
+    ("erm", "strongly_convex", 64, 9, 0.3, "cb91037a48f92b13"),
+    ("population", "convex", None, None, 0.1, "7e6cbf6707228639"),
+    ("population", "convex", None, None, 0.5, "5885900edaf11465"),
+    ("population", "convex", None, None, 1.0, "611e9b6fb9b156b2"),
+    ("population", "convex", None, None, 2.0, "4a1ebca037318039"),
+    ("population", "strongly_convex", None, None, 0.1, "74e93963898de083"),
+    ("population", "strongly_convex", None, None, 0.3, "89ab48ca249a6630"),
+    ("population", "strongly_convex", None, None, 0.5, "ce019425fcc941b3"),
+]
+
+
+def pin_dataset(kind, n, m):
+    return sample_dataset(benchmark_law(kind), n, m, Rng(17).split(f"pin-{kind}-{n}-{m}"))
+
+
+class TestConstantsPins:
+    @pytest.mark.parametrize("kind, n, m, radius, digest", CONSTANTS_PINS)
+    def test_constants_bytes_pinned(self, kind, n, m, radius, digest):
+        c = compute_constants(pin_dataset(kind, n, m), radius)
+        blob = np.array([c.lip_f, c.lip_g, c.smooth_l, c.var_g, c.d_y]).tobytes()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("which, kind, n, m, radius, digest", CERTIFICATE_PINS)
+    def test_boundary_certificate_bytes_pinned(self, which, kind, n, m, radius, digest):
+        if which == "erm":
+            cert = erm_minimizer(pin_dataset(kind, n, m), radius)
+        else:
+            cert = population_minimizer(benchmark_law(kind), radius)
+        assert cert.method == "trust_region"
+        assert hashlib.sha256(cert.x_star.tobytes()).hexdigest()[:16] == digest
 
 
 class TestMaxQuadraticOnBall:

@@ -41,6 +41,7 @@ MODULE_ALL = {
         "CoupledResult", "StabilityEstimate", "GapReport", "make_neighbor", "coupled_run",
         "estimate_stability", "check_generalization_inequality",
     ],
+    "trust_region": [],
 }
 
 PACKAGE_EXPORTS = {
