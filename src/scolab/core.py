@@ -73,8 +73,8 @@ def project_ball(x, radius: float) -> np.ndarray:
     # A single rescale can land an ulp outside the ball; repeat until the
     # norm test holds so that re-projection is a bitwise no-op.  For finite
     # 0 < a < b, a / b rounds to at most 1 - 2**-53, so the scale is below 1.
-    while _norm(out) > radius:
-        out = out * (radius / _norm(out))
+    while (nrm := _norm(out)) > radius:
+        out = out * (radius / nrm)
     return out
 
 

@@ -29,6 +29,7 @@ from .problems import (
     sample_dataset,
 )
 from .stability import _check_replicates, _mean_se, _replicates
+from .trust_region import _rank_cutoff
 
 __all__ = [
     "TrackingRow",
@@ -191,7 +192,9 @@ def optimization_study(
     cert = erm_minimizer(data, domain_radius)
     sigma = None
     if output_mode == "sigma_weighted":
-        sigma = compute_constants(data, domain_radius).sigma
+        # compute_constants(data, domain_radius).sigma, without its suprema.
+        eigs = np.linalg.eigvalsh(data.a_bar.T @ data.a_bar)
+        sigma = float(eigs[0]) if eigs[0] > _rank_cutoff(eigs) else 0.0
 
     rows = []
     for gi, (steps, eta, beta) in enumerate(step_grid):
@@ -258,9 +261,7 @@ def excess_risk_study(
     if output_mode == "sigma_weighted":
         eigs = np.linalg.eigvalsh(law.a0.T @ law.a0)
         sigma = float(eigs[0])
-        # On a rank-deficient a0^T a0, eigs[0] is rounding noise of either sign;
-        # _min_quadratic_on_ball's rank cutoff tells it from a true modulus.
-        if not sigma > 1e-12 * max(float(eigs[-1]), 1.0):
+        if not sigma > _rank_cutoff(eigs):
             raise ValueError(
                 "sigma_weighted output needs a strongly convex law, but this law's "
                 "population modulus (the least eigenvalue of a0^T a0) is 0"

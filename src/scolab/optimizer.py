@@ -46,19 +46,16 @@ count matters: 8 calls for SCGD (9 when recording the tracker, which is
 copied into ``u``) and 11 for SCSC.
 
 The ball pre-test ``x.dot(x) > R^2`` is not in that count.  The loop
-runs each segment of steps without it: the run's first ``PROBE_STEPS``
-steps, then the rest of each block.  After a segment, one stacked
-``np.matmul`` computes every iterate's ``x.dot(x)`` with the same ddot
-the pre-test runs.  If none exceeds ``R^2`` the pre-test would have
-fired on no step, and the segment stands.  Otherwise (and a NaN iterate
-fails the same test) the loop restores the segment's starting state
-(``x``, ``x_prev`` and the tracker) and replays it with the pre-test,
-and ``project_ball`` where it fires, after every step; the rest of the
-run keeps the per-step test.  So a run whose projection fires computes
-one segment twice: ``PROBE_STEPS = 8`` steps when it first fires within
-them (a large first step from the start point), at most
-``BLOCK_STEPS = 256`` otherwise.  The replay is exact, down to the step
-at which a run warns or raises.
+runs each block without it, then one stacked ``np.matmul`` computes
+every iterate's ``x.dot(x)`` with the same ddot the pre-test runs.  If
+none exceeds ``R^2`` the pre-test would have fired on no step, and the
+block stands.  Otherwise (and a NaN iterate fails the same test) the
+loop restores the block's starting state (``x``, ``x_prev`` and the
+tracker) and replays it with the pre-test, and ``project_ball`` where it
+fires, after every step; the rest of the run keeps the per-step test.
+So a run whose projection fires computes one block of at most
+``BLOCK_STEPS = 256`` steps twice.  The replay is exact, down to the
+step at which a run warns or raises.
 """
 
 from __future__ import annotations
@@ -84,7 +81,6 @@ OUTPUT_MODES = ("last", "uniform_average", "sigma_weighted", "uniform_random")
 
 MAX_STORED_ITERATES = 4096
 BLOCK_STEPS = 256
-PROBE_STEPS = 8
 
 
 class Variant(Enum):
@@ -284,64 +280,60 @@ def _run_with_indices(
             stop = min(start + block, steps)
             k = stop - start
             xs[0] = x
-            x = xs[0]
             if ys is None:
                 y_rows = [y] * k  # untracked: y updates in place
-            # Steps lo + 1 .. hi of the block run as one segment, checked or
-            # replayed as a whole; the run's first segment is short.
-            cuts = (0, PROBE_STEPS, k) if start == 0 and k > PROBE_STEPS else (0, k)
-            for lo, hi in zip(cuts, cuts[1:]):
-                # The segment's starting state; only y's contents can change under it.
-                x_lo, x_prev_lo, y_lo, y_saved = x, x_prev, y, y.copy()
-                while True:
-                    x, x_prev, y = x_lo, x_prev_lo, y_lo
-                    # An unchecked pass may run on past a step the pre-test would
-                    # have projected, or past an invalid operation: every value a
-                    # step computes (g, g_prev, s, prod, y, r, dx) feeds that step's
-                    # x, so the operation leaves NaN in x, which fails the ball test
-                    # as an overflow to inf does.  The checked replay, under the
-                    # caller's errstate, then warns or raises where a per-step loop would.
-                    with np.errstate(invalid=None if checked else "ignore"):
-                        for j, i, x_out, y_out in zip(
-                            j_idx[start + lo : start + hi].tolist(),
-                            i_idx[start + lo : start + hi].tolist(),
-                            x_rows[lo + 1 : hi + 1],
-                            y_rows[lo:hi],
-                        ):
-                            a_j = a_rows[j]
-                            a_j.dot(x, g)
-                            if scsc:
-                                a_j.dot(x_prev, g_prev)
-                                add(gg, b_rows[j], gg)
-                                add(y, g, s)
-                                subtract(s, g_prev, s)
-                            else:
-                                add(g, b_rows[j], g)
-                                if y is not s:
-                                    copyto(s, y)
-                            multiply(coef, u, prod)
-                            y = add(prod_s, prod_g, y_out)
-                            subtract(y, c_rows[i], r)
-                            r.dot(a_j, dx)
-                            multiply(eta, dx, dx)
-                            x_prev = x
-                            x = subtract(x, dx, x_out)
-                            if checked and x.dot(x) > radius_sq:
-                                try:
-                                    x[...] = project_ball(x, radius)
-                                except ValueError:
-                                    # A NaN x fails the pre-test, so x holds an inf.
-                                    raise ValueError(
-                                        "the step x - eta * gradient overflowed to inf "
-                                        f"(eta = {cfg.eta:g}); use a smaller eta"
-                                    ) from None
-                        if checked or not _leaves_ball(xs[lo + 1 : hi + 1], radius_sq):
-                            break
-                    # The pre-test would have fired in this segment, or an
-                    # iterate is NaN: replay it, and the rest of the run, with
-                    # the test after every step.
-                    checked = True
-                    np.copyto(y_lo, y_saved)
+            # The block's starting state: x is xs[0], which the pass never
+            # writes, and only y's contents can change under the rest.
+            x_prev_start, y_start, y_saved = x_prev, y, y.copy()
+            while True:
+                x, x_prev, y = xs[0], x_prev_start, y_start
+                # An unchecked pass may run on past a step the pre-test would
+                # have projected, or past an invalid operation: every value a
+                # step computes (g, g_prev, s, prod, y, r, dx) feeds that step's
+                # x, so the operation leaves NaN in x, which fails the ball test
+                # as an overflow to inf does.  The checked replay, under the
+                # caller's errstate, then warns or raises where a per-step loop would.
+                with np.errstate(invalid=None if checked else "ignore"):
+                    for j, i, x_out, y_out in zip(
+                        j_idx[start:stop].tolist(),
+                        i_idx[start:stop].tolist(),
+                        x_rows[1 : k + 1],
+                        y_rows,
+                    ):
+                        a_j = a_rows[j]
+                        a_j.dot(x, g)
+                        if scsc:
+                            a_j.dot(x_prev, g_prev)
+                            add(gg, b_rows[j], gg)
+                            add(y, g, s)
+                            subtract(s, g_prev, s)
+                        else:
+                            add(g, b_rows[j], g)
+                            if y is not s:
+                                copyto(s, y)
+                        multiply(coef, u, prod)
+                        y = add(prod_s, prod_g, y_out)
+                        subtract(y, c_rows[i], r)
+                        r.dot(a_j, dx)
+                        multiply(eta, dx, dx)
+                        x_prev = x
+                        x = subtract(x, dx, x_out)
+                        if checked and x.dot(x) > radius_sq:
+                            try:
+                                x[...] = project_ball(x, radius)
+                            except ValueError:
+                                # A NaN x fails the pre-test, so x holds an inf.
+                                raise ValueError(
+                                    "the step x - eta * gradient overflowed to inf "
+                                    f"(eta = {cfg.eta:g}); use a smaller eta"
+                                ) from None
+                    if checked or not _leaves_ball(xs[1 : k + 1], radius_sq):
+                        break
+                # The pre-test would have fired in this block, or an iterate
+                # is NaN: replay it, and the rest of the run, with the test
+                # after every step.
+                checked = True
+                np.copyto(y_start, y_saved)
             # Both are rows of xs, which the sum below and the next block rewrite.
             x_prev, x = x_prev.copy(), x.copy()
 

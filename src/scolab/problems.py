@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Rng, as_matrix, as_vector
-from .trust_region import _max_quadratic_on_ball
+from .trust_region import _max_quadratic_on_ball, _rank_cutoff
 
 __all__ = [
     "Dataset",
@@ -271,9 +271,7 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     gram = a_bar.T @ a_bar
     eigs = np.linalg.eigvalsh(gram)
     smooth_l = max(float(eigs[-1]), 0.0)
-    # On a rank-deficient gram, eigs[0] is rounding noise of either sign;
-    # the rank cutoff of _min_quadratic_on_ball tells it from a modulus.
-    sigma = float(eigs[0]) if eigs[0] > 1e-12 * max(float(eigs[-1]), 1.0) else 0.0
+    sigma = float(eigs[0]) if eigs[0] > _rank_cutoff(eigs) else 0.0
 
     # var_g: (1/m) sum_j ||(a_j - a_bar) x + (b_j - b_bar)||^2 is one convex
     # quadratic in x (its moment form).  The other suprema are of

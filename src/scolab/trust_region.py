@@ -160,6 +160,12 @@ def _max_quadratic_on_ball(mat: np.ndarray, vec: np.ndarray, const, radius: floa
     return np.maximum(vals, const)
 
 
+def _rank_cutoff(eigvals: np.ndarray) -> float:
+    """The rank cutoff for ``eigvals``, a PSD matrix's ascending eigenvalues:
+    those at or below it are rounding noise of either sign, and count as 0."""
+    return 1e-12 * max(float(eigvals[-1]), 1.0)
+
+
 def _min_quadratic_on_ball(gram: np.ndarray, rhs: np.ndarray, radius: float):
     """Exact argmin over ||x|| <= radius of ``0.5 x' gram x - rhs' x``, and its tag.
 
@@ -170,7 +176,7 @@ def _min_quadratic_on_ball(gram: np.ndarray, rhs: np.ndarray, radius: float):
     shifts ``lambda_i``, projected to be feasible in exact float comparison.
     """
     eigvals, eigvecs = np.linalg.eigh(gram)
-    kept = eigvals > max(float(eigvals[-1]), 1.0) * 1e-12
+    kept = eigvals > _rank_cutoff(eigvals)
     w = np.where(kept, eigvecs.T @ rhs, 0.0)
     x = np.divide(w, eigvals, out=np.zeros_like(w), where=kept)
     if np.linalg.norm(x) <= radius:

@@ -15,11 +15,11 @@ from scalar_reference import (
     param_step,
     tracking_step,
 )
+from scolab import optimizer
 from scolab.core import Rng
 from scolab.optimizer import (
     BLOCK_STEPS,
     OUTPUT_MODES,
-    PROBE_STEPS,
     OptimizerConfig,
     Variant,
     _draw_indices,
@@ -284,14 +284,13 @@ def trajectory_digest(traj):
 # The pins cover both variants, every output mode with and without
 # tracking, an active projection (R = 0.3, eta = 0.5) and thinned runs:
 # T = 5000 (stride 2) and T = 4097, whose stride does not divide T, so the
-# last iterate is stored off the stride.  The kernel runs in blocks of 256
-# steps and checks the run's first 8 steps as a segment of their own, so
-# every row crosses the step-8 segment boundary, and the rows with
-# T >= 4097 cross at least 16 block boundaries: T = 4097 and T = 8193 end
-# in a one-step block, T = 5000 in a 136-step one and T = 12000 in a
-# 224-step one, and its uniform draw is step 7980, inside the 32nd block.
-# The R = 0.3 rows project on every step, so their first 8 steps are
-# replayed and every later step runs the per-step test.
+# last iterate is stored off the stride.  The kernel runs and checks
+# blocks of 256 steps, so the rows with T >= 4097 cross at least 16 block
+# boundaries: T = 4097 and T = 8193 end in a one-step block, T = 5000 in a
+# 136-step one and T = 12000 in a 224-step one, and its uniform draw is
+# step 7980, inside the 32nd block.  The R = 0.3 rows project on every
+# step, so their first block is replayed and every later step runs the
+# per-step test.
 # Rows may add (beta, start) to the default (0.3, "origin"): those rows
 # pin a given x0 and y0 (START_X0, START_Y0), SCSC at beta = 1 (which runs
 # the SCGD recurrence) and eta = 0.
@@ -429,20 +428,47 @@ class TestKernelMemory:
 
 
 def _first_fire_cases():
-    """(first projected step, T): the probe's last and the next step, a
+    """(first projected step, T): early steps of the first block (1, 8 and
+    9; the ids of 8 and 9 name the short first segment the loop once had), a
     block's first, middle and last step, and a step in a final partial block."""
-    block, probe = BLOCK_STEPS, PROBE_STEPS
+    block = BLOCK_STEPS
     steps = 2 * block + 88
     firsts = {
         "run-step-1": 1,
-        "probe-last": probe,
-        "after-probe": probe + 1,
+        "probe-last": 8,
+        "after-probe": 9,
         "block-2-step-1": block + 1,
         "block-2-mid": block + block // 2,
         "block-2-last": 2 * block,
         "partial-block": 2 * block + 40,
     }
     return [pytest.param(first, steps, id=name) for name, first in firsts.items()]
+
+
+class TestBlockCheck:
+    """The loop's unit of work is the block: an unprojected run checks each
+    block's iterates once and never replays or projects."""
+
+    @pytest.mark.parametrize("variant", [Variant.SCGD, Variant.SCSC])
+    @pytest.mark.parametrize("steps", [1, 8, 9, BLOCK_STEPS, BLOCK_STEPS + 1, 4097])
+    def test_one_ball_check_per_block(self, monkeypatch, steps, variant):
+        calls = {"_leaves_ball": 0, "project_ball": 0}
+
+        def counted(name):
+            inner = getattr(optimizer, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(optimizer, name, counted(name))
+        data = sample_dataset(benchmark_law("convex"), 6, 7, RNG.split("blocks"))
+        cfg = OptimizerConfig(variant=variant, steps=steps, eta=0.05, beta=0.3)
+        run(data, cfg, RNG.split("blocks-run"))
+        assert calls == {"_leaves_ball": -(-steps // BLOCK_STEPS), "project_ball": 0}
 
 
 class TestSegmentReplay:
@@ -526,7 +552,7 @@ class TestSegmentReplay:
         # it is, and sample 1 (a = 1e308) makes g = a @ x overflow at step
         # `first`.  There SCGD's eta * (r @ a) is 0 * inf and SCSC's tracker
         # correction g - g_prev is inf - inf: the run's first invalid
-        # operation, well past the probe segment.  Every later step is NaN.
+        # operation, past the run's first steps.  Every later step is NaN.
         data = Dataset(inner_a=np.array([[[0.0, 0.0]], [[1e308, 1e308]]]),
                        inner_b=np.zeros((2, 1)), outer_c=np.zeros((1, 1)))
         steps = 2 * BLOCK_STEPS + 88
@@ -596,7 +622,7 @@ class TestStackedMatmulMatchesDot:
                 assert _leaves_ball(xs, radius_sq) == any(s > radius_sq for s in sq)
 
     def test_ball_check_fails_on_a_nan_row(self):
-        # NaN > R^2 is false, but a NaN iterate must still send the segment
+        # NaN > R^2 is false, but a NaN iterate must still send the block
         # to the checked replay, which warns or raises where it arose.
         xs = np.array([[0.0, 0.0], [np.nan, 0.0], [0.5, 0.0]])
         assert _leaves_ball(xs, 1.0)
