@@ -274,7 +274,7 @@ def cmd_stability(o) -> int:
         for m in o["m"]:
             rng = Rng(o["seed"]).split(f"stability-{n}-{m}")
             est = estimate_stability(law, n, m, opt_cfg, o["replicates"], rng,
-                                     coupled=not o["uncoupled"], threads=o["threads"])
+                                     coupled=not o["uncoupled"])
             cell = (o["variant"], o["benchmark"], n, m, o["T"], o["eta"], o["beta"], o["replicates"])
             rows.append(cell + (est.eps_nu, est.eps_nu_se, est.eps_omega, est.eps_omega_se))
     header = ["variant", "convexity", "n", "m", "T", "eta", "beta", "replicates",

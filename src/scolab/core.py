@@ -1,4 +1,4 @@
-"""Dense vector/matrix helpers, Euclidean-ball projection, and a splittable RNG.
+"""Vector/matrix helpers, an exact norm, ball projection and a splittable RNG.
 
 Everything in this module is a plain value.  Vectors and matrices are
 float64 numpy arrays, and :class:`Rng` is an immutable ``(seed, stream)``
@@ -10,6 +10,7 @@ of the order in which sibling streams are consumed.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +37,16 @@ def as_matrix(a) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)``, except that where ``||v||^2`` overflows the
-    norm of an exact power-of-two rescale of ``v`` is scaled back, so the
-    result is inf only if ``||v||`` itself exceeds the float range.  Both
-    overflows are expected, so numpy does not warn about them."""
+    """The Euclidean norm of ``v``, exact at every float scale (a scaled norm,
+    Blue 1978): ``np.linalg.norm(v)`` where that is finite and at least
+    2^-480, so the squares it loses to underflow fall below its rounding
+    error, and elsewhere the norm of the exact rescale ``v 2^-e``, ``e``
+    from ``frexp(max |v_i|)``, scaled back.  It is inf only where ``||v||``
+    exceeds the float range; overflows are expected, so numpy does not warn."""
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(v))
-        if nrm == np.inf:
-            exp = np.frexp(np.max(np.abs(v)))[1]
+        if not 2.0**-480 <= nrm < np.inf:
+            exp = math.frexp(np.abs(v).max(initial=0.0))[1]
             nrm = float(np.ldexp(np.linalg.norm(np.ldexp(v, -exp)), exp))
     return nrm
 
@@ -51,30 +54,32 @@ def _norm(v: np.ndarray) -> float:
 def project_ball(x, radius: float) -> np.ndarray:
     """Euclidean projection of ``x`` onto the origin-centered ball.
 
-    Returns ``x`` unchanged when it is already inside; otherwise rescales
-    it radially.  The returned vector always satisfies
-    ``norm(result) <= radius`` in exact float comparison, which makes the
-    projection exactly idempotent.
+    Returns ``x`` unchanged when its exact norm (:func:`_norm`) is at most
+    ``radius``; otherwise rescales it radially.  The result ``r`` always
+    satisfies ``_norm(r) <= radius`` in exact float comparison, at every
+    float scale, which makes the projection exactly idempotent.
     """
     v = as_vector(x)
-    if not np.all(np.isfinite(v)):
+    peak = np.abs(v).max(initial=0.0)  # inf or NaN where an entry is
+    if not math.isfinite(peak):
         raise ValueError("non-finite vector")
-    if not (np.isfinite(radius) and radius > 0):
+    if not (math.isfinite(radius) and radius > 0):
         raise ValueError("invalid domain")
-    nrm = _norm(v)
-    if nrm <= radius:
+    if _norm(v) <= radius:
         return v
-    if nrm == np.inf:
-        # ||v|| exceeds the float range; an exact power-of-two rescale
-        # keeps its direction.
-        v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
-        nrm = float(np.linalg.norm(v))
-    out = v * (radius / nrm)
+    # Rescale u = v 2^-e, exact, whose norm neither overflows nor underflows;
+    # where v (R / ||v||) is exact, u (R / ||u||) has its bytes.  sqrt(u.u)
+    # is np.linalg.norm(u)'s own arithmetic, without its dispatch.
+    u = np.ldexp(v, -math.frexp(peak)[1])
+    out = u * (radius / math.sqrt(u.dot(u)))
     # A single rescale can land an ulp outside the ball; repeat until the
     # norm test holds so that re-projection is a bitwise no-op.  For finite
-    # 0 < a < b, a / b rounds to at most 1 - 2**-53, so the scale is below 1.
+    # 0 < a < b, a / b rounds to at most 1 - 2**-53, so the scale is below 1
+    # and moves the largest normal entry; where every entry is subnormal and
+    # none moves, each steps one float toward zero instead.
     while (nrm := _norm(out)) > radius:
-        out = out * (radius / nrm)
+        shrunk = out * (radius / nrm)
+        out = np.nextafter(out, 0.0) if np.array_equal(shrunk, out) else shrunk
     return out
 
 

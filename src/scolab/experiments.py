@@ -29,7 +29,7 @@ from .problems import (
     sample_dataset,
 )
 from .stability import _check_replicates, _mean_se, _replicates
-from .trust_region import _rank_cutoff
+from .trust_region import _gram_modulus
 
 __all__ = [
     "TrackingRow",
@@ -190,11 +190,7 @@ def optimization_study(
     root = Rng(seed).split("optimization-study")
     data = sample_dataset(_resolve_law(law), n, m, root.split("data"))
     cert = erm_minimizer(data, domain_radius)
-    sigma = None
-    if output_mode == "sigma_weighted":
-        # compute_constants(data, domain_radius).sigma, without its suprema.
-        eigs = np.linalg.eigvalsh(data.a_bar.T @ data.a_bar)
-        sigma = float(eigs[0]) if eigs[0] > _rank_cutoff(eigs) else 0.0
+    sigma = _gram_modulus(data.a_bar)[0] if output_mode == "sigma_weighted" else None
 
     rows = []
     for gi, (steps, eta, beta) in enumerate(step_grid):
@@ -257,15 +253,12 @@ def excess_risk_study(
     if not size_grid:
         raise ValueError("excess_risk study needs a nonempty size_grid")
     law = _resolve_law(law)
-    sigma = None
-    if output_mode == "sigma_weighted":
-        eigs = np.linalg.eigvalsh(law.a0.T @ law.a0)
-        sigma = float(eigs[0])
-        if not sigma > _rank_cutoff(eigs):
-            raise ValueError(
-                "sigma_weighted output needs a strongly convex law, but this law's "
-                "population modulus (the least eigenvalue of a0^T a0) is 0"
-            )
+    sigma = _gram_modulus(law.a0)[0] if output_mode == "sigma_weighted" else None
+    if sigma == 0.0:
+        raise ValueError(
+            "sigma_weighted output needs a strongly convex law, but this law's "
+            "population modulus (the least eigenvalue of a0^T a0) is 0"
+        )
     root = Rng(seed).split("excess-study")
     pop = population_minimizer(law, domain_radius)
 

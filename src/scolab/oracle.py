@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import as_vector, project_ball
+from .core import _norm, as_vector, project_ball
 from .optimizer import Variant
 from .problems import (
     BoundParams,
@@ -55,7 +55,7 @@ class MinimizerCertificate:
 
 
 def _kkt_residual(x, grad, radius) -> float:
-    return float(np.linalg.norm(x - project_ball(x - grad, radius)))
+    return _norm(x - project_ball(x - grad, radius))
 
 
 def _projected_gradient(gram, rhs, radius, max_iters=1_000_000) -> np.ndarray:

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Rng, as_matrix, as_vector
-from .trust_region import _max_quadratic_on_ball, _rank_cutoff
+from .trust_region import _gram_modulus, _max_quadratic_on_ball
 
 __all__ = [
     "Dataset",
@@ -265,13 +265,9 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     n = dataset.n
 
     lip_g = float(np.max(np.linalg.norm(a, 2, axis=(1, 2))))
+    sigma, smooth_l = _gram_modulus(a_bar)
     diffs_a = a - a_bar
     diffs_b = dataset.inner_b - b_bar
-
-    gram = a_bar.T @ a_bar
-    eigs = np.linalg.eigvalsh(gram)
-    smooth_l = max(float(eigs[-1]), 0.0)
-    sigma = float(eigs[0]) if eigs[0] > _rank_cutoff(eigs) else 0.0
 
     # var_g: (1/m) sum_j ||(a_j - a_bar) x + (b_j - b_bar)||^2 is one convex
     # quadratic in x (its moment form).  The other suprema are of

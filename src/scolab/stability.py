@@ -14,8 +14,7 @@ The replaced position is drawn uniformly per replicate, so the reported
 estimates are average-case readings of the worst-case quantity; scaling
 behavior in n, m, and T is preserved.  Every Monte Carlo loop in the
 package is ``_replicates``: replicates run serially in replicate order,
-each on its own child stream; the ``threads`` arguments are accepted and
-ignored.
+each on its own child stream.
 """
 
 from __future__ import annotations
@@ -142,15 +141,13 @@ def estimate_stability(
     rng: Rng,
     kinds: tuple[str, ...] = ("nu", "omega"),
     coupled: bool = True,
-    threads: int = 1,
 ) -> StabilityEstimate:
     """Monte Carlo estimate of the two replacement sensitivities.
 
     Each replicate draws a fresh dataset, a fresh replacement sample and
     a uniform position on its own child stream, then runs one coupled
     pair per requested side.  Replicates run one after another through
-    ``_replicates`` and are aggregated in replicate order; ``threads`` is
-    accepted for compatibility and has no effect.
+    ``_replicates`` and are aggregated in replicate order.
     """
     _check_replicates(replicates)
     for kind in kinds:
@@ -221,7 +218,8 @@ def check_generalization_inequality(
     inner variance evaluated in closed form at each output, and the
     Lipschitz constants taken as the largest per-dataset values seen.
     Measured sensitivities are average-case readings, so the check is a
-    sanity bound, not a certificate.
+    sanity bound, not a certificate.  ``threads`` is accepted and has no
+    effect: replicates run serially.
     """
     _check_replicates(replicates)
 
@@ -238,9 +236,7 @@ def check_generalization_inequality(
     (gap_mean, gap_se), (var_mean, var_se) = (_mean_se(col) for col in results[:, :2].T)
     lip_f, lip_g = results[:, 2:].max(axis=0).tolist()
 
-    est = estimate_stability(
-        law, n, m, cfg, replicates, rng.split("stability"), threads=threads
-    )
+    est = estimate_stability(law, n, m, cfg, replicates, rng.split("stability"))
     variance_term = lip_f * np.sqrt(var_mean / m)
     rhs = lip_f * lip_g * est.eps_nu + 4.0 * lip_f * lip_g * est.eps_omega + variance_term
     var_term_se = 0.0

@@ -166,6 +166,15 @@ def _rank_cutoff(eigvals: np.ndarray) -> float:
     return 1e-12 * max(float(eigvals[-1]), 1.0)
 
 
+def _gram_modulus(a: np.ndarray) -> tuple[float, float]:
+    """``(sigma, lambda_max)`` of ``a^T a``: the strong-convexity modulus, its
+    least eigenvalue or 0 at or below the rank cutoff, and its largest
+    eigenvalue, 0 if rounding makes it negative."""
+    eigvals = np.linalg.eigvalsh(a.T @ a)
+    sigma = float(eigvals[0]) if eigvals[0] > _rank_cutoff(eigvals) else 0.0
+    return sigma, max(float(eigvals[-1]), 0.0)
+
+
 def _min_quadratic_on_ball(gram: np.ndarray, rhs: np.ndarray, radius: float):
     """Exact argmin over ||x|| <= radius of ``0.5 x' gram x - rhs' x``, and its tag.
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -7,13 +8,27 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scalar_reference import mat_vec
-from scolab.core import Rng, as_matrix, as_vector, project_ball
+from scolab.core import Rng, _norm, as_matrix, as_vector, project_ball
 
 finite_vecs = hnp.arrays(
     dtype=np.float64,
     shape=st.integers(1, 6),
     elements=st.floats(-1e6, 1e6, allow_nan=False),
 )
+# A common factor 10^k, k in [-300, 300], moves the vectors and radii of the
+# projection properties across the float range.
+magnitudes = st.floats(-300.0, 300.0).map(lambda k: 10.0**k)
+
+
+def reference_projection(v, radius):
+    """The projection in plain float arithmetic: v (R / ||v||), rescaled
+    again while an ulp outside.  Exact where no square under- or overflows."""
+    if (nrm := np.linalg.norm(v)) <= radius:
+        return v
+    out = v * (radius / nrm)
+    while (nrm := np.linalg.norm(out)) > radius:
+        out = out * (radius / nrm)
+    return out
 
 
 class TestProjectBall:
@@ -48,28 +63,86 @@ class TestProjectBall:
         np.testing.assert_allclose(project_ball([1.7e308, -1.7e308], 1.0),
                                    [0.5**0.5, -(0.5**0.5)], rtol=1e-15)
 
+    def test_exact_where_squares_overflow_or_underflow(self):
+        # ||v||^2 overflows, and R^2 underflows: the exact rescale of v still
+        # gives the true projection, not the origin.
+        np.testing.assert_array_equal(project_ball([1e300, 0.0], 1e-300), [1e-300, 0.0])
+        np.testing.assert_array_equal(project_ball([3e200, 4e200], 1e-200), [6e-201, 8e-201])
+
+    @pytest.mark.parametrize("v, radius", [([1e-160, 0.0], 1e-161), ([1e-300, 0.0], 1e-310)],
+                             ids=["underflowing-square", "subnormal-radius"])
+    def test_underflowing_norm_lands_on_the_sphere(self, v, radius):
+        # np.linalg.norm reads [1e-161, 0] 0.6% short and [1e-300, 0] as 0.
+        out = project_ball(v, radius)
+        np.testing.assert_array_equal(out, [radius, 0.0])
+        assert _norm(out) == radius
+
+    def test_subnormal_entries_end_inside(self):
+        # Scaling by a quotient just below 1 rounds subnormal entries back to
+        # themselves (for 4 entries at 3 and 7 times the least subnormal); the
+        # projection must still end inside the ball.
+        v = np.ones(4)
+        for k in (1, 2, 3, 7, 1000, 2**40):
+            radius = k * 5e-324
+            out = project_ball(v, radius)
+            assert _norm(out) <= radius
+            assert math.hypot(*out) <= radius
+            np.testing.assert_array_equal(project_ball(out, radius), out)
+
+    def test_matches_plain_arithmetic_in_the_normal_range(self):
+        # Where no square under- or overflows, _norm is np.linalg.norm and
+        # the projection is v (R / ||v||) (rescaled again while an ulp
+        # outside), byte for byte.
+        gen = np.random.default_rng(19)
+        projected = 0
+        for i in range(4000):
+            v = gen.standard_normal(int(gen.integers(1, 9)))
+            v *= 10.0 ** gen.uniform(-100, 100) / np.linalg.norm(v)
+            nrm = np.linalg.norm(v)
+            radius = nrm * 10.0 ** gen.uniform(-3, 0.5) if i % 2 else 10.0 ** gen.uniform(-100, 100)
+            assert _norm(v) == nrm
+            out = project_ball(v, radius)
+            assert out.tobytes() == reference_projection(v, radius).tobytes()
+            projected += nrm > radius
+        assert projected > 2000
+
+    @pytest.mark.parametrize("exp", [600, 2, -600, -1074])
+    def test_norm_exact_at_every_scale(self, exp):
+        # A 3-4-5 triangle scaled by 2^exp: ||v||^2 overflows at 2^600,
+        # underflows at 2^-600 and is subnormal at 2^-1074.
+        v = np.ldexp([3.0, 4.0], exp)
+        assert _norm(v) == math.ldexp(5.0, exp)
+
+    def test_norm_of_zero_and_beyond_the_float_range(self):
+        assert _norm(np.zeros(3)) == 0.0
+        assert _norm(np.array([1.7e308, 1.7e308])) == np.inf
+
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError, match="invalid domain"):
             project_ball([1.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="invalid domain"):
             project_ball([1.0, 0.0], -2.0)
 
-    @given(finite_vecs, st.floats(1e-3, 1e3))
-    @settings(max_examples=200)
-    def test_idempotent_exactly(self, v, radius):
+    @given(finite_vecs, st.floats(1e-3, 1e3), magnitudes)
+    @settings(max_examples=300)
+    def test_idempotent_exactly(self, v, radius, scale):
+        v, radius = v * scale, radius * scale
         once = project_ball(v, radius)
         twice = project_ball(once, radius)
         assert np.array_equal(once, twice)
-        assert float(np.linalg.norm(once)) <= radius
+        assert _norm(once) <= radius
+        # math.hypot is a scaled norm too, computed independently.
+        assert math.hypot(*once) <= radius * (1 + 1e-15)
 
-    @given(st.data(), st.integers(1, 6), st.floats(1e-3, 1e3))
-    @settings(max_examples=200)
-    def test_non_expansive(self, data, dim, radius):
+    @given(st.data(), st.integers(1, 6), st.floats(1e-3, 1e3), magnitudes)
+    @settings(max_examples=300)
+    def test_non_expansive(self, data, dim, radius, scale):
         elems = st.floats(-1e6, 1e6, allow_nan=False)
-        u = data.draw(hnp.arrays(np.float64, dim, elements=elems))
-        v = data.draw(hnp.arrays(np.float64, dim, elements=elems))
+        u = data.draw(hnp.arrays(np.float64, dim, elements=elems)) * scale
+        v = data.draw(hnp.arrays(np.float64, dim, elements=elems)) * scale
+        radius *= scale
         pu, pv = project_ball(u, radius), project_ball(v, radius)
-        assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) * (1 + 1e-12) + 1e-15
+        assert math.hypot(*(pu - pv)) <= math.hypot(*(u - v)) * (1 + 1e-12) + 1e-15 * scale
 
     @given(st.floats(0.0, np.nextafter(np.finfo(float).max, 0.0), exclude_min=True), st.data())
     def test_rescale_ratio_is_below_one(self, a, data):

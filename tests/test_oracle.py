@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scolab import oracle
-from scolab.core import Rng, project_ball
+from scolab.core import Rng, _norm, project_ball
 from scolab.optimizer import Variant
 from scolab.oracle import (
     erm_minimizer,
@@ -115,6 +115,14 @@ class TestErmMinimizer:
         data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("um"))
         with pytest.raises(ValueError, match="unknown solve method"):
             erm_minimizer(data, 1.0, method=method)
+
+    def test_minimizer_inside_a_tiny_ball(self):
+        # At R = 1e-200 every square underflows; the certified point must
+        # still lie in the ball by an exact (rescaled) norm, on its sphere.
+        data = sample_dataset(benchmark_law("convex"), 40, 40, RNG.split("tiny"))
+        for cert in (erm_minimizer(data, 1e-200), population_minimizer(benchmark_law("convex"), 1e-200)):
+            assert cert.method == "trust_region"
+            assert 1e-200 * (1 - 1e-12) <= _norm(cert.x_star) <= 1e-200
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
     def test_bad_radius_rejected(self, radius):

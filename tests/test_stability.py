@@ -153,12 +153,6 @@ class TestEstimateStability:
         for value in (est.eps_nu, est.eps_nu_se, est.eps_omega, est.eps_omega_se):
             assert np.isfinite(value) and value >= 0.0
 
-    def test_thread_count_does_not_change_results(self):
-        law = benchmark_law("convex")
-        a = estimate_stability(law, 6, 6, small_cfg(), 8, RNG.split("thr"), threads=1)
-        b = estimate_stability(law, 6, 6, small_cfg(), 8, RNG.split("thr"), threads=4)
-        assert a == b
-
     def test_requested_kinds_only(self):
         est = estimate_stability(
             benchmark_law("convex"), 6, 6, small_cfg(steps=50), 4,
