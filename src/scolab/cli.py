@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import Rng, project_ball
+from .core import Rng, _norm, project_ball
 from .experiments import excess_risk_study, optimization_study, tracking_study
 from .optimizer import OptimizerConfig, Variant, run, schedule_preset
 from .oracle import erm_minimizer, fd_gradient_check, population_minimizer
@@ -214,11 +214,11 @@ def cmd_optimize(o) -> int:
         record_tracking=True,
     )
     traj = run(data, cfg, rng.split("run"))
-    rows = [
-        (int(t), empirical_risk(data, x), float(traj.tracking_sq_errors[t - 1]),
-         float(np.linalg.norm(x)))
-        for t, x in zip(traj.stored_steps, traj.iterates)
-    ]
+    with np.errstate(over="ignore"):  # a risk beyond the float range is inf
+        rows = [
+            (int(t), empirical_risk(data, x), float(traj.tracking_sq_errors[t - 1]), _norm(x))
+            for t, x in zip(traj.stored_steps, traj.iterates)
+        ]
     _emit(o, ["t", "f_empirical", "tracking_sq_error", "x_norm"], rows, "empirical objective",
           [r[0] for r in rows], {"f_empirical": [r[1] for r in rows]}, log_axes=False)
     record = {

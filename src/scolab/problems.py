@@ -280,13 +280,21 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     # decomposes m + 2 matrices for its m + n + 2 problems.
     aff_b = np.concatenate([a_bar[None], diffs_a, np.broadcast_to(a_bar, (n, d, p))])
     aff_u = np.concatenate([b_bar[None], diffs_b, b_bar - dataset.outer_c])
-    sups = _max_quadratic_on_ball(
-        np.concatenate([mom_mat[None], np.einsum("kdp,kdq->kpq", aff_b[: m + 1], aff_b[: m + 1])]),
-        np.concatenate([mom_vec[None], np.einsum("kdp,kd->kp", aff_b, aff_u)]),
-        np.concatenate([[mom_const], np.sum(aff_u * aff_u, axis=1)]),
-        domain_radius,
-        which=np.concatenate([np.arange(m + 2), np.ones(n, dtype=np.intp)]),
-    )
+    aff_gram = np.einsum("kdp,kdq->kpq", aff_b[: m + 1], aff_b[: m + 1])
+    try:  # radius**2 raises past the float range; a sup past it reads inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            sups = _max_quadratic_on_ball(
+                np.concatenate([mom_mat[None], aff_gram]),
+                np.concatenate([mom_vec[None], np.einsum("kdp,kd->kp", aff_b, aff_u)]),
+                np.concatenate([[mom_const], np.sum(aff_u * aff_u, axis=1)]),
+                domain_radius,
+                which=np.concatenate([np.arange(m + 2), np.ones(n, dtype=np.intp)]),
+            )
+    except OverflowError:
+        sups = np.array([np.inf])
+    if not np.all(np.isfinite(sups)):
+        raise ValueError(f"domain radius {float(domain_radius)!r} is too large: "
+                         "the bound constants overflow")
     var_g = float(sups[0])
 
     # A-priori tracker deviation: with y0 = 0 the first tracker value is a

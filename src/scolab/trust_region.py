@@ -3,8 +3,8 @@
 :func:`_max_quadratic_on_ball` gives the suprema behind the bound
 constants and :func:`_min_quadratic_on_ball` the minimizer certificates.
 Both reduce to :func:`_secular_point` in an eigenbasis, whose boundary
-point is defined by bisecting the secular equation and found in a few
-Newton steps with the same bits.
+point is defined by the exact float threshold of the secular equation's
+norm test and found in a few Newton steps and a search on the float bits.
 """
 
 from __future__ import annotations
@@ -16,42 +16,20 @@ from .core import project_ball
 __all__: list[str] = []
 
 
-# The secular point is defined by bisection: at most _HALVINGS halvings.
-_HALVINGS = 100
 # Newton steps before the exact search, and that search's half-width in ulps.
 _NEWTON_STEPS = 6
 _WINDOW = 8
 
 
 def _outside(w: np.ndarray, live: np.ndarray, mu: np.ndarray, radius: float) -> np.ndarray:
-    """The bisection's test ``||x(mu)|| > radius`` at the K positive
-    columns of ``mu`` (rows, K), for ``w`` (rows, p).  ``live`` is the
-    shift, or 1 where ``w`` is 0: every denominator is then positive, and
-    each square equals the bisection's, which has no ``where`` to mask."""
+    """The norm test ``||x(mu)|| > radius`` at the K positive columns of
+    ``mu`` (rows, K), for ``w`` (rows, p).  ``live`` is the shift, or 1
+    where ``w`` is 0: every denominator is then positive, and each square
+    equals that of ``w_i / (mu + shift_i)``, so no ``where`` has to mask."""
     x = mu[:, :, None] + live[:, None, :]
     np.divide(w[:, None, :], x, out=x)
     np.multiply(x, x, out=x)
     return np.sqrt(np.add.reduce(x, axis=-1)) > radius
-
-
-def _replay_halving(h: float, t: float, w: np.ndarray, shift: np.ndarray, radius: float) -> float:
-    """Upper end of the bisection of (0, h] for one row, in the batched
-    loop's float arithmetic, with ``mid < t`` as its test at ``mid > 0``.
-    At ``mid = 0``, where a zero denominator gives a zero entry, it runs
-    the test itself."""
-    lo, hi = 0.0, h
-    for _ in range(_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        if mid > 0:
-            outside = mid < t
-        else:
-            x = np.divide(w, shift, out=np.zeros_like(w), where=shift > 0)
-            outside = np.linalg.norm(x, axis=-1) > radius
-        bracket = (mid, hi) if outside else (lo, mid)
-        if bracket == (lo, hi):
-            break
-        lo, hi = bracket
-    return hi
 
 
 def _secular_point(w: np.ndarray, shift: np.ndarray, radius: float) -> np.ndarray:
@@ -60,25 +38,19 @@ def _secular_point(w: np.ndarray, shift: np.ndarray, radius: float) -> np.ndarra
     The trust-region secular equation in an eigenbasis (Moré & Sorensen
     1983; Conn, Gould & Toint 2000, ch. 7), with ``shift_i >= 0`` wherever
     ``w_i != 0``.  ``||x||`` falls in ``mu`` and is at most ``radius`` at
-    ``H = ||w|| / radius``.  The result is defined by bisection: halve
-    ``(0, H]`` on the float test ``||x(mu)|| > radius`` until the bracket
-    stops moving, at most 100 times, and take the point at its upper end,
-    which never leaves the ball.  Nonpositive denominators give zeros.
-
-    Every operation of that test is correctly rounded and monotone in
-    ``mu``, so it flips once, at the least float ``t`` in ``(0, H]`` where
-    it is false, and each halving keeps ``t`` in the bracket; one that
-    converges ends at ``hi = t``.  So ``t`` is found directly, and the
-    result equals the bisection's bit for bit:
+    ``H = ||w|| / radius``.  Every operation of the float test
+    ``||x(mu)|| > radius`` is correctly rounded and monotone in ``mu``, so
+    the test is true up to some float and false from the next on.  The
+    result is the point at the least float ``t`` in ``(0, H]`` where the
+    test is false, which never leaves the ball, or at ``H`` where the test
+    is true on the whole interval.  Nonpositive denominators give zeros.
+    Two stages find ``t``:
 
     - safeguarded Newton steps on ``1/||x(mu)|| - 1/radius`` climb to the
       root from the lower bound ``max_i |w_i| / radius - shift_i``;
     - one stacked test of the floats within ``_WINDOW`` ulps of the last
       iterate, and of ``H``, brackets ``t`` between neighbouring floats; a
-      17-way search on the float bits finishes any row it misses;
-    - a row whose bisection cannot converge in 100 halvings
-      (``t < H 2^-40``, near the hard case, or ``H`` near underflow)
-      replays the bisection with ``mid < t`` as its test.
+      17-way search on the float bits finishes any row it misses.
     """
     batch, p = w.shape[:-1], w.shape[-1]
     rows = w.reshape(-1, p)
@@ -123,13 +95,7 @@ def _secular_point(w: np.ndarray, shift: np.ndarray, radius: float) -> np.ndarra
             step = np.maximum((hi[todo] - lo[todo]) // 17, 1)
             cands = lo[todo, None] + step[:, None] * np.arange(1, 17)
             cands = np.minimum(cands, hi[todo, None] - 1)
-    t = hi.view(np.float64)
-    # From H the halving passes below t within 41 steps when t >= H 2^-40,
-    # then closes on it within 54 (in normal floats), so only these rows
-    # may stop short of t.
-    for i in np.flatnonzero(((t < h * 2.0**-40) | (h < 2.0**-980)) & (h > 0)):
-        t[i] = _replay_halving(float(h[i]), float(t[i]), rows[i], shifts[i], radius)
-    denom = t.reshape(batch)[..., None] + shift
+    denom = hi.view(np.float64).reshape(batch)[..., None] + shift  # t + shift
     return np.divide(w, denom, out=np.zeros_like(w), where=denom > 0)
 
 

@@ -146,6 +146,23 @@ class TestUsageErrors:
         assert out == ""
         assert err == "bound value must be finite and nonnegative\n"
 
+    @pytest.mark.parametrize("radius", ["1e160", "1.3e154"])
+    def test_radius_beyond_the_constants_range_is_usage_error(self, capsys, tmp_path, radius):
+        # At 1e160 radius**2 leaves the float range; at 1.3e154 it does not,
+        # but the suprema behind the constants do.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = dispatch(
+                capsys, "tracking", "--T", "10", "--replicates", "2", "--radius", radius,
+                "--out", str(tmp_path / "t.csv"),
+            )
+        assert [str(w.message) for w in caught] == []
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"domain radius {float(radius)!r} is too large: the bound constants overflow\n"
+        )
+
     @pytest.mark.parametrize("extra", [
         ("--eta", "1e300"),
         ("--beta", "1e-200"),
@@ -283,6 +300,25 @@ class TestOptimize:
         assert [str(w.message) for w in caught] == []
         assert result[0] == code
         assert result[2] == expected_err
+
+    def test_iterates_on_a_huge_sphere_have_finite_norms(self, capsys, tmp_path):
+        # The iterates reach ||x|| = 1e170, whose square overflows; their
+        # risk is a true overflow (inf), but their norm is not.
+        out_path = tmp_path / "t.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = dispatch(
+                capsys, "optimize", "--T", "3", "--eta", "1e60", "--radius", "1e170",
+                "--out", str(out_path),
+            )
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert "RuntimeWarning" not in err
+        header, rows = read_csv(out_path)
+        norms = [row[header.index("x_norm")] for row in rows]
+        assert len(norms) == 3
+        assert all(np.isfinite(norms))
+        assert norms[-1] <= 1e170
 
     def test_unwritable_path_is_io_error(self, capsys, tmp_path):
         code, _, err = dispatch(

@@ -264,6 +264,13 @@ class TestComputeConstants:
         with pytest.raises(ValueError, match="^invalid domain$"):
             compute_constants(default_dataset(4, 4), radius)
 
+    @pytest.mark.parametrize("radius", [1e160, 1.3e154])
+    def test_radius_beyond_the_constants_range(self, radius):
+        # radius**2 overflows at 1e160; the suprema do at 1.3e154.
+        message = f"domain radius {radius!r} is too large: the bound constants overflow"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_constants(default_dataset(4, 4), radius)
+
     def test_degenerate_inner_family(self):
         law = dataclasses.replace(benchmark_law("convex"), tau_a=0.0, tau_b=0.0)
         data = sample_dataset(law, 10, 10, RNG.split("deg"))

@@ -1,12 +1,15 @@
-"""The secular solve equals the bisection reference byte for byte.
+"""The secular solve equals the threshold reference byte for byte.
 
-``trust_region._secular_point`` finds the bisection's float threshold with
-Newton steps and a search on the float bits, and replays the bisection
-for rows it cannot converge on.  These tests hold it to the plain loop in
-``secular_reference.py`` on every solve the bound constants and the
+``trust_region._secular_point`` returns the point at the exact float
+threshold of its norm test ``||x(mu)|| > radius``: the least float ``t`` in
+``(0, H]`` where the test is false, or ``H`` where it is true on the whole
+interval.  It finds ``t`` with Newton steps and a search on the float
+bits.  These tests hold it to the plain bisection over float bit patterns
+in ``secular_reference.py`` on every solve the bound constants and the
 minimizer certificates make over a grid of datasets, and on synthetic
-batches that reach each path.  They pin no output, so they must hold on
-every BLAS core (the eigendecompositions feeding them differ by core).
+batches that reach each path; on the grid it must also equal the plain
+halving of ``(0, H]``.  They pin no output, so they must hold on every
+BLAS core (the eigendecompositions feeding them differ by core).
 """
 
 import warnings
@@ -19,39 +22,37 @@ from hypothesis import strategies as st
 from scolab import problems, trust_region
 from scolab.core import Rng
 from scolab.oracle import erm_minimizer, population_minimizer
-from secular_reference import halving_secular_point
+from secular_reference import halving_secular_point, threshold_secular_point
 
 SIZES = (1, 2, 3, 5, 8, 13, 21, 34, 55, 80)
 RNG = Rng(8817)
 
 
-def assert_matches_halving(w, shift, radius):
-    """The solve equals the reference byte for byte and warns of nothing."""
+def assert_matches(w, shift, radius, *references):
+    """The solve equals each reference byte for byte and warns of nothing;
+    returns the solve."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = trust_region._secular_point(w, shift, radius)
-    want = halving_secular_point(w, shift, radius)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    for reference in (threshold_secular_point, *references):
+        want = reference(w, shift, radius)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), reference.__name__
+    return got
 
 
 class Spy:
-    """Counts the stacked tests and replays of each solve."""
+    """Counts the stacked tests of each solve."""
 
     def __init__(self, monkeypatch):
-        self.tests = self.replays = 0
-        outside, replay = trust_region._outside, trust_region._replay_halving
+        self.tests = 0
+        outside = trust_region._outside
 
         def counted_outside(*args):
             self.tests += 1
             return outside(*args)
 
-        def counted_replay(*args):
-            self.replays += 1
-            return replay(*args)
-
         monkeypatch.setattr(trust_region, "_outside", counted_outside)
-        monkeypatch.setattr(trust_region, "_replay_halving", counted_replay)
 
 
 @pytest.mark.parametrize("radius", [0.1, 0.3, 1.0, 10.0, 100.0])
@@ -75,7 +76,7 @@ def test_every_solve_of_the_constants_and_certificates(monkeypatch, kind, radius
     monkeypatch.undo()
     assert len(calls) >= len(SIZES) ** 2
     for w, shift, r in calls:
-        assert_matches_halving(w, shift, r)
+        assert_matches(w, shift, r, halving_secular_point)
 
 
 def near_hard_rows(exponents, radius=1.5):
@@ -93,28 +94,30 @@ class TestSyntheticBatches:
     def test_zero_rows(self):
         w = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-170, -1e-170, 0.0], [0.3, -0.2, 0.1]])
         shift = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 0.0], [0.0, 1.0, 1.0], [0.0, 0.1, 0.2]])
-        assert_matches_halving(w, shift, 0.5)
+        assert_matches(w, shift, 0.5)
         # A zero entry may carry a negative shift (a rank-deficient gram's
         # noise eigenvalue); here its denominator vanishes at the threshold.
-        assert_matches_halving(np.array([0.0, 1.0]), np.array([-1.0, 0.5]), 1 / 1.5)
+        assert_matches(np.array([0.0, 1.0]), np.array([-1.0, 0.5]), 1 / 1.5)
 
-    def test_exact_hard_case(self, monkeypatch):
+    def test_exact_hard_case(self):
         # No weight on the top direction: inside the ball at mu -> 0 (the
-        # threshold is the least float, a replay) or outside it (a root).
+        # threshold is the least float) or outside it (a root).
         w = np.array([[0.0, 0.2, 0.1], [0.0, 3.0, -2.0], [-0.0, 0.2, 0.1]])
         shift = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
-        spy = Spy(monkeypatch)
-        assert_matches_halving(w, shift, 1.0)
-        assert spy.replays == 2
+        got = assert_matches(w, shift, 1.0)
+        least = np.nextafter(0.0, 1.0)
+        for i in (0, 2):
+            assert got[i].tobytes() == (w[i] / (least + shift[i])).tobytes()
 
-    def test_near_hard_case_on_both_sides_of_the_replay_cut(self, monkeypatch):
-        # Thresholds from H 2^-30 to H 2^-200; below H 2^-40 the rows replay.
-        # Here the bisection closes on t within 100 halvings down to about
-        # H 2^-49 and stops short of it below.
+    def test_near_hard_case_lands_on_the_sphere(self):
+        # Thresholds from H 2^-30 to H 2^-200.  A 100-step halving of
+        # (0, H] closes on t down to about H 2^-49 and stops short of it
+        # below, inside the ball; the threshold point is on the sphere.
         exponents = [30, 38, 39, 40, 41, 42, 45, 48, 49, 50, 51, 55, 60, 90, 99, 100, 101, 110, 200]
-        spy = Spy(monkeypatch)
-        assert_matches_halving(*near_hard_rows(exponents))
-        assert 0 < spy.replays < len(exponents)
+        w, shift, radius = near_hard_rows(exponents)
+        norms = np.linalg.norm(assert_matches(w, shift, radius), axis=-1)
+        assert np.all(norms <= radius)
+        assert np.all(norms / radius - 1.0 >= -1e-15)
 
     def test_rows_whose_test_holds_at_h(self):
         # All shifts 0: x(H) = w r / ||w||, whose norm rounds above r on
@@ -125,7 +128,7 @@ class TestSyntheticBatches:
         radius = 0.7
         x = w / (np.linalg.norm(w, axis=-1) / radius)[:, None]
         assert np.any(np.linalg.norm(x, axis=-1) > radius)
-        assert_matches_halving(w, shift, radius)
+        assert_matches(w, shift, radius)
 
     def test_one_dimensional_input(self):
         gen = RNG.split("1d").generator()
@@ -133,13 +136,13 @@ class TestSyntheticBatches:
             for _ in range(20):
                 w = gen.normal(size=p)
                 shift = np.sort(gen.uniform(0.0, 2.0, size=p))
-                assert_matches_halving(w, shift, float(gen.uniform(0.05, 3.0)))
+                assert_matches(w, shift, float(gen.uniform(0.05, 3.0)))
 
     def test_p_equal_one(self):
         gen = RNG.split("p1").generator()
         w = gen.normal(size=(200, 1))
-        assert_matches_halving(w, np.zeros((200, 1)), 0.3)
-        assert_matches_halving(w, gen.uniform(0.0, 1.0, size=(200, 1)), 0.3)
+        assert_matches(w, np.zeros((200, 1)), 0.3)
+        assert_matches(w, gen.uniform(0.0, 1.0, size=(200, 1)), 0.3)
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_extreme_scales(self, scale):
@@ -148,18 +151,17 @@ class TestSyntheticBatches:
         w = gen.normal(size=(60, 4))
         shift = gen.uniform(0.0, 2.0, size=(60, 4))
         shift[:, -1] = 0.0
-        assert_matches_halving(w * scale, shift * scale, 0.8)
-        assert_matches_halving(w, shift, 0.8 / scale)
+        assert_matches(w * scale, shift * scale, 0.8)
+        assert_matches(w, shift, 0.8 / scale)
 
-    def test_replay_that_halves_down_to_zero(self, monkeypatch):
-        # H = 1e-300 and the test is false on all of (0, H]: the bisection
-        # halves hi down to the least float and then tests mu = 0 itself,
-        # where the -0.0 entry's zero denominator gives +0.0.
+    def test_threshold_at_the_least_float(self):
+        # H = 1e-300 and the test is false on all of (0, H]: the threshold
+        # is the least subnormal, where the -0.0 entry stays -0.0 (a
+        # halving that tests mu = 0 itself gives +0.0 there).
         w = np.array([[-0.0, 1e-150, 0.0]])
         shift = np.array([[0.0, 1.0, 1.0]])
-        spy = Spy(monkeypatch)
-        assert_matches_halving(w, shift, 1e150)
-        assert spy.replays == 1
+        got = assert_matches(w, shift, 1e150)
+        assert np.signbit(got[0, 0])
 
     def test_window_miss_is_searched(self, monkeypatch):
         # A strongly convex boundary minimizer (n = 1, m = 3, R = 1) whose
@@ -170,7 +172,7 @@ class TestSyntheticBatches:
         shift = np.array([1.5953930155307736, 1.8255000969405704,
                           2.1950882965400984, 2.5912014613742334])
         spy = Spy(monkeypatch)
-        assert_matches_halving(w, shift, 1.0)
+        assert_matches(w, shift, 1.0)
         assert spy.tests > 1
 
 
@@ -193,7 +195,7 @@ class TestRandomPsdBatches:
         mat, vec, radius = batch
         eigvals, eigvecs = np.linalg.eigh(mat)
         w = np.einsum("...pq,...p->...q", eigvecs, vec)
-        assert_matches_halving(w, eigvals[..., -1:] - eigvals, radius)
+        assert_matches(w, eigvals[..., -1:] - eigvals, radius)
 
     @given(psd_batches())
     @settings(max_examples=150, deadline=None)
@@ -202,4 +204,4 @@ class TestRandomPsdBatches:
         eigvals, eigvecs = np.linalg.eigh(mat[0])
         kept = eigvals > max(float(eigvals[-1]), 1.0) * 1e-12
         w = np.where(kept, eigvecs.T @ (mat[0] @ vec[0]), 0.0)
-        assert_matches_halving(w, eigvals, radius)
+        assert_matches(w, eigvals, radius)

@@ -219,3 +219,11 @@ class TestGeneralizationInequality:
         )
         assert report.holds
         assert report.combined_se >= 0.0
+
+    @pytest.mark.parametrize("radius", [1e160, 1.3e154])
+    def test_radius_beyond_the_constants_range(self, radius):
+        with pytest.raises(ValueError, match="bound constants overflow"):
+            check_generalization_inequality(
+                benchmark_law("convex"), 4, 4, small_cfg(steps=20, domain_radius=radius), 2,
+                RNG.split("huge"),
+            )
