@@ -4,7 +4,9 @@ Everything in this module is a plain value.  Vectors and matrices are
 float64 numpy arrays, and :class:`Rng` is an immutable ``(seed, stream)``
 pair that opens fresh counter-based generators on demand, so identical
 identifiers always reproduce identical draws regardless of platform or
-of the order in which sibling streams are consumed.
+of the order in which sibling streams are consumed.  The stream
+contract: :meth:`Rng.generator` is Philox keyed by ``seed | stream <<
+64``, at counter 0, and opening it draws no OS entropy.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["Rng", "as_vector", "as_matrix", "project_ball"]
 
@@ -86,6 +89,29 @@ def project_ball(x, radius: float) -> np.ndarray:
 _U64 = 2**64
 
 
+class _PhiloxKey(ISeedSequence):
+    """The ``(seed, stream)`` key as a seed sequence, for Philox to read.
+
+    Philox reads its key as ``generate_state(2, np.uint64)``, which this
+    answers with the two words; ``Philox(key=...)`` would first draw OS
+    entropy for a ``SeedSequence`` that it then discards.  Any other request
+    raises, so a numpy change to how Philox seeds fails loudly instead of
+    moving the streams.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed: int, stream: int) -> None:
+        self.words = (seed, stream)
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(
+                f"the Philox key is two uint64 words, not {n_words} of {np.dtype(dtype)}"
+            )
+        return np.array(self.words, dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class Rng:
     """Deterministic splittable random stream identified by ``(seed, stream)``.
@@ -117,6 +143,8 @@ class Rng:
         )
 
     def generator(self) -> np.random.Generator:
-        """Open a fresh generator at the start of this stream."""
-        key = int(self.seed) | (int(self.stream) << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """Open a fresh generator at the start of this stream: Philox keyed
+        by ``seed | stream << 64``, at counter 0, the state of
+        ``Philox(key=seed | stream << 64)``, without drawing OS entropy."""
+        key = _PhiloxKey(int(self.seed), int(self.stream))
+        return np.random.Generator(np.random.Philox(key))

@@ -12,6 +12,7 @@ bit-identical across reruns.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,6 +139,18 @@ def tracking_study(
         domain_radius=domain_radius,
         record_tracking=True,
     )
+    # The ceiling's drift term opens with lip_f**2 * lip_g**3, whatever eta and
+    # beta, and lip_f grows with the radius: where that factor overflows, no
+    # step size gives a finite ceiling, so name the radius and the constant.
+    try:
+        drift_factor = params.lip_f**2 * params.lip_g**3
+    except OverflowError:
+        drift_factor = math.inf
+    if not math.isfinite(drift_factor):
+        raise ValueError(
+            f"domain radius {float(domain_radius)!r} is too large for the tracking ceiling: "
+            f"lip_f**2 * lip_g**3 overflows at lip_f = {params.lip_f:.6g}"
+        )
     # With a zero anchor the t = 1 ceiling fails only where its decay factor,
     # drift or noise term does, and the first row would then fail whatever
     # the measured anchor: reject that before any replicate runs.

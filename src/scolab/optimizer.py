@@ -81,6 +81,7 @@ OUTPUT_MODES = ("last", "uniform_average", "sigma_weighted", "uniform_random")
 
 MAX_STORED_ITERATES = 4096
 BLOCK_STEPS = 256
+_FLOAT_MAX = np.finfo(float).max
 
 
 class Variant(Enum):
@@ -224,15 +225,16 @@ def _run_with_indices(
     c_rows = list(dataset.outer_c)
     # Same-shape operands make each product the same IEEE multiply as a
     # Python-float one, without numpy's per-call scalar conversion.
-    coef = np.repeat([1.0 - cfg.beta, cfg.beta], d)
+    coef = np.array([1.0 - cfg.beta] * d + [cfg.beta] * d)
     eta = np.full(p, cfg.eta)
     radius = cfg.domain_radius
     # project_ball moves x only if ||x|| > R; as sqrt(fl(R * R)) == R unless
     # R * R underflows, this pre-test skips only points it would not move.
     # The clamp keeps that true when R * R overflows.
-    radius_sq = min(radius * radius, np.finfo(float).max)
+    radius_sq = min(radius * radius, _FLOAT_MAX)
     scsc = cfg.variant is Variant.SCSC and cfg.beta != 1.0
-    b_rows = list(np.tile(dataset.inner_b, 2) if scsc else dataset.inner_b)  # SCSC: [b_j, b_j]
+    b = dataset.inner_b
+    b_rows = list(np.concatenate((b, b), axis=1) if scsc else b)  # SCSC: [b_j, b_j]
     # Per-run step buffers, w = [s, g, g_prev].  y = coef[:d] * s + coef[d:] * g,
     # with s = y (SCGD) or (y + g) - g_prev (SCSC), is one multiply on
     # u = [s, g]; SCSC adds b_j to both inner values in one add on gg = [g, g_prev].

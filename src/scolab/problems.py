@@ -69,7 +69,7 @@ class Dataset:
             raise ValueError("inner_b shape does not match inner_a")
         if c.shape[1] != a.shape[1]:
             raise ValueError("outer_c dimension does not match the inner range")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("non-finite dataset entries")
         object.__setattr__(self, "inner_a", a)
         object.__setattr__(self, "inner_b", b)
@@ -219,7 +219,8 @@ def population_risk(law: PopulationLaw, x) -> float:
 class BoundParams:
     """Problem constants consumed by the reference bound formulas.
 
-    lip_f        Lipschitz constant of the outer losses on the reachable set
+    lip_f        Lipschitz constant of the outer losses on SCGD's reachable
+                 set; it need not bound SCSC's (see compute_constants)
     lip_g        Lipschitz constant of the inner maps (max operator norm)
     smooth_l     smoothness of the composed empirical objective
     sigma        strong-convexity modulus of the composed empirical objective
@@ -281,8 +282,12 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
     aff_b = np.concatenate([a_bar[None], diffs_a, np.broadcast_to(a_bar, (n, d, p))])
     aff_u = np.concatenate([b_bar[None], diffs_b, b_bar - dataset.outer_c])
     aff_gram = np.einsum("kdp,kdq->kpq", aff_b[: m + 1], aff_b[: m + 1])
-    try:  # radius**2 raises past the float range; a sup past it reads inf or NaN
-        with np.errstate(over="ignore", invalid="ignore"):
+    # The solve leaves the float range at both ends of the scale.  Past the
+    # top, radius**2 raises and a sup reads inf or NaN.  Near the bottom, the
+    # norm of a point on the sphere underflows to 0, and rescaling the point
+    # onto the sphere is then the solve's only division by zero.
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
             sups = _max_quadratic_on_ball(
                 np.concatenate([mom_mat[None], aff_gram]),
                 np.concatenate([mom_vec[None], np.einsum("kdp,kd->kp", aff_b, aff_u)]),
@@ -292,6 +297,9 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
             )
     except OverflowError:
         sups = np.array([np.inf])
+    except FloatingPointError:
+        raise ValueError(f"domain radius {float(domain_radius)!r} is too small: "
+                         "the bound constants underflow") from None
     if not np.all(np.isfinite(sups)):
         raise ValueError(f"domain radius {float(domain_radius)!r} is too large: "
                          "the bound constants overflow")
@@ -304,6 +312,11 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
 
     # lip_f: largest gradient norm of an outer loss over the reachable set
     # {g_bar(x) : ||x|| <= R} inflated by the tracker deviation sqrt(d_y).
+    # The convex-combination argument above holds for SCGD only: SCSC's
+    # tracker adds (1 - beta) A_j (x_t - x_{t-1}) each step and can leave
+    # that hull.  A greedy choice of indices drove max ||y_t - c_i|| to
+    # 10.5 lip_f at eta = 3, beta = 1e-3, R = 1, and to 0.094 lip_f at the
+    # tracking study's eta = 1e-3, beta = 0.1, R = 10 (ROADMAP item 17).
     lip_f = float(np.sqrt(np.max(sups[m + 2 :])) + np.sqrt(d_y))
 
     return BoundParams(

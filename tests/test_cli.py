@@ -146,10 +146,21 @@ class TestUsageErrors:
         assert out == ""
         assert err == "bound value must be finite and nonnegative\n"
 
-    @pytest.mark.parametrize("radius", ["1e160", "1.3e154"])
-    def test_radius_beyond_the_constants_range_is_usage_error(self, capsys, tmp_path, radius):
+    @pytest.mark.parametrize("radius, reason", [
+        pytest.param(radius, reason, id=radius) for radius, reason in [
+            ("1e160", "too large: the bound constants overflow"),
+            ("1.3e154", "too large: the bound constants overflow"),
+            ("1e-170", "too small: the bound constants underflow"),
+            ("1e-200", "too small: the bound constants underflow"),
+            ("5e-324", "too small: the bound constants underflow"),
+        ]
+    ])
+    def test_radius_beyond_the_constants_range_is_usage_error(
+        self, capsys, tmp_path, radius, reason
+    ):
         # At 1e160 radius**2 leaves the float range; at 1.3e154 it does not,
-        # but the suprema behind the constants do.
+        # but the suprema behind the constants do.  From about 1e-162 down,
+        # the norms of the points on the sphere underflow to 0.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = dispatch(
@@ -159,8 +170,23 @@ class TestUsageErrors:
         assert [str(w.message) for w in caught] == []
         assert code == 2
         assert out == ""
+        assert err == f"domain radius {float(radius)!r} is {reason}\n"
+
+    def test_radius_that_overflows_the_tracking_ceiling_is_named(self, capsys, monkeypatch, tmp_path):
+        # The constants are finite at 1e154, but lip_f**2 is not.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replicate ran before the ceiling was checked")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        code, out, err = dispatch(
+            capsys, "tracking", "--T", "10", "--replicates", "2", "--radius", "1e154",
+            "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 2
+        assert out == ""
         assert err == (
-            f"domain radius {float(radius)!r} is too large: the bound constants overflow\n"
+            "domain radius 1e+154 is too large for the tracking ceiling: "
+            "lip_f**2 * lip_g**3 overflows at lip_f = 2.38963e+154\n"
         )
 
     @pytest.mark.parametrize("extra", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scalar_reference import mat_vec
-from scolab.core import Rng, _norm, as_matrix, as_vector, project_ball
+from scolab.core import Rng, _norm, _PhiloxKey, as_matrix, as_vector, project_ball
 
 finite_vecs = hnp.arrays(
     dtype=np.float64,
@@ -217,3 +217,46 @@ class TestRng:
             Rng(-1)
         with pytest.raises(ValueError):
             Rng(2**64)
+
+    @pytest.mark.parametrize("rng", [
+        Rng(0, 0), Rng(2**64 - 1, 2**64 - 1), Rng(1, 2**63), Rng(1).split("trial-0"),
+        Rng(0).split("excess-risk-study").split("grid-0-rep-3"),
+    ], ids=["zero", "all-ones", "top-bit", "child", "grandchild"])
+    def test_generator_is_philox_keyed_by_seed_and_stream(self, rng):
+        ours = rng.generator()
+        ref = np.random.Generator(np.random.Philox(key=rng.seed | rng.stream << 64))
+        assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
+        assert ours.bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        for draw in (
+            lambda g: g.uniform(size=1000),
+            lambda g: g.integers(0, 2**40, size=1000),
+            lambda g: g.random(1000),
+        ):
+            got, want = draw(ours), draw(ref)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_generator_seeds_from_the_key_alone(self):
+        # No SeedSequence (and so no OS entropy) stands behind the stream.
+        assert isinstance(Rng(5, 6).generator().bit_generator._seed_seq, _PhiloxKey)
+
+    # (2,) is numpy's default request: two uint32 words.
+    @pytest.mark.parametrize("request_args", [
+        (1, np.uint64), (3, np.uint64), (4, np.uint32), (2, np.uint32), (2, np.int64), (2,),
+    ])
+    def test_key_refuses_any_other_request(self, request_args):
+        key = _PhiloxKey(1, 2**64 - 1)
+        words = key.generate_state(2, np.uint64)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [1, 2**64 - 1]
+        with pytest.raises(ValueError, match="^the Philox key is two uint64 words"):
+            key.generate_state(*request_args)
+
+
+def _same_state(a, b) -> bool:
+    """Equality of two bit-generator state dicts, array entries by dtype and value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b

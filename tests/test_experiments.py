@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 import textwrap
 
 import numpy as np
@@ -254,6 +255,17 @@ class TestStudyConfigValidation:
         monkeypatch.setattr(experiments, "run", no_run)
         with pytest.raises(ValueError, match="bound value must be finite and nonnegative"):
             tracking_study(variant=variant, eta=eta, beta=beta, replicates=4)
+
+    @pytest.mark.parametrize("radius", [5e153, 1e154])
+    def test_radius_that_overflows_the_ceiling_is_named(self, monkeypatch, radius):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replicate ran before the ceiling was checked")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        message = (f"domain radius {radius!r} is too large for the tracking ceiling: "
+                   "lip_f**2 * lip_g**3 overflows at lip_f = ")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            tracking_study(domain_radius=radius, replicates=4)
 
     def test_excess_requires_sizes(self):
         with pytest.raises(ValueError, match="size_grid"):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,11 +119,18 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Dataset(*(np.zeros(shape) for shape in shapes))
 
-    @pytest.mark.parametrize("field", ["inner_a", "inner_b", "outer_c"])
-    def test_non_finite_dataset_rejected(self, field):
+    @pytest.mark.parametrize("field, bad, at", [
+        pytest.param(field, bad, at, id=field + tag)
+        for tag, bad, at in [
+            ("", np.nan, 0), ("-nan-last", np.nan, -1),
+            ("-inf-last", np.inf, -1), ("-neg-inf-last", -np.inf, -1),
+        ]
+        for field in ("inner_a", "inner_b", "outer_c")
+    ])
+    def test_non_finite_dataset_rejected(self, field, bad, at):
         arrays = {"inner_a": np.zeros((2, 2, 3)), "inner_b": np.zeros((2, 2)),
                   "outer_c": np.zeros((1, 2))}
-        arrays[field].flat[0] = np.nan
+        arrays[field].flat[at] = bad
         with pytest.raises(ValueError, match="^non-finite dataset entries$"):
             Dataset(**arrays)
 
@@ -264,12 +272,26 @@ class TestComputeConstants:
         with pytest.raises(ValueError, match="^invalid domain$"):
             compute_constants(default_dataset(4, 4), radius)
 
-    @pytest.mark.parametrize("radius", [1e160, 1.3e154])
-    def test_radius_beyond_the_constants_range(self, radius):
-        # radius**2 overflows at 1e160; the suprema do at 1.3e154.
-        message = f"domain radius {radius!r} is too large: the bound constants overflow"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            compute_constants(default_dataset(4, 4), radius)
+    @pytest.mark.parametrize("radius, reason", [
+        pytest.param(radius, reason, id=repr(radius)) for radius, reason in [
+            (1e160, "too large: the bound constants overflow"),
+            (1.3e154, "too large: the bound constants overflow"),
+            (1e-170, "too small: the bound constants underflow"),
+            (1e-200, "too small: the bound constants underflow"),
+            (5e-324, "too small: the bound constants underflow"),
+        ]
+    ])
+    def test_radius_beyond_the_constants_range(self, radius, reason):
+        # radius**2 overflows at 1e160; the suprema do at 1.3e154.  Below
+        # about 1e-162 the norms of the points on the sphere underflow to 0.
+        message = f"domain radius {radius!r} is {reason}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                compute_constants(default_dataset(4, 4), radius)
+
+    def test_smallest_working_radius(self):
+        assert compute_constants(default_dataset(4, 4), 1e-160).lip_f > 0
 
     def test_degenerate_inner_family(self):
         law = dataclasses.replace(benchmark_law("convex"), tau_a=0.0, tau_b=0.0)
