@@ -10,8 +10,6 @@ measurement, and reproducible Monte Carlo studies.
 from .core import Rng, project_ball
 from .experiments import (
     ExcessRiskStudyResult,
-    OptimizationStudyResult,
-    TrackingStudyResult,
     excess_risk_study,
     fit_loglog_slope,
     optimization_study,

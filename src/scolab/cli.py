@@ -24,9 +24,9 @@ import numpy as np
 
 from .core import Rng, _norm, project_ball
 from .experiments import excess_risk_study, optimization_study, tracking_study
-from .optimizer import OptimizerConfig, Variant, run, schedule_preset
+from .optimizer import _FLOAT_MAX, OUTPUT_MODES, OptimizerConfig, Variant, run, schedule_preset
 from .oracle import erm_minimizer, fd_gradient_check, population_minimizer
-from .problems import benchmark_law, empirical_risk, sample_dataset
+from .problems import _BENCHMARKS, benchmark_law, empirical_risk, sample_dataset
 from .reporting import emit_csv, emit_svg, format_value
 from .stability import estimate_stability
 
@@ -247,12 +247,11 @@ def cmd_oracle(o) -> int:
 
 
 def cmd_tracking(o) -> int:
-    result = tracking_study(
+    rows = tracking_study(
         variant=Variant(o["variant"]), law=o["benchmark"], n=o["n"], m=o["m"], steps=o["T"],
         eta=o["eta"], beta=o["beta"], replicates=o["replicates"], seed=o["seed"],
         domain_radius=o["radius"], tracking_c=o["tracking-c"], log_points=o["log-points"],
     )
-    rows = result.rows
     _emit(o, ["t", "mean_sq_error", "se", "bound"], rows, "tracking gap vs ceiling",
           [r.t for r in rows],
           {"mean_sq_error": [r.mean_sq_error for r in rows], "bound": [r.bound for r in rows]})
@@ -291,12 +290,11 @@ def cmd_optimization(o) -> int:
         eta = o["eta"] if o["eta-exp"] is None else float(t) ** -o["eta-exp"]
         beta = o["beta"] if o["beta-exp"] is None else float(t) ** -o["beta-exp"]
         grid.append((t, eta, beta))
-    result = optimization_study(
+    rows = optimization_study(
         step_grid=tuple(grid), variant=Variant(o["variant"]), law=o["benchmark"], n=o["n"],
         m=o["m"], replicates=o["replicates"], seed=o["seed"], domain_radius=o["radius"],
         output_mode=o["output-mode"],
     )
-    rows = result.rows
     _emit(o, ["T", "eta", "beta", "gap_mean", "gap_se"], rows, "empirical suboptimality",
           [r.steps for r in rows], {"gap_mean": [r.gap_mean for r in rows]})
     print(f"wrote {o['out']}", file=sys.stderr)
@@ -323,8 +321,8 @@ def cmd_excess_risk(o) -> int:
 # to names first.
 _COUNT = _number(int, 1)
 _POSITIVE = _number(float, 0.0, strict=True)
-_LAWS = ("convex", "strongly_convex")
-_MODES = ("last", "uniform_average", "sigma_weighted")
+_LAWS = tuple(_BENCHMARKS)  # each benchmark law is named for its convexity regime
+_STUDY_MODES = tuple(mode for mode in OUTPUT_MODES if mode != "uniform_random")
 _SEED = Flag(_number(int, 0), 0, "base random seed")
 _RADIUS = Flag(_POSITIVE, 10.0, "domain ball radius")
 _SEEDED = {"seed": _SEED, "radius": _RADIUS}
@@ -333,7 +331,7 @@ _DATA = {
     "n": Flag(_COUNT, 40, "number of outer samples"),
     "m": Flag(_COUNT, 40, "number of inner samples"),
 }
-_VARIANT = Flag(_choice("scgd", "scsc"), "scgd", "optimizer variant")
+_VARIANT = Flag(_choice(*(v.value for v in Variant)), "scgd", "optimizer variant")
 _STEPS = {
     "eta": Flag(_number(float, 0.0), 1e-3, "step size"),
     "beta": Flag(_number(float, 0.0, strict=True, maximum=1.0), 0.1, "tracking weight in (0, 1]"),
@@ -351,6 +349,8 @@ def _csv(path):
 COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
     "gradcheck": ("finite-difference gradient check", cmd_gradcheck, {
         **_SEEDED,
+        # Points are drawn from uniform(-radius, radius), whose width must be finite.
+        "radius": _RADIUS._replace(parse=_number(float, 0.0, strict=True, maximum=_FLOAT_MAX / 2)),
         **_DATA,
         "points": Flag(_COUNT, 20, "number of test points"),
         "h": Flag(_POSITIVE, 1e-5, "central difference step"),
@@ -370,7 +370,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         **_DATA,
         "T": Flag(_COUNT, 1000, "number of steps"),
         **_STEPS,
-        "output-mode": Flag(_choice(*_MODES, "uniform_random"), "last", "which iterate to report"),
+        "output-mode": Flag(_choice(*OUTPUT_MODES), "last", "which iterate to report"),
         "sigma": Flag(_POSITIVE, None, "weight curvature for sigma_weighted"),
     }),
     "tracking": ("tracking-gap study against its ceiling", cmd_tracking, {
@@ -406,7 +406,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         **_STEPS,
         "eta-exp": Flag(_POSITIVE, None, "use eta = T^-a instead of --eta"),
         "beta-exp": Flag(_POSITIVE, None, "use beta = T^-b instead of --beta"),
-        "output-mode": Flag(_choice(*_MODES), "uniform_average", "which iterate to report"),
+        "output-mode": Flag(_choice(*_STUDY_MODES), "uniform_average", "which iterate to report"),
         "replicates": Flag(_number(int, 2), 50, "Monte Carlo replicates"),
     }),
     "excess-risk": ("population excess-risk study at the presets", cmd_excess_risk, {
@@ -421,7 +421,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "replicates": Flag(_number(int, 2), 200, "Monte Carlo replicates"),
         "t-max": _T_MAX,
         "output-mode": Flag(
-            _choice(*_MODES),
+            _choice(*_STUDY_MODES),
             lambda v: ("sigma_weighted" if v["convexity"] == "strongly_convex"
                        else "uniform_average"),
             "which iterate to report (default: sigma_weighted when strongly convex)",

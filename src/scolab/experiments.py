@@ -6,7 +6,8 @@ study's ``law`` is a :class:`PopulationLaw` or the name of a
 :func:`benchmark_law`.  Replicates run one after another through
 ``stability._replicates``, on child random streams keyed by (grid index,
 replicate index), and aggregate in replicate order, so results are
-bit-identical across reruns.
+bit-identical across reruns.  A study returns its rows, and has a result
+type only when it also returns a study-level value (the fitted slope).
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "TrackingRow",
     "OptimizationRow",
     "ExcessRow",
-    "TrackingStudyResult",
-    "OptimizationStudyResult",
     "ExcessRiskStudyResult",
     "tracking_study",
     "optimization_study",
@@ -77,16 +76,6 @@ class ExcessRow(NamedTuple):
 
 
 @dataclass(frozen=True)
-class TrackingStudyResult:
-    rows: list[TrackingRow]
-
-
-@dataclass(frozen=True)
-class OptimizationStudyResult:
-    rows: list[OptimizationRow]
-
-
-@dataclass(frozen=True)
 class ExcessRiskStudyResult:
     rows: list[ExcessRow]
     fitted_slope: float
@@ -112,7 +101,7 @@ def tracking_study(
     domain_radius: float = 10.0,
     tracking_c: float = 2.0,
     log_points: int = 40,
-) -> TrackingStudyResult:
+) -> list[TrackingRow]:
     """Mean squared tracking gap over replicates against its ceiling.
 
     One dataset is fixed per study; the bound uses the dataset's exact
@@ -167,7 +156,7 @@ def tracking_study(
     mean, se = _mean_se(_replicates(one, root, "rep-", replicates))
 
     bound_params = dataclasses.replace(params, d_y=mean[0])
-    rows = [
+    return [
         TrackingRow(
             t=int(t),
             mean_sq_error=mean[k],
@@ -176,7 +165,6 @@ def tracking_study(
         )
         for k, t in enumerate(ts, start=1)
     ]
-    return TrackingStudyResult(rows)
 
 
 def optimization_study(
@@ -190,7 +178,7 @@ def optimization_study(
     seed: int = 0,
     domain_radius: float = 10.0,
     output_mode: str = "uniform_average",
-) -> OptimizationStudyResult:
+) -> list[OptimizationRow]:
     """Mean empirical suboptimality of the selected output per grid point.
 
     ``step_grid`` holds (T, eta, beta) triples.  The dataset is fixed
@@ -222,7 +210,7 @@ def optimization_study(
 
         gaps = _replicates(one, root, f"grid-{gi}-rep-", replicates)
         rows.append(OptimizationRow(steps, eta, beta, *_mean_se(gaps)))
-    return OptimizationStudyResult(rows)
+    return rows
 
 
 def fit_loglog_slope(xs, ys) -> float:

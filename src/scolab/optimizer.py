@@ -67,7 +67,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Rng, _norm, as_vector, project_ball
-from .problems import Dataset
+from .problems import _BENCHMARKS, Dataset
 
 __all__ = [
     "Variant",
@@ -401,7 +401,7 @@ def schedule_preset(
     T = ceil(max(n, m) ** exponent) with eta = T^-a and beta = T^-b; the
     optional ``t_max`` caps T (the step sizes then follow the capped T).
     """
-    if convexity not in ("convex", "strongly_convex"):
+    if convexity not in _BENCHMARKS:  # each benchmark law is named for its regime
         raise ValueError(f"unknown convexity {convexity!r}")
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")

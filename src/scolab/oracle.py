@@ -82,7 +82,14 @@ def _certify(gram, rhs, risk, radius, method) -> MinimizerCertificate:
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("invalid domain")
     if method == "auto":
-        x, tag = _min_quadratic_on_ball(gram, rhs, radius)
+        # The solve works in units of the radius, which overflow below about
+        # 1e-308: name the radius instead of warning and certifying a point.
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                x, tag = _min_quadratic_on_ball(gram, rhs, radius)
+        except FloatingPointError:
+            raise ValueError(f"domain radius {float(radius)!r} is too small: "
+                             "the minimizer solve overflows") from None
     elif method == "projected_gradient":
         x, tag = _projected_gradient(gram, rhs, radius), "projected_gradient_high_precision"
     else:

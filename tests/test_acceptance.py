@@ -135,12 +135,12 @@ def test_criterion_4_tracking_bound():
     started = time.perf_counter()
     fractions = {}
     for variant in (Variant.SCGD, Variant.SCSC):
-        result = tracking_study(
+        rows = tracking_study(
             variant=variant, law="convex", n=40, m=40,
             steps=5000, eta=1e-3, beta=0.1, replicates=50, tracking_c=2.0,
             seed=42, log_points=60,
         )
-        rows = [row for row in result.rows if row.t >= 10]
+        rows = [row for row in rows if row.t >= 10]
         fractions[variant.value] = float(
             np.mean([row.mean_sq_error <= row.bound for row in rows])
         )
@@ -165,13 +165,13 @@ def test_criterion_5_optimization_error_direction():
     # shrinks, and respects both step caps of the strongly convex regime.
     grid = tuple((steps, float(steps) ** (-2.0 / 3.0), float(steps) ** (-2.0 / 3.0))
                  for steps in (2**8, 2**10, 2**12))
-    result = optimization_study(
+    rows = optimization_study(
         variant=Variant.SCSC, law="strongly_convex",
         n=50, m=50, step_grid=grid, replicates=100, seed=42,
         output_mode="sigma_weighted",
     )
-    gaps = [row.gap_mean for row in result.rows]
-    ses = [row.gap_se for row in result.rows]
+    gaps = [row.gap_mean for row in rows]
+    ses = [row.gap_se for row in rows]
     monotone = all(
         gaps[k + 1] <= gaps[k] + 2.0 * np.hypot(ses[k], ses[k + 1])
         for k in range(len(gaps) - 1)

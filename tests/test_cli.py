@@ -11,7 +11,7 @@ import pytest
 
 import scolab
 from scolab import experiments
-from scolab.cli import parse_and_dispatch
+from scolab.cli import COMMANDS, parse_and_dispatch
 from scolab.core import Rng
 from scolab.reporting import emit_csv, emit_svg, read_csv
 
@@ -229,9 +229,119 @@ class TestUsageErrors:
         assert err == "sigma_weighted output needs sigma > 0\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("radius", ["9e307", "1.7e308"])
+    def test_gradcheck_radius_whose_draw_width_overflows_is_usage_error(self, capsys, radius):
+        # Points come from uniform(-radius, radius), which needs 2 * radius finite.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = dispatch(capsys, "gradcheck", "--radius", radius)
+        assert [str(w.message) for w in caught] == []
+        assert (code, out, err) == (2, "", "radius must be <= 8.988465674311579e+307\n")
+
+    @pytest.mark.parametrize("radius", ["1e-310", "5e-324"])
+    @pytest.mark.parametrize("argv", [
+        ("oracle",),
+        ("optimization", "--T-grid", "4", "--replicates", "2", "--n", "5", "--m", "5"),
+        ("excess-risk", "--sizes", "4", "--replicates", "2", "--t-max", "4"),
+    ], ids=lambda argv: argv[0])
+    def test_radius_below_the_minimizer_range_is_usage_error(self, capsys, tmp_path, argv, radius):
+        if argv[0] != "oracle":
+            argv += ("--out", str(tmp_path / "x.csv"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = dispatch(capsys, *argv, "--radius", radius)
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert err == f"domain radius {float(radius)!r} is too small: the minimizer solve overflows\n"
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = dispatch(capsys, "--help")
         assert code == 0
+
+
+class TestFuzz:
+    """Edge values for every flag of every subcommand: each call exits 0, 1
+    or 2, and none raises or warns.  Counts and horizons that parse stay at
+    20 or below, since a huge valid count is a long run, not a defect."""
+
+    EDGES = ("0", "-1", "1e-310", "5e-324", "1e154", "1e308", "1.7e308", "nan", "inf",
+             str(2**64), "abc", "")
+    COUNTS = {"n", "m", "T", "replicates", "points", "log-points", "t-max", "threads"}
+    LISTS = {"sizes", "T-grid"}
+    CHOICES = {
+        "benchmark": ("convex", "strongly_convex"),
+        "convexity": ("convex", "strongly_convex"),
+        "variant": ("scgd", "scsc"),
+        "output-mode": ("last", "uniform_average", "sigma_weighted", "uniform_random"),
+    }
+    SMALL = ("1", "2", "3", "20")
+
+    def value(self, gen, command, name):
+        """An edge value for the flag, or a choice or small count that parses."""
+        if name in self.CHOICES:
+            return str(gen.choice(self.CHOICES[name] + ("wavy", "")))
+        is_list = name in self.LISTS or (command == "stability" and name in ("n", "m"))
+        if name in self.COUNTS or is_list:
+            edges = [edge for edge in self.EDGES if edge != str(2**64)]
+            if is_list:
+                edges += ["1,20", "3,abc", ","]
+            return str(gen.choice(list(self.SMALL) + edges))
+        return str(gen.choice(self.EDGES))
+
+    def call(self, capsys, argv):
+        """The problem with one call, or None."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = parse_and_dispatch(argv)
+            except Exception as exc:  # any escape is the finding
+                return f"raised {exc!r}"
+            finally:
+                capsys.readouterr()
+        if caught:
+            return f"warned {[str(w.message) for w in caught]}"
+        return None if code in (0, 1, 2) else f"exit {code}"
+
+    def base(self, command, flags, tmp_path):
+        """Small valid values for every count and horizon of the command."""
+        argv = [command]
+        for name in flags:
+            if name == "out":
+                argv += ["--out", str(tmp_path / "out.csv")]
+            elif name in self.COUNTS or name in self.LISTS:
+                argv += [f"--{name}", "4" if name == "sizes" else "2"]
+        return argv
+
+    def test_seeded_draws(self, capsys, tmp_path):
+        # Each flag is drawn with probability 0.3, so most calls parse and run.
+        gen = Rng(3).split("cli-fuzz").generator()
+        problems = []
+        for _ in range(1000):
+            command = str(gen.choice(sorted(COMMANDS)))
+            flags = COMMANDS[command][2]
+            argv = self.base(command, flags, tmp_path)
+            for name in flags:
+                if name == "out" or gen.random() >= 0.3:
+                    continue
+                if name in ("svg", "uncoupled"):
+                    argv.append(f"--{name}")
+                else:
+                    argv += [f"--{name}", self.value(gen, command, name)]
+            problem = self.call(capsys, argv)
+            if problem:
+                problems.append((argv, problem))
+        assert problems == []
+
+    @pytest.mark.parametrize("radius", EDGES)
+    def test_every_command_at_each_edge_radius(self, capsys, tmp_path, radius):
+        problems = []
+        for command, (_, _, flags) in COMMANDS.items():
+            if "radius" in flags:
+                argv = self.base(command, flags, tmp_path) + ["--radius", radius]
+                problem = self.call(capsys, argv)
+                if problem:
+                    problems.append((argv, problem))
+        assert problems == []
 
 
 class TestGradcheck:

@@ -45,20 +45,20 @@ class TestFitLoglogSlope:
 class TestTrackingStudy:
     def test_single_inner_sample_with_unit_weight_has_zero_gap(self):
         law = dataclasses.replace(benchmark_law("convex"), tau_a=0.0, tau_b=0.0)
-        result = tracking_study(
+        rows = tracking_study(
             variant=Variant.SCGD, law=law, n=5, m=1,
             steps=200, eta=1e-2, beta=1.0, replicates=3, seed=1,
         )
-        assert all(row.mean_sq_error == 0.0 for row in result.rows)
+        assert all(row.mean_sq_error == 0.0 for row in rows)
 
     def test_identity_inner_scsc_is_exact(self):
         law = PopulationLaw(a0=np.eye(4), b0=np.zeros(4), c0=np.ones(4), tau_c=0.5)
-        result = tracking_study(
+        rows = tracking_study(
             variant=Variant.SCSC, law=law, n=5, m=1,
             steps=500, eta=0.05, beta=0.5, replicates=3, seed=2,
         )
         # y0 = 0 = x0, so the corrected tracker reproduces the iterate exactly
-        assert all(row.mean_sq_error < 1e-20 for row in result.rows)
+        assert all(row.mean_sq_error < 1e-20 for row in rows)
 
     def test_rows_cover_log_grid_and_reproduce(self):
         settings = dict(
@@ -67,11 +67,11 @@ class TestTrackingStudy:
         )
         a = tracking_study(**settings)
         b = tracking_study(**settings)
-        assert a.rows == b.rows
-        ts = [row.t for row in a.rows]
+        assert a == b
+        ts = [row.t for row in a]
         assert ts == sorted(set(ts))
         assert ts[0] >= 1 and ts[-1] <= settings["steps"] - 1
-        assert all(row.bound > 0 for row in a.rows)
+        assert all(row.bound > 0 for row in a)
 
     def test_identical_replicates_have_no_standard_error(self):
         # eta = 0 and noiseless inner samples make every replicate the same
@@ -82,7 +82,7 @@ class TestTrackingStudy:
         rows = tracking_study(
             variant=Variant.SCGD, law=law, n=5, m=5,
             steps=40, eta=0.0, beta=0.3, replicates=50, seed=6, log_points=10,
-        ).rows
+        )
         assert all(row.mean_sq_error > 0 for row in rows)
         assert all(row.se <= 1e-14 * row.mean_sq_error for row in rows)
 
@@ -96,13 +96,13 @@ class TestTrackingStudy:
 
 class TestOptimizationStudy:
     def test_gap_never_meaningfully_negative(self):
-        result = optimization_study(
+        rows = optimization_study(
             variant=Variant.SCSC, law="strongly_convex",
             n=10, m=10, step_grid=((64, 0.05, 0.5), (256, 0.02, 0.3)),
             replicates=5, seed=5, output_mode="uniform_average",
         )
-        assert len(result.rows) == 2
-        for row in result.rows:
+        assert len(rows) == 2
+        for row in rows:
             assert row.gap_mean >= -1e-10
             assert row.gap_se >= 0.0
 
@@ -112,12 +112,12 @@ class TestOptimizationStudy:
         law = dataclasses.replace(
             benchmark_law("strongly_convex"), tau_a=0.0, tau_b=0.0, tau_c=0.0
         )
-        result = optimization_study(
+        rows = optimization_study(
             variant=Variant.SCSC, law=law, n=1, m=1,
             step_grid=((4096, 0.2, 0.5),), replicates=2, seed=6,
             output_mode="last",
         )
-        assert result.rows[0].gap_mean < 1e-4
+        assert rows[0].gap_mean < 1e-4
 
     def test_warm_start_at_the_minimizer_stays_on_the_noise_floor(self):
         from scolab.core import Rng

@@ -124,6 +124,27 @@ class TestErmMinimizer:
             assert cert.method == "trust_region"
             assert 1e-200 * (1 - 1e-12) <= _norm(cert.x_star) <= 1e-200
 
+    @pytest.mark.parametrize("radius", [1e-310, 5e-324])
+    def test_radius_below_the_exact_solve_range_is_named(self, radius):
+        # The exact solve works in units of the radius, which overflow here; a
+        # leaked RuntimeWarning would fail the test under the pytest settings.
+        law = benchmark_law("convex")
+        data = sample_dataset(law, 40, 40, RNG.split("tiny"))
+        message = f"domain radius {radius!r} is too small: the minimizer solve overflows"
+        for minimizer, source in ((erm_minimizer, data), (population_minimizer, law)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                minimizer(source, radius)
+            # The projected-gradient reference has no such range.
+            cert = minimizer(source, radius, method="projected_gradient")
+            assert _norm(cert.x_star) <= radius
+
+    def test_smallest_radius_of_the_exact_solve(self):
+        law = benchmark_law("convex")
+        data = sample_dataset(law, 40, 40, RNG.split("tiny"))
+        for cert in (erm_minimizer(data, 2e-308), population_minimizer(law, 2e-308)):
+            assert cert.method == "trust_region"
+            assert _norm(cert.x_star) <= 2e-308
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
     def test_bad_radius_rejected(self, radius):
         data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("radius"))

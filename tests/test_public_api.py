@@ -22,9 +22,8 @@ MODULE_ALL = {
     "cli": ["main", "parse_and_dispatch"],
     "core": ["Rng", "as_vector", "as_matrix", "project_ball"],
     "experiments": [
-        "TrackingRow", "OptimizationRow", "ExcessRow", "TrackingStudyResult",
-        "OptimizationStudyResult", "ExcessRiskStudyResult", "tracking_study",
-        "optimization_study", "excess_risk_study", "fit_loglog_slope",
+        "TrackingRow", "OptimizationRow", "ExcessRow", "ExcessRiskStudyResult",
+        "tracking_study", "optimization_study", "excess_risk_study", "fit_loglog_slope",
     ],
     "optimizer": ["Variant", "OptimizerConfig", "Trajectory", "run", "schedule_preset"],
     "oracle": [
@@ -47,8 +46,8 @@ MODULE_ALL = {
 PACKAGE_EXPORTS = {
     "core": {"Rng", "project_ball"},
     "experiments": {
-        "ExcessRiskStudyResult", "OptimizationStudyResult", "TrackingStudyResult",
-        "excess_risk_study", "fit_loglog_slope", "optimization_study", "tracking_study",
+        "ExcessRiskStudyResult", "excess_risk_study", "fit_loglog_slope",
+        "optimization_study", "tracking_study",
     },
     "optimizer": {"OptimizerConfig", "Trajectory", "Variant", "run", "schedule_preset"},
     "oracle": {
@@ -83,8 +82,6 @@ RESULT_FIELDS = {
     ],
     "problems.BoundParams": ["lip_f", "lip_g", "smooth_l", "sigma", "var_g", "d_y", "free_c"],
     "oracle.MinimizerCertificate": ["x_star", "value", "method", "kkt_residual"],
-    "experiments.TrackingStudyResult": ["rows"],
-    "experiments.OptimizationStudyResult": ["rows"],
     "experiments.ExcessRiskStudyResult": ["rows", "fitted_slope"],
     "experiments.TrackingRow": ["t", "mean_sq_error", "se", "bound"],
     "experiments.OptimizationRow": ["steps", "eta", "beta", "gap_mean", "gap_se"],
