@@ -214,11 +214,10 @@ def cmd_optimize(o) -> int:
         record_tracking=True,
     )
     traj = run(data, cfg, rng.split("run"))
-    with np.errstate(over="ignore"):  # a risk beyond the float range is inf
-        rows = [
-            (int(t), empirical_risk(data, x), float(traj.tracking_sq_errors[t - 1]), _norm(x))
-            for t, x in zip(traj.stored_steps, traj.iterates)
-        ]
+    rows = [
+        (int(t), empirical_risk(data, x), float(traj.tracking_sq_errors[t - 1]), _norm(x))
+        for t, x in zip(traj.stored_steps, traj.iterates)
+    ]
     _emit(o, ["t", "f_empirical", "tracking_sq_error", "x_norm"], rows, "empirical objective",
           [r[0] for r in rows], {"f_empirical": [r[1] for r in rows]}, log_axes=False)
     record = {

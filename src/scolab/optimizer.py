@@ -400,6 +400,7 @@ def schedule_preset(
 
     T = ceil(max(n, m) ** exponent) with eta = T^-a and beta = T^-b; the
     optional ``t_max`` caps T (the step sizes then follow the capped T).
+    Without a cap, a T beyond the float range raises ``ValueError``.
     """
     if convexity not in _BENCHMARKS:  # each benchmark law is named for its regime
         raise ValueError(f"unknown convexity {convexity!r}")
@@ -408,8 +409,16 @@ def schedule_preset(
     if t_max is not None and t_max < 1:
         raise ValueError("t_max must be >= 1")
     exponent, a, b = _PRESETS[(variant, convexity)]
-    # Guard against pow() landing an ulp above an exact integer.
-    steps = int(math.ceil(float(max(n, m)) ** exponent - 1e-9))
+    try:
+        # Guard against pow() landing an ulp above an exact integer.
+        steps = int(math.ceil(float(max(n, m)) ** exponent - 1e-9))
+    except OverflowError:  # float(), ** or int() past the float range
+        if t_max is None:
+            raise ValueError(
+                f"the preset horizon max(n, m) ** {exponent:.4g} is beyond the float range "
+                f"at n={n}, m={m}; cap it with t_max"
+            ) from None
+        steps = int(t_max)
     if t_max is not None:
         steps = min(steps, int(t_max))
     return steps, float(steps) ** -a, float(steps) ** -b

@@ -1,8 +1,8 @@
 """Independent reference computations for the affine-quadratic family.
 
-Exact ball-constrained minimizers (one trust-region solve, cross-checked
-against a projected-gradient reference), finite-difference gradient
-validation, and the closed-form reference ceiling on the tracking error.
+Exact ball-constrained minimizers (one trust-region solve),
+finite-difference gradient validation, and the closed-form reference
+ceiling on the tracking error.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "fd_gradient_check",
 ]
 
-KKT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class MinimizerCertificate:
@@ -41,11 +39,10 @@ class MinimizerCertificate:
 
     ``kkt_residual`` is the fixed-point residual ||x - P(x - grad F(x))||
     of the projected unit-step map, which vanishes exactly at a
-    constrained minimizer.  ``method`` is one of the three tags of the
-    exact solve, ``closed_form`` (interior, full rank),
-    ``closed_form_min_norm`` (interior, rank-deficient: the minimum-norm
-    minimizer) or ``trust_region`` (on the sphere), or else
-    ``projected_gradient_high_precision`` from the iterative reference.
+    constrained minimizer.  ``method`` is the tag of the exact solve:
+    ``closed_form`` (interior, full rank), ``closed_form_min_norm``
+    (interior, rank-deficient: the minimum-norm minimizer) or
+    ``trust_region`` (on the sphere).
     """
 
     x_star: np.ndarray
@@ -58,58 +55,36 @@ def _kkt_residual(x, grad, radius) -> float:
     return _norm(x - project_ball(x - grad, radius))
 
 
-def _projected_gradient(gram, rhs, radius, max_iters=1_000_000) -> np.ndarray:
-    """Iterative reference, independent of the exact solve: projected
-    gradient from the origin with step 1/L, run to a KKT residual of KKT_TOL."""
-    smooth = float(np.linalg.eigvalsh(gram)[-1])
-    step = 1.0 / smooth if smooth > 0 else 0.0  # zero gram: rhs = 0 and x = 0 is optimal
-    x = np.zeros(gram.shape[0])
-    for _ in range(max_iters):
-        g = gram @ x - rhs
-        if _kkt_residual(x, g, radius) <= KKT_TOL:
-            break
-        x = project_ball(x - step * g, radius)
-    residual = _kkt_residual(x, gram @ x - rhs, radius)
-    if residual > 1e-9:
-        raise RuntimeError(f"projected gradient stalled at residual {residual:.3e}")
-    return x
-
-
-def _certify(gram, rhs, risk, radius, method) -> MinimizerCertificate:
+def _certify(gram, rhs, risk, radius) -> MinimizerCertificate:
     """Certified argmin over the radius ball of ``risk``, the quadratic
     0.5 x'gram x - rhs'x + const.  The value is ``risk(x)``, a sum of
     squares, because the expanded form cancels and can read below zero."""
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("invalid domain")
-    if method == "auto":
-        # The solve works in units of the radius, which overflow below about
-        # 1e-308: name the radius instead of warning and certifying a point.
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                x, tag = _min_quadratic_on_ball(gram, rhs, radius)
-        except FloatingPointError:
-            raise ValueError(f"domain radius {float(radius)!r} is too small: "
-                             "the minimizer solve overflows") from None
-    elif method == "projected_gradient":
-        x, tag = _projected_gradient(gram, rhs, radius), "projected_gradient_high_precision"
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
+    # The solve works in units of the radius, which overflow below about
+    # 1e-308: name the radius instead of warning and certifying a point.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x, tag = _min_quadratic_on_ball(gram, rhs, radius)
+    except FloatingPointError:
+        raise ValueError(f"domain radius {float(radius)!r} is too small: "
+                         "the minimizer solve overflows") from None
     return MinimizerCertificate(x, risk(x), tag, _kkt_residual(x, gram @ x - rhs, radius))
 
 
-def erm_minimizer(dataset: Dataset, radius: float, method: str = "auto") -> MinimizerCertificate:
+def erm_minimizer(dataset: Dataset, radius: float) -> MinimizerCertificate:
     """Certified minimizer of the nested empirical objective over the ball."""
     a_bar = dataset.a_bar
     gram = a_bar.T @ a_bar
     rhs = a_bar.T @ (dataset.c_bar - dataset.b_bar)
-    return _certify(gram, rhs, partial(empirical_risk, dataset), radius, method)
+    return _certify(gram, rhs, partial(empirical_risk, dataset), radius)
 
 
-def population_minimizer(law: PopulationLaw, radius: float, method: str = "auto") -> MinimizerCertificate:
+def population_minimizer(law: PopulationLaw, radius: float) -> MinimizerCertificate:
     """Certified minimizer of the population objective over the ball."""
     gram = law.a0.T @ law.a0
     rhs = law.a0.T @ (law.c0 - law.b0)
-    return _certify(gram, rhs, partial(population_risk, law), radius, method)
+    return _certify(gram, rhs, partial(population_risk, law), radius)
 
 
 def tracking_bound(

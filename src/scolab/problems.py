@@ -195,8 +195,9 @@ def empirical_risk(dataset: Dataset, x) -> float:
     Expands to 0.5 * ||g_bar(x) - c_bar||^2 plus half the spread of the
     outer targets around their mean (an x-free constant).
     """
-    diff = empirical_inner(dataset, x) - dataset.c_bar
-    return 0.5 * float(diff @ diff) + 0.5 * dataset.outer_spread
+    with np.errstate(over="ignore"):  # a risk beyond the float range is inf
+        diff = empirical_inner(dataset, x) - dataset.c_bar
+        return 0.5 * float(diff @ diff) + 0.5 * dataset.outer_spread
 
 
 def empirical_risk_grad(dataset: Dataset, x) -> np.ndarray:
@@ -211,8 +212,9 @@ def population_risk(law: PopulationLaw, x) -> float:
     Equals 0.5 * ||a0 x + b0 - c0||^2 plus the irreducible constant
     0.5 * E||c - c0||^2 contributed by outer-target noise.
     """
-    diff = law.inner_mean(x) - law.c0
-    return 0.5 * float(diff @ diff) + 0.5 * law.outer_variance
+    with np.errstate(over="ignore"):  # a risk beyond the float range is inf
+        diff = law.inner_mean(x) - law.c0
+        return 0.5 * float(diff @ diff) + 0.5 * law.outer_variance
 
 
 @dataclass(frozen=True)

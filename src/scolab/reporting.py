@@ -71,6 +71,11 @@ def _axis_transform(values: np.ndarray, log: bool) -> np.ndarray:
     return values
 
 
+def _finite_range(values: np.ndarray) -> tuple[float, float]:
+    finite = values[np.isfinite(values)]
+    return (float(np.min(finite)), float(np.max(finite))) if finite.size else (0.0, 0.0)
+
+
 def emit_svg(
     path,
     title: str,
@@ -78,12 +83,17 @@ def emit_svg(
     series: dict[str, Sequence[float]],
     log: bool = False,
 ) -> None:
-    """Write a self-contained SVG line chart; ``log`` makes both axes logarithmic."""
+    """Write a self-contained SVG line chart; ``log`` makes both axes logarithmic.
+
+    Only finite points are drawn and set the axis ranges: a point with an
+    inf or NaN coordinate is left out of its polyline, and a chart with no
+    finite point draws empty axes.
+    """
     xs = _axis_transform(np.asarray(x_values, dtype=float), log)
-    all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    ys_all = _axis_transform(all_y, log)
-    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
-    y_lo, y_hi = float(np.min(ys_all)), float(np.max(ys_all))
+    ys_by_name = {name: _axis_transform(np.asarray(v, dtype=float), log)
+                  for name, v in series.items()}
+    x_lo, x_hi = _finite_range(xs)
+    y_lo, y_hi = _finite_range(np.concatenate(list(ys_by_name.values())))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -121,9 +131,10 @@ def emit_svg(
             f'<text x="{_MARGIN - 6}" y="{py(yv):.1f}" text-anchor="end" '
             f'font-family="monospace" font-size="11">{y_label:.4g}</text>'
         )
-    for idx, (name, values) in enumerate(series.items()):
-        ys = _axis_transform(np.asarray(values, dtype=float), log)
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    for idx, (name, ys) in enumerate(ys_by_name.items()):
+        points = " ".join(
+            f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys) if np.isfinite(x) and np.isfinite(y)
+        )
         color = _PALETTE[idx % len(_PALETTE)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rng
+from .core import Rng, _norm
 from .optimizer import OptimizerConfig, _draw_indices, _run_with_indices, run
 from .problems import (
     Dataset,
@@ -94,7 +94,9 @@ def coupled_run(
         out_nb = _run_with_indices(neighbor, cfg, *indices).final_output
     else:
         out_nb = run(neighbor, cfg, rng.split("uncoupled-indices")).final_output
-    return CoupledResult(float(np.linalg.norm(out - out_nb)))
+    with np.errstate(over="ignore"):  # a difference beyond the float range is inf
+        diff = out - out_nb
+    return CoupledResult(_norm(diff))
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,20 @@ class StabilityEstimate:
 def _mean_se(values: np.ndarray):
     """Mean over axis 0 of two or more rows and its standard error.
 
-    Floats for 1-D input, lists of floats for 2-D input.
+    Floats for 1-D input, lists of floats for 2-D input.  The squares in
+    the standard error overflow above about 1e154, so a column whose
+    peak exceeds 2^480 is reduced as its exact rescale ``v 2^-e``, ``e``
+    from ``frexp`` of the peak, and scaled back, as in ``core._norm``;
+    other columns keep numpy's bytes.  A column holding inf or NaN has a
+    NaN standard error.
     """
-    se = np.std(values, axis=0, ddof=1) / np.sqrt(values.shape[0])
-    return np.mean(values, axis=0).tolist(), se.tolist()
+    with np.errstate(invalid="ignore"):  # NaN compares, and inf - inf in a column holding inf
+        peak = np.abs(values).max(axis=0)
+        exp = np.where(peak > 2.0**480, np.frexp(peak)[1], 0)  # frexp(inf) is (inf, 0)
+        scaled = np.ldexp(values, -exp)
+        mean = np.ldexp(np.mean(scaled, axis=0), exp)
+        se = np.ldexp(np.std(scaled, axis=0, ddof=1), exp) / np.sqrt(values.shape[0])
+    return mean.tolist(), se.tolist()
 
 
 def _check_replicates(replicates: int) -> None:

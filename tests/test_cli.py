@@ -44,6 +44,35 @@ class TestSchedule:
         assert code == 2
         assert "convexity must be one of" in err
 
+    @pytest.mark.parametrize("digits", [89, 308])
+    def test_horizon_beyond_the_float_range(self, capsys, digits):
+        # T = n ** 3.5 overflows from n = 1e89: the cap gives the horizon,
+        # and without one the command names n and m.
+        n = "1" + "0" * digits
+        code, out, err = dispatch(capsys, "schedule", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == (f"the preset horizon max(n, m) ** 3.5 is beyond the float range "
+                       f"at n={n}, m=40; cap it with t_max\n")
+        code, out, err = dispatch(capsys, "schedule", "--n", n, "--t-max", "5")
+        assert (code, out, err) == (0, "T=5 eta=0.25169979012836535 beta=0.39864706312773768\n", "")
+
+    def test_largest_finite_horizon_keeps_its_bytes(self, capsys):
+        # n = 1e88 is the last power of ten whose horizon n ** 3.5 is finite.
+        code, out, _ = dispatch(capsys, "schedule", "--n", "1" + "0" * 88)
+        assert code == 0
+        assert out.endswith(" eta=1.0000000000000339e-264 beta=1.0000000000000226e-176\n")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "66a1fde50a8caf2e"
+
+    def test_excess_risk_size_beyond_the_float_horizon(self, capsys, tmp_path):
+        # The capped horizon is 5; numpy then refuses a dataset of 1e100
+        # samples, which is a one-line usage error, not a traceback.
+        code, out, err = dispatch(
+            capsys, "excess-risk", "--sizes", "1" + "0" * 100, "--t-max", "5",
+            "--replicates", "2", "--out", str(tmp_path / "x.csv"),
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+
 
 class TestModuleEntryPoint:
     """``python -m scolab.cli`` runs the same CLI as the ``scolab`` script."""
@@ -655,6 +684,34 @@ class TestStudyCommands:
         assert code == 0
         assert out_path.read_text().splitlines()[-1] == ",,,,,,,nan"
 
+    # Steps of 1e154 on a ball of radius 1.7e308 reach iterates near 1e307,
+    # whose risks and squared distances lie past the float range.
+    @pytest.mark.parametrize("argv, row", [
+        (("optimize", "--n", "2", "--m", "2", "--T", "2", "--eta", "1e154"),
+         "2,inf,inf,1.8616657600060966e+307"),
+        (("tracking", "--T", "2", "--eta", "1e154", "--replicates", "2", "--n", "2", "--m", "2"),
+         None),
+        (("stability", "--T", "2", "--eta", "1e154", "--replicates", "2", "--n", "2", "--m", "2"),
+         "scgd,convex,2,2,2,1e+154,0.10000000000000001,2,5.028661187426416e+306,"
+         "5.0286611874264153e+306,7.8185521888897153e+306,3.6515628540115033e+306"),
+        (("optimization", "--T-grid", "2", "--eta", "1e154", "--replicates", "2"),
+         "2,1e+154,0.10000000000000001,inf,nan"),
+        (("excess-risk", "--sizes", "2", "--t-max", "2", "--replicates", "2"), None),
+    ], ids=["optimize", "tracking", "stability", "optimization", "excess-risk"])
+    def test_steps_past_the_float_range_raise_no_warning(self, capsys, tmp_path, argv, row):
+        out_path = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = dispatch(capsys, *argv, "--radius", "1.7e308", "--svg",
+                                  "--out", str(out_path))
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2)
+        if row is not None:
+            assert code == 0
+            assert row in out_path.read_text().splitlines()
+            svg = (tmp_path / "x.svg").read_text()
+            assert "nan" not in svg and "inf" not in svg
+
     def test_reruns_are_byte_identical_across_threads(self, capsys, tmp_path):
         paths = []
         for tag, threads in (("a", "1"), ("b", "8")):
@@ -670,6 +727,30 @@ class TestStudyCommands:
 
 
 class TestSvg:
+    @pytest.mark.parametrize("log", [False, True])
+    def test_non_finite_points_are_left_out(self, tmp_path, log):
+        path, finite_path = tmp_path / "c.svg", tmp_path / "finite.svg"
+        emit_svg(path, "t", [1, 2, 4, 8],
+                 {"a": [1.0, np.inf, 4.0, np.nan], "b": [2.0, 2.0, np.nan, 8.0]}, log=log)
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        # The finite points alone set the ranges, so the axes are those of a
+        # chart of the extreme finite points; each polyline keeps its finite
+        # points only.
+        emit_svg(finite_path, "t", [1, 8], {"a": [1.0, 8.0]}, log=log)
+        axes = finite_path.read_text().split("<polyline")[0]
+        assert text.startswith(axes)
+        points = [line.split('points="')[1].split('"')[0].split()
+                  for line in text.splitlines() if line.startswith("<polyline")]
+        assert [len(p) for p in points] == [2, 3]
+
+    def test_chart_without_a_finite_point_draws_empty_axes(self, tmp_path):
+        path = tmp_path / "c.svg"
+        emit_svg(path, "t", [1, 2], {"a": [np.inf, np.nan]})
+        text = path.read_text()
+        assert "nan" not in text and "inf" not in text
+        assert 'points=""' in text
+
     def test_log_axes_reject_nonpositive(self, tmp_path):
         with pytest.raises(ValueError, match="log axis"):
             emit_svg(tmp_path / "x.svg", "t", [1, 2], {"s": [0.0, 1.0]}, log=True)

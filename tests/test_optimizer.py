@@ -698,6 +698,18 @@ class TestSchedulePreset:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             schedule_preset(Variant.SCGD, convexity, n, m)
 
+    @pytest.mark.parametrize("n", [10**89, 10**400], ids=["1e89", "1e400"])
+    def test_horizon_beyond_the_float_range(self, n):
+        # n ** 3.5 overflows (or float(n) does): the cap is the horizon, and
+        # without one the error names n and m.
+        message = (f"the preset horizon max(n, m) ** 3.5 is beyond the float range "
+                   f"at n={n}, m=1; cap it with t_max")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            schedule_preset(Variant.SCGD, "convex", n, 1)
+        capped = schedule_preset(Variant.SCGD, "convex", n, 1, t_max=5)
+        assert capped == schedule_preset(Variant.SCGD, "convex", 2, 2, t_max=5)
+        assert capped[0] == 5
+
     def test_scsc_needs_fewer_iterations_in_convex_regime(self):
         for size in range(2, 101):
             scgd = schedule_preset(Variant.SCGD, "convex", size, size)[0]

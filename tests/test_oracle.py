@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from scolab import oracle
+from certificate_reference import erm_reference, population_reference, projected_gradient
 from scolab.core import Rng, _norm, project_ball
 from scolab.optimizer import Variant
 from scolab.oracle import (
@@ -89,10 +89,9 @@ class TestErmMinimizer:
     def test_methods_agree_when_interior(self):
         data = sample_dataset(benchmark_law("strongly_convex"), 20, 20, RNG.split("agree"))
         closed = erm_minimizer(data, 10.0)
-        iterative = erm_minimizer(data, 10.0, method="projected_gradient")
+        iterative, _ = erm_reference(data, 10.0)
         assert closed.method == "closed_form"
-        assert iterative.method == "projected_gradient_high_precision"
-        assert np.linalg.norm(closed.x_star - iterative.x_star) < 1e-8
+        assert np.linalg.norm(closed.x_star - iterative) < 1e-8
 
     def test_min_norm_flag_on_rank_deficient_system(self):
         data = sample_dataset(benchmark_law("convex"), 10, 10, RNG.split("mn"))
@@ -110,12 +109,6 @@ class TestErmMinimizer:
         assert cert.value >= 0.0
         assert cert.value == empirical_risk(data, cert.x_star)
 
-    @pytest.mark.parametrize("method", ["closed_form", "newton"])
-    def test_unknown_method_rejected(self, method):
-        data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("um"))
-        with pytest.raises(ValueError, match="unknown solve method"):
-            erm_minimizer(data, 1.0, method=method)
-
     def test_minimizer_inside_a_tiny_ball(self):
         # At R = 1e-200 every square underflows; the certified point must
         # still lie in the ball by an exact (rescaled) norm, on its sphere.
@@ -131,12 +124,13 @@ class TestErmMinimizer:
         law = benchmark_law("convex")
         data = sample_dataset(law, 40, 40, RNG.split("tiny"))
         message = f"domain radius {radius!r} is too small: the minimizer solve overflows"
-        for minimizer, source in ((erm_minimizer, data), (population_minimizer, law)):
+        for minimizer, reference, source in ((erm_minimizer, erm_reference, data),
+                                             (population_minimizer, population_reference, law)):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 minimizer(source, radius)
             # The projected-gradient reference has no such range.
-            cert = minimizer(source, radius, method="projected_gradient")
-            assert _norm(cert.x_star) <= radius
+            x, _ = reference(source, radius)
+            assert _norm(x) <= radius
 
     def test_smallest_radius_of_the_exact_solve(self):
         law = benchmark_law("convex")
@@ -156,14 +150,15 @@ class TestErmMinimizer:
 
 def assert_boundary_certificate(auto, reference, radius):
     """The exact solve sits on the sphere, is stationary there, and is no
-    worse than the independent projected-gradient reference."""
+    worse than the independent projected-gradient reference, a pair
+    (point, risk)."""
+    ref_x, ref_value = reference
     assert auto.method == "trust_region"
-    assert reference.method == "projected_gradient_high_precision"
     assert abs(np.linalg.norm(auto.x_star) - radius) <= 1e-12
     assert np.linalg.norm(auto.x_star) <= radius
     assert auto.kkt_residual <= 1e-13
-    assert np.linalg.norm(auto.x_star - reference.x_star) <= 1e-8
-    assert auto.value <= reference.value + 1e-14
+    assert np.linalg.norm(auto.x_star - ref_x) <= 1e-8
+    assert auto.value <= ref_value + 1e-14
 
 
 class TestTrustRegionBoundary:
@@ -180,7 +175,7 @@ class TestTrustRegionBoundary:
         data = sample_dataset(benchmark_law(kind), size, size, RNG.split(f"tr-{kind}-{size}"))
         radius = fraction * np.linalg.norm(erm_minimizer(data, 1e6).x_star)
         auto = erm_minimizer(data, radius)
-        reference = erm_minimizer(data, radius, method="projected_gradient")
+        reference = erm_reference(data, radius)
         assert_boundary_certificate(auto, reference, radius)
         assert auto.value == pytest.approx(empirical_risk(data, auto.x_star), abs=1e-14)
 
@@ -188,7 +183,7 @@ class TestTrustRegionBoundary:
     def test_population_matches_projected_gradient(self, kind):
         law = benchmark_law(kind)
         auto = population_minimizer(law, 0.5)
-        reference = population_minimizer(law, 0.5, method="projected_gradient")
+        reference = population_reference(law, 0.5)
         assert_boundary_certificate(auto, reference, 0.5)
         assert auto.value == pytest.approx(population_risk(law, auto.x_star), abs=1e-14)
 
@@ -201,7 +196,7 @@ class TestProjectedGradient:
         rhs = data.a_bar.T @ (data.c_bar - data.b_bar)
         with pytest.raises(RuntimeError, match=r"^projected gradient stalled at residual "
                            r"\d\.\d{3}e[+-]\d\d$"):
-            oracle._projected_gradient(gram, rhs, 10.0, max_iters=1)
+            projected_gradient(gram, rhs, 10.0, max_iters=1)
 
 
 class TestPopulationMinimizer:

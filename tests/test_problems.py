@@ -236,6 +236,15 @@ class TestGradient:
         np.testing.assert_allclose(empirical_risk_grad(data, x), x - data.outer_c[0], atol=1e-15)
 
 
+def test_risks_past_the_float_range_are_inf():
+    # RuntimeWarnings are errors under the test settings.
+    law = benchmark_law("convex")
+    data = sample_dataset(law, 4, 4, RNG.split("huge-risk"))
+    x = np.full(data.p, 1e200)
+    assert empirical_risk(data, x) == np.inf
+    assert population_risk(law, x) == np.inf
+
+
 class TestPopulationRisk:
     def test_zero_at_population_minimizer_without_outer_noise(self):
         # The wide benchmark matrix has full row rank, so the target is

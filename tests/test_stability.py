@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from scalar_reference import drawn_indices
 from scolab.core import Rng
-from scolab.optimizer import OptimizerConfig, Variant
+from scolab.optimizer import OptimizerConfig, Variant, run
 from scolab.problems import (
     Dataset,
     PopulationLaw,
@@ -13,6 +14,7 @@ from scolab.problems import (
     sample_dataset,
 )
 from scolab.stability import (
+    _mean_se,
     check_generalization_inequality,
     coupled_run,
     estimate_stability,
@@ -124,6 +126,46 @@ class TestCoupledRun:
         uncoupled = coupled_run(data, data, small_cfg(), RNG.split("uncrun"), coupled=False)
         assert coupled.distance == 0.0
         assert uncoupled.distance > 0.0
+
+
+    def test_distance_past_the_square_range_is_exact(self):
+        # Steps of 1e154 put the outputs near 1e307, where the squares of a
+        # plain norm overflow; the distance is the exact norm of the difference.
+        data = sample_dataset(benchmark_law("convex"), 2, 2, RNG.split("huge"))
+        neighbor = make_neighbor(data, "nu", 0, donor(data, c=1.0))
+        cfg = small_cfg(steps=2, eta=1e154, beta=0.1, domain_radius=1.7e308)
+        result = coupled_run(data, neighbor, cfg, RNG.split("hugerun"))
+        out, out_nb = (run(d, cfg, RNG.split("hugerun").split("indices")).final_output
+                       for d in (data, neighbor))
+        assert 1e300 < result.distance < np.inf
+        assert result.distance == pytest.approx(math.hypot(*(out - out_nb)), rel=1e-15)
+
+
+class TestMeanSe:
+    def test_normal_range_keeps_numpy_bytes(self):
+        values = RNG.split("mse").generator().standard_normal((5, 3)) * [1.0, 1e-300, 1e140]
+        mean, se = _mean_se(values)
+        assert mean == np.mean(values, axis=0).tolist()
+        assert se == (np.std(values, axis=0, ddof=1) / np.sqrt(5)).tolist()
+
+    def test_columns_past_the_square_range_are_exact(self):
+        # np.std squares 1e307 to inf; the rescaled reduction does not, and
+        # a small column beside the huge one keeps numpy's bytes.
+        values = np.array([[1e307, 1.0], [3e307, 2.0]])
+        (mean, small_mean), (se, small_se) = _mean_se(values)
+        assert mean == pytest.approx(2e307, rel=1e-15)
+        assert se == pytest.approx(1e307, rel=1e-15)
+        assert (small_mean, small_se) == _mean_se(values[:, 1])
+        assert _mean_se(values[:, 1]) == (1.5, float(np.std([1.0, 2.0], ddof=1) / np.sqrt(2)))
+
+    @pytest.mark.parametrize("column, mean", [
+        ([np.inf, 1.0], np.inf), ([-np.inf, 1.0], -np.inf), ([np.inf, -np.inf], np.nan),
+    ])
+    def test_infinite_column_has_nan_error_without_warning(self, column, mean):
+        # RuntimeWarnings are errors under the test settings.
+        got_mean, got_se = _mean_se(np.array(column))
+        np.testing.assert_equal(got_mean, mean)
+        assert np.isnan(got_se)
 
 
 class TestEstimateStability:
