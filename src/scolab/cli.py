@@ -10,7 +10,7 @@ keyed by the flag names (``-`` and ``_`` interchangeable); explicit
 flags win over the file and the file over the defaults.  Exit codes: 0
 on success, 1 when an asserted check fails or output cannot be written,
 2 on usage errors, including a config key the subcommand does not
-accept.
+accept, and on sizes too large to allocate.
 """
 
 from __future__ import annotations
@@ -33,12 +33,8 @@ from .stability import estimate_stability
 __all__ = ["main", "parse_and_dispatch"]
 
 
-class UsageError(Exception):
-    pass
-
-
 # Value parsers: each maps (flag name, raw value) to a validated value or
-# raises UsageError.  Raw values are strings from argv or the config file,
+# raises ValueError.  Raw values are strings from argv or the config file,
 # or the table's own defaults.
 
 
@@ -49,17 +45,17 @@ def _number(kind, minimum, strict=False, maximum=np.inf):
             float(number)
         except (TypeError, ValueError):
             noun = "an integer" if kind is int else "a real number"
-            raise UsageError(f"{name} must be {noun}") from None
+            raise ValueError(f"{name} must be {noun}") from None
         except OverflowError:
-            raise UsageError(f"{name} is out of range") from None
+            raise ValueError(f"{name} is out of range") from None
         if kind is float and not np.isfinite(number):
-            raise UsageError(f"{name} must be finite")
+            raise ValueError(f"{name} must be finite")
         if strict and not number > minimum:
-            raise UsageError(f"{name} must be > {minimum}")
+            raise ValueError(f"{name} must be > {minimum}")
         if not number >= minimum:
-            raise UsageError(f"{name} must be >= {minimum}")
+            raise ValueError(f"{name} must be >= {minimum}")
         if not number <= maximum:
-            raise UsageError(f"{name} must be <= {maximum}")
+            raise ValueError(f"{name} must be <= {maximum}")
         return number
 
     return parse
@@ -71,20 +67,20 @@ def _integers(name, value):
         numbers = [int(part) for part in str(value).split(",") if part != ""]
         float(max(numbers, default=0))
     except ValueError:
-        raise UsageError(f"{name} must be a comma-separated list of integers") from None
+        raise ValueError(f"{name} must be a comma-separated list of integers") from None
     except OverflowError:
-        raise UsageError(f"{name} is out of range") from None
+        raise ValueError(f"{name} is out of range") from None
     if not numbers:
-        raise UsageError(f"{name} must be nonempty")
+        raise ValueError(f"{name} must be nonempty")
     if min(numbers) < 1:
-        raise UsageError(f"{name} entries must be >= 1")
+        raise ValueError(f"{name} entries must be >= 1")
     return numbers
 
 
 def _choice(*options):
     def parse(name, value):
         if value not in options:
-            raise UsageError(f"{name} must be one of {', '.join(options)}")
+            raise ValueError(f"{name} must be one of {', '.join(options)}")
         return value
 
     return parse
@@ -93,7 +89,7 @@ def _choice(*options):
 def _boolean(name, value):
     word = str(value).lower()
     if word not in ("true", "false", "1", "0"):
-        raise UsageError(f"{name} must be true, false, 1 or 0")
+        raise ValueError(f"{name} must be true, false, 1 or 0")
     return word in ("true", "1")
 
 
@@ -119,11 +115,11 @@ def load_config_file(path) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
+                    raise ValueError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
                 values[key.strip()] = value.strip()
     except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
+        raise ValueError(f"cannot read config file: {exc}") from None
     return values
 
 
@@ -151,7 +147,7 @@ def _resolve(flags, args, config) -> dict[str, Any]:
     given = {key.replace("_", "-"): value for key, value in config.items()}
     for key in config:
         if key.replace("_", "-") not in flags:
-            raise UsageError(f"unknown config key {key!r} for {args.command}")
+            raise ValueError(f"unknown config key {key!r} for {args.command}")
     values: dict[str, Any] = {}
     for name, flag in flags.items():
         raw = vars(args)[name]
@@ -445,9 +441,12 @@ def parse_and_dispatch(argv) -> int:
     try:
         config = load_config_file(args.config) if args.config else {}
         return handler(_resolve(flags, args, config))
-    except (UsageError, ValueError) as exc:
-        # module-level precondition failures surface as usage errors
+    except ValueError as exc:
+        # a bad flag value and a failed module precondition are both usage errors
         print(str(exc), file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from .problems import (
     population_risk,
     sample_dataset,
 )
-from .stability import _check_replicates, _mean_se, _replicates
+from .stability import _mean_se, _replicates
 from .trust_region import _gram_modulus
 
 __all__ = [
@@ -111,7 +111,6 @@ def tracking_study(
     most) log-spaced steps and ``tracking_c`` is the ceiling's free
     constant.
     """
-    _check_replicates(replicates)
     if steps < 2:
         raise ValueError("tracking study needs steps >= 2")
     if log_points < 1:
@@ -185,7 +184,6 @@ def optimization_study(
     across the whole study so the reference value is a single certified
     solve.
     """
-    _check_replicates(replicates)
     if not step_grid:
         raise ValueError("optimization study needs a nonempty step_grid")
     root = Rng(seed).split("optimization-study")
@@ -250,7 +248,6 @@ def excess_risk_study(
     output against the certified population minimum.  The fitted slope
     is NaN unless the grid holds at least two distinct sizes.
     """
-    _check_replicates(replicates)
     if not size_grid:
         raise ValueError("excess_risk study needs a nonempty size_grid")
     law = _resolve_law(law)

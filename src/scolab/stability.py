@@ -14,7 +14,8 @@ The replaced position is drawn uniformly per replicate, so the reported
 estimates are average-case readings of the worst-case quantity; scaling
 behavior in n, m, and T is preserved.  Every Monte Carlo loop in the
 package is ``_replicates``: replicates run serially in replicate order,
-each on its own child stream.
+each on its own child stream.  It refuses fewer than two replicates,
+because a standard error needs two.
 """
 
 from __future__ import annotations
@@ -133,14 +134,12 @@ def _mean_se(values: np.ndarray):
     return mean.tolist(), se.tolist()
 
 
-def _check_replicates(replicates: int) -> None:
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
-
-
 def _replicates(one, rng: Rng, label: str, replicates: int) -> np.ndarray:
     """``np.array`` of ``one(rng.split(f"{label}{rep}"))`` for each replicate,
-    run one after another in replicate order."""
+    run one after another in replicate order.  Fewer than two, which leave
+    no standard error, are refused before any stream is drawn."""
+    if replicates < 2:
+        raise ValueError("replicates must be >= 2")
     return np.array([one(rng.split(f"{label}{rep}")) for rep in range(replicates)])
 
 
@@ -161,7 +160,6 @@ def estimate_stability(
     pair per requested side.  Replicates run one after another through
     ``_replicates`` and are aggregated in replicate order.
     """
-    _check_replicates(replicates)
     for kind in kinds:
         if kind not in ("nu", "omega"):
             raise ValueError(f"unknown neighbor kind {kind!r}")
@@ -233,7 +231,6 @@ def check_generalization_inequality(
     sanity bound, not a certificate.  ``threads`` is accepted and has no
     effect: replicates run serially.
     """
-    _check_replicates(replicates)
 
     def one(rep_rng: Rng) -> tuple[float, float, float, float]:
         data = sample_dataset(law, n, m, rep_rng.split("data"))

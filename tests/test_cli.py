@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import scolab
-from scolab import experiments
+from scolab import cli, experiments
 from scolab.cli import COMMANDS, parse_and_dispatch
 from scolab.core import Rng
 from scolab.reporting import emit_csv, emit_svg, read_csv
@@ -153,6 +153,25 @@ class TestUsageErrors:
         code, _, err = dispatch(capsys, "tracking", "--replicates", "1")
         assert code == 2
         assert "replicates must be >= 2" in err
+
+    @pytest.mark.parametrize("module, argv", [
+        pytest.param(cli, ("oracle",), id="oracle"),
+        pytest.param(experiments, ("excess-risk", "--sizes", "8", "--replicates", "2"),
+                     id="excess-risk"),
+    ])
+    def test_allocation_failure_is_usage_error(self, capsys, monkeypatch, tmp_path, module, argv):
+        # numpy's message for --sizes 100000000000; the test allocates nothing
+        message = ("Unable to allocate 14.6 TiB for an array with shape "
+                   "(100000000000, 4, 5) and data type float64")
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(module, "sample_dataset", no_memory)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = dispatch(capsys, *argv)
+        assert (code, out, err) == (2, "", f"out of memory: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_precondition_maps_to_usage_error(self, capsys):
         code, _, err = dispatch(

@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from scolab import experiments
+from scolab import experiments, optimizer, stability
 from scolab.experiments import (
     excess_risk_study,
     fit_loglog_slope,
@@ -224,10 +224,16 @@ STUDIES = [tracking_study, optimization_study, excess_risk_study]
 class TestStudyConfigValidation:
     """Each study validates its own settings and accepts no other."""
 
-    def test_replicate_floor(self):
+    def test_replicate_floor(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a kernel step ran before the replicate count was checked")
+
+        monkeypatch.setattr(optimizer, "_run_with_indices", no_step)
+        monkeypatch.setattr(stability, "_run_with_indices", no_step)
         for study, grid in zip(STUDIES, ({}, {"step_grid": ((8, 0.1, 0.5),)}, {"size_grid": (4,)})):
-            with pytest.raises(ValueError, match="replicates"):
-                study(replicates=1, **grid)
+            for replicates in (1, 0):
+                with pytest.raises(ValueError, match="^replicates must be >= 2$"):
+                    study(replicates=replicates, **grid)
 
     def test_tracking_needs_two_steps(self):
         with pytest.raises(ValueError, match="steps"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scalar_reference import drawn_indices
+from scolab import optimizer, stability
 from scolab.core import Rng
 from scolab.optimizer import OptimizerConfig, Variant, run
 from scolab.problems import (
@@ -217,9 +218,16 @@ class TestEstimateStability:
         with pytest.raises(ValueError, match="^unknown neighbor kind 'mu'$"):
             estimate_stability(benchmark_law("convex"), 4, 4, small_cfg(), 2, RNG, kinds=("mu",))
 
-    def test_replicates_validated(self):
-        with pytest.raises(ValueError, match="replicates"):
-            estimate_stability(benchmark_law("convex"), 4, 4, small_cfg(), 1, RNG)
+    def test_replicates_validated(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a kernel step ran before the replicate count was checked")
+
+        monkeypatch.setattr(optimizer, "_run_with_indices", no_step)
+        monkeypatch.setattr(stability, "_run_with_indices", no_step)
+        for estimate in (estimate_stability, check_generalization_inequality):
+            for replicates in (1, 0):
+                with pytest.raises(ValueError, match="^replicates must be >= 2$"):
+                    estimate(benchmark_law("convex"), 4, 4, small_cfg(), replicates, RNG)
 
     def test_convex_sensitivity_grows_with_horizon(self):
         # without strong convexity the coupled displacement accumulates,
