@@ -82,9 +82,14 @@ class ExcessRiskStudyResult:
 
 
 def _log_step_grid(max_t: int, points: int) -> np.ndarray:
-    """Unique integer steps, roughly log-spaced over [1, max_t]."""
-    raw = np.geomspace(1, max_t, num=min(points, max_t))
-    return np.unique(np.round(raw).astype(np.int64))
+    """Unique integer steps, roughly log-spaced over [1, max_t], as int64.
+
+    The rounded points are deduplicated as exact Python integers, not
+    with ``np.unique``, which imports ``numpy.ma`` on its first call; and
+    a top point that rounds past ``max_t`` in float is clamped to it.
+    """
+    raw = np.round(np.geomspace(1, max_t, num=min(points, max_t)))
+    return np.array(sorted({min(int(t), max_t) for t in raw.tolist()}), dtype=np.int64)
 
 
 def tracking_study(
@@ -115,6 +120,8 @@ def tracking_study(
         raise ValueError("tracking study needs steps >= 2")
     if log_points < 1:
         raise ValueError("tracking study needs log_points >= 1")
+    if steps > 2**63:
+        raise ValueError("tracking study needs steps <= 2**63: its step indices are int64")
     root = Rng(seed).split("tracking-study")
     data = sample_dataset(_resolve_law(law), n, m, root.split("data"))
     # BoundParams checks tracking_c here, before any replicate runs.

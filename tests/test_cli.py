@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -74,18 +75,22 @@ class TestSchedule:
         assert err.count("\n") == 1
 
 
+def fresh_python(*args, cwd=None):
+    """Run a fresh interpreter that imports this scolab."""
+    src = str(Path(scolab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
 class TestModuleEntryPoint:
     """``python -m scolab.cli`` runs the same CLI as the ``scolab`` script."""
 
     @staticmethod
     def module_cli(*argv):
-        src = str(Path(scolab.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "scolab.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        return fresh_python("-m", "scolab.cli", *argv)
 
     def test_schedule_example(self):
         done = self.module_cli(
@@ -96,6 +101,55 @@ class TestModuleEntryPoint:
 
     def test_unknown_flag_is_usage_error(self):
         assert self.module_cli("schedule", "--frobnicate", "1").returncode == 2
+
+
+class TestOncePerProcess:
+    """What a process pays once: the parser and the numpy modules it imports."""
+
+    TINY = {
+        "gradcheck": ("--n", "3", "--m", "3", "--points", "2"),
+        "schedule": ("--n", "4", "--m", "4"),
+        "optimize": ("--n", "3", "--m", "3", "--T", "5", "--svg"),
+        "tracking": ("--n", "3", "--m", "3", "--T", "10", "--replicates", "2",
+                     "--log-points", "4", "--svg"),
+        "stability": ("--n", "3", "--m", "3", "--T", "5", "--replicates", "2", "--svg"),
+        "optimization": ("--n", "3", "--m", "3", "--T-grid", "4,8", "--replicates", "2",
+                         "--svg"),
+        "excess-risk": ("--sizes", "3,4", "--t-max", "5", "--replicates", "2", "--svg"),
+        "oracle": ("--n", "3", "--m", "3"),
+    }
+
+    def test_no_numpy_submodule_loads_lazily(self, tmp_path):
+        # A fresh interpreter, so that no earlier test has imported the
+        # module a command would load (np.unique, for one, imports numpy.ma).
+        assert sorted(self.TINY) == sorted(COMMANDS)
+        script = textwrap.dedent("""
+            import json, sys
+            from scolab.cli import parse_and_dispatch
+            loaded = set(sys.modules)
+            codes = {command: parse_and_dispatch([command, *argv])
+                     for command, argv in json.loads(sys.argv[1]).items()}
+            late = sorted(name for name in set(sys.modules) - loaded if name.startswith("numpy"))
+            print(json.dumps({"codes": codes, "late": late}))
+        """)
+        done = fresh_python("-c", script, json.dumps(self.TINY), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result == {"codes": dict.fromkeys(self.TINY, 0), "late": []}
+
+    def test_parser_is_built_once_and_carries_no_state(self, capsys, tmp_path):
+        out_path = tmp_path / "t.csv"
+        argv = ("tracking", *self.TINY["tracking"], "--out", str(out_path))
+        cli._build_parser.cache_clear()
+        first = (*dispatch(capsys, *argv), out_path.read_bytes())
+        out_path.unlink()
+        assert dispatch(capsys, "tracking", "--frobnicate", "1")[0] == 2
+        assert dispatch(capsys, "--help")[0] == 0
+        assert dispatch(capsys, "tracking", "--help")[0] == 0
+        last = (*dispatch(capsys, *argv), out_path.read_bytes())
+        assert first[0] == 0
+        assert last == first
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestUsageErrors:
@@ -172,6 +226,22 @@ class TestUsageErrors:
         code, out, err = dispatch(capsys, *argv)
         assert (code, out, err) == (2, "", f"out of memory: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("steps", [2**62, 2**63 - 1, 2**63, 2**64, 10**19])
+    def test_horizon_beyond_the_int64_range_is_usage_error(self, capsys, tmp_path, steps):
+        # Up to 2**63 the grid fits int64 and the run's arrays cannot be
+        # allocated; past it the step indices cannot be held at all.
+        out_path = tmp_path / "t.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = dispatch(capsys, "tracking", "--T", str(steps), "--replicates", "2",
+                                      "--out", str(out_path))
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        if steps > 2**63:
+            assert err == "tracking study needs steps <= 2**63: its step indices are int64\n"
+        assert not out_path.exists()
 
     def test_module_precondition_maps_to_usage_error(self, capsys):
         code, _, err = dispatch(

@@ -42,6 +42,32 @@ class TestFitLoglogSlope:
             fit_loglog_slope(xs, ys)
 
 
+class TestLogStepGrid:
+    @staticmethod
+    def reference(max_t, points):
+        raw = np.geomspace(1, max_t, num=min(points, max_t))
+        return np.unique(np.round(raw).astype(np.int64))
+
+    def test_equals_the_unique_of_the_rounded_geomspace(self):
+        mismatches = []
+        for max_t in [*range(1, 3000), 4999, 10**6, 10**12]:
+            for points in (1, 2, 3, 10, 40, 60, 1000):
+                grid = experiments._log_step_grid(max_t, points)
+                expected = self.reference(max_t, points)
+                if grid.dtype != expected.dtype or not np.array_equal(grid, expected):
+                    mismatches.append((max_t, points))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("max_t", [2**62 + 2**9 + 1, 2**63 - 2, 2**63 - 1])
+    def test_top_point_rounding_past_max_t_is_clamped(self, max_t):
+        # float(max_t) rounds up here, so the float grid ends past max_t
+        assert float(max_t) > max_t
+        grid = experiments._log_step_grid(max_t, 40)
+        assert grid.dtype == np.int64
+        assert grid[-1] == max_t
+        assert (np.diff(grid) > 0).all()
+
+
 class TestTrackingStudy:
     def test_single_inner_sample_with_unit_weight_has_zero_gap(self):
         law = dataclasses.replace(benchmark_law("convex"), tau_a=0.0, tau_b=0.0)
