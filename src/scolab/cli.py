@@ -4,20 +4,18 @@ Subcommands cover the gradient check, single optimization runs, the
 three studies, stability estimation, the schedule presets, and the
 minimizer oracles.  All randomness flows from ``--seed`` (default 0,
 never wall-clock).  Every flag is declared once, in :data:`COMMANDS`;
-that table builds the argument parser, once per process on the first
-call, reads the ``--config`` file and validates every value.  A config
-file holds flat ``flag=value`` lines keyed by the flag names (``-`` and
-``_`` interchangeable); explicit flags win over the file and the file
-over the defaults.  Exit codes: 0 on success, 1 when an asserted check
-fails or output cannot be written, 2 on usage errors, including a
-config key the subcommand does not accept, and on sizes too large to
-allocate.
+that table builds the argument parser, reads the ``--config`` file and
+validates every value.  A config file holds flat ``flag=value`` lines
+keyed by the flag names (``-`` and ``_`` interchangeable); explicit
+flags win over the file and the file over the defaults.  Exit codes: 0
+on success, 1 when an asserted check fails or output cannot be written,
+2 on usage errors, including a config key the subcommand does not
+accept, and on sizes too large to allocate.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from typing import Any, Callable, NamedTuple
@@ -125,7 +123,6 @@ def load_config_file(path) -> dict[str, str]:
     return values
 
 
-@functools.cache  # COMMANDS is fixed, and parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scolab",

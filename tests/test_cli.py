@@ -103,8 +103,8 @@ class TestModuleEntryPoint:
         assert self.module_cli("schedule", "--frobnicate", "1").returncode == 2
 
 
-class TestOncePerProcess:
-    """What a process pays once: the parser and the numpy modules it imports."""
+class TestLazyImports:
+    """Every numpy module a command needs is loaded by ``import scolab.cli``."""
 
     TINY = {
         "gradcheck": ("--n", "3", "--m", "3", "--points", "2"),
@@ -136,20 +136,6 @@ class TestOncePerProcess:
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
         assert result == {"codes": dict.fromkeys(self.TINY, 0), "late": []}
-
-    def test_parser_is_built_once_and_carries_no_state(self, capsys, tmp_path):
-        out_path = tmp_path / "t.csv"
-        argv = ("tracking", *self.TINY["tracking"], "--out", str(out_path))
-        cli._build_parser.cache_clear()
-        first = (*dispatch(capsys, *argv), out_path.read_bytes())
-        out_path.unlink()
-        assert dispatch(capsys, "tracking", "--frobnicate", "1")[0] == 2
-        assert dispatch(capsys, "--help")[0] == 0
-        assert dispatch(capsys, "tracking", "--help")[0] == 0
-        last = (*dispatch(capsys, *argv), out_path.read_bytes())
-        assert first[0] == 0
-        assert last == first
-        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestUsageErrors:
