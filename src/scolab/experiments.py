@@ -85,7 +85,7 @@ def _log_step_grid(max_t: int, points: int) -> np.ndarray:
     """Unique integer steps, roughly log-spaced over [1, max_t], as int64.
 
     The rounded points are deduplicated as exact Python integers, not
-    with ``np.unique``, which imports ``numpy.ma`` on its first call; and
+    with ``numpy.unique``, which imports ``numpy.ma`` on its first call; and
     a top point that rounds past ``max_t`` in float is clamped to it.
     """
     raw = np.round(np.geomspace(1, max_t, num=min(points, max_t)))
