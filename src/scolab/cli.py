@@ -245,7 +245,7 @@ def cmd_tracking(o) -> int:
     rows = tracking_study(
         variant=Variant(o["variant"]), law=o["benchmark"], n=o["n"], m=o["m"], steps=o["T"],
         eta=o["eta"], beta=o["beta"], replicates=o["replicates"], seed=o["seed"],
-        domain_radius=o["radius"], tracking_c=o["tracking-c"], log_points=o["log-points"],
+        domain_radius=o["radius"], log_points=o["log-points"],
     )
     _emit(o, ["t", "mean_sq_error", "se", "bound"], rows, "tracking gap vs ceiling",
           [r.t for r in rows],
@@ -267,8 +267,7 @@ def cmd_stability(o) -> int:
     for n in o["n"]:
         for m in o["m"]:
             rng = Rng(o["seed"]).split(f"stability-{n}-{m}")
-            est = estimate_stability(law, n, m, opt_cfg, o["replicates"], rng,
-                                     coupled=not o["uncoupled"])
+            est = estimate_stability(law, n, m, opt_cfg, o["replicates"], rng)
             cell = (o["variant"], o["benchmark"], n, m, o["T"], o["eta"], o["beta"], o["replicates"])
             rows.append(cell + (est.eps_nu, est.eps_nu_se, est.eps_omega, est.eps_omega_se))
     header = ["variant", "convexity", "n", "m", "T", "eta", "beta", "replicates",
@@ -376,7 +375,6 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "T": Flag(_COUNT, 5000, "number of steps"),
         **_STEPS,
         "replicates": Flag(_number(int, 2), 50, "Monte Carlo replicates"),
-        "tracking-c": Flag(_POSITIVE, 2.0, "free constant of the ceiling"),
         "log-points": Flag(_COUNT, 40, "number of log-spaced report steps"),
     }),
     "stability": ("coupled replacement-sensitivity estimates", cmd_stability, {
@@ -390,7 +388,6 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "T": Flag(_COUNT, 2048, "number of steps"),
         **_STEPS,
         "replicates": Flag(_number(int, 2), 100, "Monte Carlo replicates"),
-        "uncoupled": Flag(_boolean, False, "redraw the neighbor run's index stream"),
     }),
     "optimization": ("empirical suboptimality study", cmd_optimization, {
         **_SEEDED,

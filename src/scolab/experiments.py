@@ -104,7 +104,6 @@ def tracking_study(
     replicates: int = 50,
     seed: int = 0,
     domain_radius: float = 10.0,
-    tracking_c: float = 2.0,
     log_points: int = 40,
 ) -> list[TrackingRow]:
     """Mean squared tracking gap over replicates against its ceiling.
@@ -113,8 +112,7 @@ def tracking_study(
     variance and Lipschitz constants but substitutes the measured mean
     initial gap for the a-priori ceiling, matching how the recursion is
     anchored in practice.  The gap is reported at ``log_points`` (at
-    most) log-spaced steps and ``tracking_c`` is the ceiling's free
-    constant.
+    most) log-spaced steps.
     """
     if steps < 2:
         raise ValueError("tracking study needs steps >= 2")
@@ -124,8 +122,7 @@ def tracking_study(
         raise ValueError("tracking study needs steps <= 2**63: its step indices are int64")
     root = Rng(seed).split("tracking-study")
     data = sample_dataset(_resolve_law(law), n, m, root.split("data"))
-    # BoundParams checks tracking_c here, before any replicate runs.
-    params = dataclasses.replace(compute_constants(data, domain_radius), free_c=tracking_c)
+    params = compute_constants(data, domain_radius)
     opt_cfg = OptimizerConfig(
         variant=variant,
         steps=steps,

@@ -32,6 +32,8 @@ __all__ = [
     "fd_gradient_check",
 ]
 
+_DECAY_EXPONENT = 2.0  # c in tracking_bound
+
 
 @dataclass(frozen=True)
 class MinimizerCertificate:
@@ -99,13 +101,14 @@ def tracking_bound(
     SCGD:  (c/e)^c (t beta)^-c d_y + lip_f^2 lip_g^3 eta^2 / beta^2 + 2 var_g beta
     SCSC:  (c/e)^c (t beta)^-c d_y + lip_f^2 lip_g^3 eta^2 / beta   + 2 var_g beta
 
+    Here c = 2; any c > 0 is valid, as (1 - beta)^t <= e^(-t beta) <= (c / (e t beta))^c.
     Raises ``ValueError`` when the value is not finite.
     """
     if t < 1:
         raise ValueError("bound undefined at t=0")
     if not (eta >= 0 and 0.0 < beta <= 1.0):
         raise ValueError("need eta >= 0 and beta in (0, 1]")
-    c = params.free_c
+    c = _DECAY_EXPONENT
     try:
         decay = (c / np.e) ** c * (t * beta) ** (-c) * params.d_y
         drift = params.lip_f**2 * params.lip_g**3 * eta**2

@@ -228,7 +228,6 @@ class BoundParams:
     sigma        strong-convexity modulus of the composed empirical objective
     var_g        sup over the domain of the inner-value empirical variance
     d_y          bound on the squared initial tracking gap
-    free_c       free exponent in the tracking decay term
     """
 
     lip_f: float
@@ -237,15 +236,12 @@ class BoundParams:
     sigma: float
     var_g: float
     d_y: float
-    free_c: float = 2.0
 
     def __post_init__(self) -> None:
         for name in ("lip_f", "lip_g", "smooth_l", "sigma", "var_g", "d_y"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite nonnegative real")
-        if not (np.isfinite(self.free_c) and self.free_c > 0):
-            raise ValueError("free_c must be positive")
         if self.sigma > self.smooth_l + 1e-12 * max(1.0, self.smooth_l):
             raise ValueError("sigma cannot exceed the smoothness constant")
 

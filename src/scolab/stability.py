@@ -4,11 +4,11 @@ A neighboring dataset differs from the original in exactly one inner or
 one outer sample; :func:`make_neighbor` builds it by copying one row of
 a donor dataset into place.  Stability is estimated by running the
 optimizer on both datasets with the *same* realized index sequence (a
-coupled pair) and measuring the distance between the two outputs.
-Coupling fixes the algorithm's internal randomness, which is the
-quantity the replacement experiment is meant to isolate; an uncoupled
-mode that redraws the second index sequence is available for comparison
-and measures a larger, noise-dominated displacement.
+coupled pair) and measuring the distance between the two outputs.  The
+pair is always coupled: uniform stability compares A(S) and A(S') under
+one realization of the algorithm's randomness (as in Hardt, Recht and
+Singer, 2016), so a second, independent index draw would add the
+optimizer's own variance to the replacement effect it is meant to isolate.
 
 The replaced position is drawn uniformly per replicate, so the reported
 estimates are average-case readings of the worst-case quantity; scaling
@@ -78,23 +78,17 @@ def coupled_run(
     neighbor: Dataset,
     cfg: OptimizerConfig,
     rng: Rng,
-    coupled: bool = True,
 ) -> CoupledResult:
     """Run the optimizer on both datasets and measure output displacement.
 
-    With ``coupled=True`` (the default) the two runs share one realized
-    index sequence drawn from ``rng``; identical datasets then yield a
-    distance of exactly zero.  With ``coupled=False`` the neighbor run
-    draws its own sequence from a derived stream.
+    The two runs share one realized index sequence drawn from ``rng``;
+    identical datasets then yield a distance of exactly zero.
     """
     if (dataset.n, dataset.m) != (neighbor.n, neighbor.m):
         raise ValueError("non-neighboring datasets")
     indices = _draw_indices(dataset, cfg, rng.split("indices"))
     out = _run_with_indices(dataset, cfg, *indices).final_output
-    if coupled:
-        out_nb = _run_with_indices(neighbor, cfg, *indices).final_output
-    else:
-        out_nb = run(neighbor, cfg, rng.split("uncoupled-indices")).final_output
+    out_nb = _run_with_indices(neighbor, cfg, *indices).final_output
     with np.errstate(over="ignore"):  # a difference beyond the float range is inf
         diff = out - out_nb
     return CoupledResult(_norm(diff))
@@ -151,7 +145,6 @@ def estimate_stability(
     replicates: int,
     rng: Rng,
     kinds: tuple[str, ...] = ("nu", "omega"),
-    coupled: bool = True,
 ) -> StabilityEstimate:
     """Monte Carlo estimate of the two replacement sensitivities.
 
@@ -173,7 +166,7 @@ def estimate_stability(
             index = int(rep_rng.split(f"index-{kind}").generator().integers(0, size))
             neighbor = make_neighbor(data, kind, index, donor)
             run_rng = rep_rng.split(f"run-{kind}")
-            distance[kind] = coupled_run(data, neighbor, cfg, run_rng, coupled).distance
+            distance[kind] = coupled_run(data, neighbor, cfg, run_rng).distance
         return distance["nu"], distance["omega"]
 
     # An unrequested side is an all-NaN column, whose mean and SE are NaN.

@@ -138,7 +138,7 @@ def test_criterion_4_tracking_bound():
     for variant in (Variant.SCGD, Variant.SCSC):
         rows = tracking_study(
             variant=variant, law="convex", n=40, m=40,
-            steps=5000, eta=1e-3, beta=0.1, replicates=50, tracking_c=2.0,
+            steps=5000, eta=1e-3, beta=0.1, replicates=50,
             seed=42, log_points=60,
         )
         rows = [row for row in rows if row.t >= 10]

@@ -239,7 +239,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize("extra", [
         ("--eta", "1e300"),  # eta**2 overflows
         ("--beta", "1e-200"),  # (t * beta) ** -c overflows
-        ("--beta", "1e-200", "--tracking-c", "0.5"),  # beta**2 underflows to a zero divisor
     ])
     def test_overflowing_tracking_bound_is_usage_error(self, capsys, tmp_path, extra):
         code, out, err = dispatch(
@@ -296,7 +295,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize("extra", [
         ("--eta", "1e300"),
         ("--beta", "1e-200"),
-        ("--beta", "1e-200", "--tracking-c", "0.5"),
     ])
     def test_unbounded_tracking_bound_fails_before_any_replicate(
         self, capsys, monkeypatch, tmp_path, extra
@@ -427,7 +425,7 @@ class TestFuzz:
             for name in flags:
                 if name == "out" or gen.random() >= 0.3:
                     continue
-                if name in ("svg", "uncoupled"):
+                if name == "svg":
                     argv.append(f"--{name}")
                 else:
                     argv += [f"--{name}", self.value(gen, command, name)]
@@ -686,9 +684,7 @@ class TestStudyCommands:
     # index draw order or the kernel shows here.
     @pytest.mark.parametrize("flags, digest", [
         ((), "168363dff83a5b8c"),
-        (("--uncoupled",), "c3d070bc86db6abf"),
         (("--variant", "scsc"), "53f896c4297317c4"),
-        (("--variant", "scsc", "--uncoupled"), "29ff50092675c01c"),
     ])
     def test_stability_csv_bytes_pinned(self, capsys, tmp_path, flags, digest):
         out_path = tmp_path / "stability.csv"

@@ -24,12 +24,10 @@ SURFACE = {
         "variant", "benchmark", "n", "m", "T", "eta", "beta", "output-mode", "sigma",
     },
     "tracking": SEEDED | OUTPUT | {
-        "variant", "benchmark", "n", "m", "T", "eta", "beta", "replicates",
-        "tracking-c", "log-points",
+        "variant", "benchmark", "n", "m", "T", "eta", "beta", "replicates", "log-points",
     },
     "stability": SEEDED | OUTPUT | {
-        "threads", "variant", "benchmark", "n", "m", "T", "eta", "beta",
-        "replicates", "uncoupled",
+        "threads", "variant", "benchmark", "n", "m", "T", "eta", "beta", "replicates",
     },
     "optimization": SEEDED | OUTPUT | {
         "variant", "benchmark", "n", "m", "T-grid", "eta", "beta", "eta-exp",
@@ -71,14 +69,12 @@ PROBE = {
     "tracking": {
         "seed": "2", "radius": "0.5", "out": "gap.csv", "svg": "true",
         "variant": "scsc", "benchmark": "strongly_convex", "n": "5", "m": "6", "T": "40",
-        "eta": "0.01", "beta": "0.5", "replicates": "3", "tracking-c": "3",
-        "log-points": "5",
+        "eta": "0.01", "beta": "0.5", "replicates": "3", "log-points": "5",
     },
     "stability": {
         "seed": "2", "threads": "2", "radius": "0.5", "out": "stb.csv", "svg": "true",
         "variant": "scsc", "benchmark": "strongly_convex",
         "n": "5,6", "m": "5", "T": "30", "eta": "0.01", "beta": "0.5", "replicates": "3",
-        "uncoupled": "true",
     },
     "optimization": {
         "seed": "2", "radius": "0.5", "out": "opt.csv", "svg": "true",
@@ -215,7 +211,7 @@ class TestConfigKeys:
 
     def test_bad_boolean_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("uncoupled=maybe\n")
+        cfg.write_text("svg=maybe\n")
         code = parse_and_dispatch(["stability", "--config", str(cfg)])
         assert code == 2
-        assert "uncoupled must be" in capsys.readouterr().err
+        assert "svg must be" in capsys.readouterr().err

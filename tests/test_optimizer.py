@@ -650,6 +650,53 @@ class TestDotOutMatchesDot:
             assert v_a.tobytes() == v.dot(a).tobytes()
 
 
+class TestScscTrackerIdentity:
+    """With every inner matrix equal (``tau_a = 0``), SCSC's correction
+    g_j(x) - g_j(x_prev) is the increment of the mean map, so the tracker
+    error e_t = y_t - g_bar(x_t) obeys e_t = (1 - beta) e_{t-1} + beta (b_j - b_bar)
+    whatever eta is and whatever path x takes.  From x0 = y0 = 0 its
+    expected square at index t (after t + 1 updates) is therefore
+    (1-beta)^{2(t+1)} ||b_bar||^2 + beta v (1 - (1-beta)^{2(t+1)}) / (2 - beta),
+    with v the mean of ||b_j - b_bar||^2.  No output is pinned, so this
+    holds on every BLAS core."""
+
+    @staticmethod
+    def dataset(name):
+        law = dataclasses.replace(benchmark_law(name), tau_a=0.0)
+        return sample_dataset(law, 20, 30, RNG.split(f"scsc-identity-{name}"))
+
+    @pytest.mark.parametrize("name", ["convex", "strongly_convex"])
+    def test_tracker_error_does_not_depend_on_the_path(self, name):
+        data = self.dataset(name)
+        for rep in range(20):
+            rng = RNG.split(f"scsc-path-{name}-{rep}")
+            free, pinned = (
+                run(data, OptimizerConfig(Variant.SCSC, 500, eta, 0.1, domain_radius=radius,
+                                          record_tracking=True), rng)
+                for eta, radius in ((1e-3, 10.0), (0.5, 0.05))
+            )
+            assert np.linalg.norm(pinned.iterates, axis=1).max() >= 0.05 * (1 - 1e-12)
+            np.testing.assert_allclose(
+                free.tracking_sq_errors, pinned.tracking_sq_errors, rtol=1e-9, atol=0.0
+            )
+
+    @pytest.mark.parametrize("name", ["convex", "strongly_convex"])
+    @pytest.mark.parametrize("eta, beta", [(1e-3, 0.1), (0.05, 0.01)])
+    def test_mean_square_matches_the_closed_form(self, name, eta, beta):
+        data = self.dataset(name)
+        cfg = OptimizerConfig(Variant.SCSC, 500, eta, beta, record_tracking=True)
+        ts = np.array([0, 9, 99, 499])
+        errors = np.array([
+            run(data, cfg, RNG.split(f"scsc-mean-{name}-{eta}-{rep}")).tracking_sq_errors[ts]
+            for rep in range(200)
+        ])
+        decay = (1 - beta) ** (2 * (ts + 1))
+        v = float(np.mean(np.sum((data.inner_b - data.b_bar) ** 2, axis=1)))
+        exact = decay * float(data.b_bar @ data.b_bar) + beta * v * (1 - decay) / (2 - beta)
+        se = errors.std(axis=0, ddof=1) / np.sqrt(len(errors))
+        assert np.all(np.abs(errors.mean(axis=0) - exact) <= 4 * se)
+
+
 class TestSchedulePreset:
     def test_scgd_convex(self):
         steps, eta, beta = schedule_preset(Variant.SCGD, "convex", 4, 4)

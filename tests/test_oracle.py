@@ -36,7 +36,6 @@ def unit_params(**overrides):
         sigma=0.0,
         var_g=1.0,
         d_y=1.0,
-        free_c=1.0,
     )
     base.update(overrides)
     return BoundParams(**base)
@@ -248,16 +247,16 @@ class TestTrackingBound:
     def test_hand_value_scgd(self):
         params = unit_params()
         value = tracking_bound(Variant.SCGD, 10, params, eta=0.01, beta=0.1)
-        expected = math.exp(-1.0) * 1.0 + 0.01 + 0.2
+        expected = 4.0 / math.e**2 + 0.01 + 0.2
         assert value == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.57788, abs=5e-6)
+        assert expected == pytest.approx(0.7513411329464508, abs=1e-15)
 
     def test_hand_value_scsc(self):
         params = unit_params()
         value = tracking_bound(Variant.SCSC, 10, params, eta=0.01, beta=0.1)
-        expected = math.exp(-1.0) + 0.001 + 0.2
+        expected = 4.0 / math.e**2 + 0.001 + 0.2
         assert value == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.56888, abs=5e-6)
+        assert expected == pytest.approx(0.7423411329464509, abs=1e-15)
 
     def test_surviving_term_when_variances_vanish(self):
         params = unit_params(var_g=0.0, d_y=0.0, lip_f=2.0, lip_g=3.0)
@@ -274,7 +273,7 @@ class TestTrackingBound:
             tracking_bound(Variant.SCGD, 1, unit_params(), eta, beta)
 
     def test_monotone_decreasing_in_t(self):
-        params = unit_params(free_c=2.0)
+        params = unit_params()
         values = [
             tracking_bound(Variant.SCSC, t, params, eta=0.01, beta=0.1)
             for t in (1, 2, 5, 20, 100)
@@ -293,10 +292,14 @@ class TestTrackingBound:
     def test_returns_a_float(self):
         assert type(tracking_bound(Variant.SCGD, 3, unit_params(), 0.01, 0.1)) is float
 
-    @pytest.mark.parametrize("eta, beta", [(1e300, 0.1), (0.01, 1e-200)])
-    def test_unbounded_value_rejected(self, eta, beta):
+    @pytest.mark.parametrize("t, eta, beta", [
+        (1, 1e300, 0.1),
+        (1, 0.01, 1e-200),
+        (10**18, 0.01, 1e-170),  # beta**2 underflows to a zero divisor; (t beta)^-2 is finite
+    ])
+    def test_unbounded_value_rejected(self, t, eta, beta):
         with pytest.raises(ValueError, match="bound value must be finite and nonnegative"):
-            tracking_bound(Variant.SCGD, 1, unit_params(), eta, beta)
+            tracking_bound(Variant.SCGD, t, unit_params(), eta, beta)
 
 
 class TestFdGradientCheck:

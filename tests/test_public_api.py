@@ -80,7 +80,7 @@ RESULT_FIELDS = {
         "gap_mean", "gap_se", "eps_nu", "eps_nu_se", "eps_omega", "eps_omega_se", "lip_f",
         "lip_g", "variance_term", "rhs", "combined_se", "holds",
     ],
-    "problems.BoundParams": ["lip_f", "lip_g", "smooth_l", "sigma", "var_g", "d_y", "free_c"],
+    "problems.BoundParams": ["lip_f", "lip_g", "smooth_l", "sigma", "var_g", "d_y"],
     "oracle.MinimizerCertificate": ["x_star", "value", "method", "kkt_residual"],
     "experiments.ExcessRiskStudyResult": ["rows", "fitted_slope"],
     "experiments.TrackingRow": ["t", "mean_sq_error", "se", "bound"],

@@ -121,13 +121,6 @@ class TestCoupledRun:
         with pytest.raises(ValueError, match="non-neighboring datasets"):
             coupled_run(a, b, small_cfg(), RNG.split("mm"))
 
-    def test_uncoupled_mode_redraws_indices(self):
-        data = sample_dataset(benchmark_law("convex"), 8, 8, RNG.split("unc"))
-        coupled = coupled_run(data, data, small_cfg(), RNG.split("uncrun"), coupled=True)
-        uncoupled = coupled_run(data, data, small_cfg(), RNG.split("uncrun"), coupled=False)
-        assert coupled.distance == 0.0
-        assert uncoupled.distance > 0.0
-
 
     def test_distance_past_the_square_range_is_exact(self):
         # Steps of 1e154 put the outputs near 1e307, where the squares of a
