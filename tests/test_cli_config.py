@@ -147,8 +147,10 @@ class TestFlagSurface:
         ["schedule", "--seed", "1"], ["oracle", "--threads", "2"],
         ["stability", "--convexity", "convex"], ["tracking", "--threads", "2"],
         ["optimization", "--threads", "2"], ["excess-risk", "--threads", "2"],
+        ["stability", "--uncoupled"], ["tracking", "--tracking-c", "2"],
     ], ids=["schedule-seed", "oracle-threads", "stability-convexity", "tracking-threads",
-            "optimization-threads", "excess-risk-threads"])
+            "optimization-threads", "excess-risk-threads", "stability-uncoupled",
+            "tracking-tracking-c"])
     def test_flags_a_command_does_not_read_are_usage_errors(self, argv, capsys):
         assert parse_and_dispatch(argv) == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
@@ -187,7 +189,8 @@ class TestConfigKeys:
         "command,key",
         [("stability", "replicats"), ("optimize", "steps"),
          ("optimization", "t_grid"), ("gradcheck", "assert_tol"), ("schedule", "out"),
-         ("tracking", "threads"), ("optimization", "threads"), ("excess-risk", "threads")],
+         ("tracking", "threads"), ("optimization", "threads"), ("excess-risk", "threads"),
+         ("stability", "uncoupled"), ("tracking", "tracking_c")],
     )
     def test_unknown_key_is_a_usage_error(self, command, key, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
