@@ -4,51 +4,20 @@ Implements the SCGD and SCSC two-timescale optimizers for nested
 objectives of the form ``mean_i f_i(mean_j g_j(x))`` on a ball-
 constrained domain, together with exact synthetic benchmarks, certified
 minimizer oracles, closed-form reference bounds, coupled stability
-measurement, and reproducible Monte Carlo studies.
+measurement, and reproducible Monte Carlo studies.  The package exports
+the ``__all__`` of each module below; ``cli`` and ``reporting`` load
+only when imported.
 """
 
-from .core import Rng, project_ball
-from .experiments import (
-    ExcessRiskStudyResult,
-    excess_risk_study,
-    fit_loglog_slope,
-    optimization_study,
-    tracking_study,
-)
-from .optimizer import (
-    OptimizerConfig,
-    Trajectory,
-    Variant,
-    run,
-    schedule_preset,
-)
-from .oracle import (
-    MinimizerCertificate,
-    erm_minimizer,
-    fd_gradient_check,
-    population_minimizer,
-    tracking_bound,
-)
-from .problems import (
-    BoundParams,
-    Dataset,
-    PopulationLaw,
-    benchmark_law,
-    compute_constants,
-    empirical_inner,
-    empirical_risk,
-    empirical_risk_grad,
-    population_risk,
-    sample_dataset,
-)
-from .stability import (
-    CoupledResult,
-    GapReport,
-    StabilityEstimate,
-    check_generalization_inequality,
-    coupled_run,
-    estimate_stability,
-    make_neighbor,
-)
+from . import core, experiments, optimizer, oracle, problems, stability
+from .core import *
+from .experiments import *
+from .optimizer import *
+from .oracle import *
+from .problems import *
+from .stability import *
+
+__all__ = (core.__all__ + experiments.__all__ + optimizer.__all__ + oracle.__all__
+           + problems.__all__ + stability.__all__)
 
 __version__ = "0.1.0"

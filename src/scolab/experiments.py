@@ -192,8 +192,13 @@ def optimization_study(
         raise ValueError("optimization study needs a nonempty step_grid")
     root = Rng(seed).split("optimization-study")
     data = sample_dataset(_resolve_law(law), n, m, root.split("data"))
-    cert = erm_minimizer(data, domain_radius)
     sigma = _gram_modulus(data.a_bar)[0] if output_mode == "sigma_weighted" else None
+    if sigma == 0.0:
+        raise ValueError(
+            "sigma_weighted output needs a strongly convex objective, but this dataset's "
+            "empirical modulus (the least eigenvalue of a_bar^T a_bar) is 0"
+        )
+    cert = erm_minimizer(data, domain_radius)
 
     rows = []
     for gi, (steps, eta, beta) in enumerate(step_grid):

@@ -10,6 +10,9 @@ from hypothesis.extra import numpy as hnp
 from scalar_reference import mat_vec
 from scolab.core import Rng, _norm, _PhiloxKey, as_matrix, as_vector, project_ball
 
+# Every test here must pass on every OpenBLAS core type.
+pytestmark = pytest.mark.blas_portable
+
 finite_vecs = hnp.arrays(
     dtype=np.float64,
     shape=st.integers(1, 6),

@@ -169,6 +169,21 @@ class TestOptimizationStudy:
         # leaves only the stochastic-gradient noise floor
         assert gap_mean < 20.0 * eta
 
+    def test_sigma_weighted_on_convex_law_rejected_before_any_solve(self, monkeypatch):
+        # The convex law's a_bar^T a_bar is rank-deficient, so its modulus is
+        # cut to 0: name it before the certificate or any replicate runs.
+        def no_call(*args, **kwargs):
+            raise AssertionError("the study ran before checking the modulus")
+
+        monkeypatch.setattr(experiments, "erm_minimizer", no_call)
+        monkeypatch.setattr(experiments, "run", no_call)
+        with pytest.raises(ValueError, match=r"empirical modulus \(the least eigenvalue of "
+                           r"a_bar\^T a_bar\) is 0$"):
+            optimization_study(
+                step_grid=((64, 0.05, 0.5),), law="convex", replicates=2,
+                output_mode="sigma_weighted",
+            )
+
     def test_requires_grid(self):
         with pytest.raises(ValueError, match="step_grid"):
             optimization_study(step_grid=(), replicates=5)

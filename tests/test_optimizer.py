@@ -471,6 +471,7 @@ class TestBlockCheck:
         assert calls == {"_leaves_ball": -(-steps // BLOCK_STEPS), "project_ball": 0}
 
 
+@pytest.mark.blas_portable
 class TestSegmentReplay:
     """A run whose ball projection first fires at a chosen step, replayed
     step by step through the scalar reference, bit for bit.
@@ -588,6 +589,7 @@ class TestSegmentReplay:
         assert traj.uniform_avg.tobytes() == (total / steps).tobytes()
 
 
+@pytest.mark.blas_portable
 class TestStackedMatmulMatchesDot:
     """The kernel derives per-step products after each block with stacked
     ``np.matmul``; its outputs equal a per-step loop's only while each
@@ -629,6 +631,7 @@ class TestStackedMatmulMatchesDot:
         assert not _leaves_ball(xs[[0, 2]], 1.0)
 
 
+@pytest.mark.blas_portable
 class TestDotOutMatchesDot:
     """The step loop writes its products into per-run buffers with
     ``ndarray.dot(..., out)``; its outputs equal the allocating loop's only
@@ -650,6 +653,7 @@ class TestDotOutMatchesDot:
             assert v_a.tobytes() == v.dot(a).tobytes()
 
 
+@pytest.mark.blas_portable
 class TestScscTrackerIdentity:
     """With every inner matrix equal (``tau_a = 0``), SCSC's correction
     g_j(x) - g_j(x_prev) is the increment of the mean map, so the tracker

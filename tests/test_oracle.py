@@ -25,6 +25,9 @@ from scolab.problems import (
     sample_dataset,
 )
 
+# Every test here must pass on every OpenBLAS core type.
+pytestmark = pytest.mark.blas_portable
+
 RNG = Rng(303)
 
 

@@ -462,6 +462,7 @@ class TestConstantsPins:
         assert hashlib.sha256(cert.x_star.tobytes()).hexdigest()[:16] == digest
 
 
+@pytest.mark.blas_portable
 class TestMaxQuadraticOnBall:
     """Exact sup of x'Mx + 2v'x + c over ||x|| <= R against closed forms."""
 

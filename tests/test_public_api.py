@@ -1,11 +1,11 @@
 """The library's public surface, pinned.
 
-Each module's ``__all__`` and the names re-exported by ``scolab`` must
-resolve and must match the lists below, so that a stale export, or a
-helper that only the tests need, shows up as a change to this file.  The
-same holds for the fields of every public result type.  ``reporting``
-only writes bytes: each CLI command builds its own header and rows, so
-that module imports no other part of ``scolab``.
+Each module's ``__all__`` must resolve and must match the lists below,
+so that a stale export, or a helper that only the tests need, shows up as
+a change to this file.  ``scolab`` re-exports six of those lists, in
+order, and nothing else.  The same holds for the fields of every public
+result type.  ``reporting`` only writes bytes: each CLI command builds its
+own header and rows, so that module imports no other part of ``scolab``.
 """
 
 import ast
@@ -43,27 +43,8 @@ MODULE_ALL = {
     "trust_region": [],
 }
 
-PACKAGE_EXPORTS = {
-    "core": {"Rng", "project_ball"},
-    "experiments": {
-        "ExcessRiskStudyResult", "excess_risk_study", "fit_loglog_slope",
-        "optimization_study", "tracking_study",
-    },
-    "optimizer": {"OptimizerConfig", "Trajectory", "Variant", "run", "schedule_preset"},
-    "oracle": {
-        "MinimizerCertificate", "erm_minimizer", "fd_gradient_check", "population_minimizer",
-        "tracking_bound",
-    },
-    "problems": {
-        "BoundParams", "Dataset", "PopulationLaw", "benchmark_law", "compute_constants",
-        "empirical_inner", "empirical_risk", "empirical_risk_grad", "population_risk",
-        "sample_dataset",
-    },
-    "stability": {
-        "CoupledResult", "GapReport", "StabilityEstimate", "check_generalization_inequality",
-        "coupled_run", "estimate_stability", "make_neighbor",
-    },
-}
+# The modules whose ``__all__`` the package re-exports, in ``scolab.__all__``'s order.
+PACKAGE_MODULES = ["core", "experiments", "optimizer", "oracle", "problems", "stability"]
 
 
 # Every field of a public result type, in order, keyed by "module.Type".
@@ -102,15 +83,32 @@ def test_package_exports_are_pinned():
         attr for attr, value in vars(scolab).items()
         if not attr.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == set().union(*PACKAGE_EXPORTS.values())
+    assert exported == set().union(*(MODULE_ALL[name] for name in PACKAGE_MODULES))
+    assert scolab.__all__ == [attr for name in PACKAGE_MODULES for attr in MODULE_ALL[name]]
 
 
-@pytest.mark.parametrize("name", sorted(PACKAGE_EXPORTS))
+@pytest.mark.parametrize("name", PACKAGE_MODULES)
 def test_package_exports_come_from_module_all(name):
     module = importlib.import_module(f"scolab.{name}")
-    for attr in PACKAGE_EXPORTS[name]:
-        assert attr in module.__all__
+    for attr in module.__all__:
         assert getattr(scolab, attr) is getattr(module, attr)
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from scolab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(scolab.__all__)
+
+
+def test_studies_return_the_exported_row_types():
+    tracking = scolab.tracking_study(n=3, m=3, steps=4, replicates=2, log_points=2)
+    optimization = scolab.optimization_study(step_grid=((4, 0.1, 0.5),), n=3, m=3, replicates=2)
+    excess = scolab.excess_risk_study(size_grid=(3,), replicates=2, t_max=4)
+    assert all(isinstance(row, scolab.TrackingRow) for row in tracking)
+    assert all(isinstance(row, scolab.OptimizationRow) for row in optimization)
+    assert all(isinstance(row, scolab.ExcessRow) for row in excess.rows)
+    assert tracking and optimization and excess.rows
 
 
 @pytest.mark.parametrize("name", sorted(RESULT_FIELDS))

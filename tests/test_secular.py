@@ -24,6 +24,9 @@ from scolab.core import Rng
 from scolab.oracle import erm_minimizer, population_minimizer
 from secular_reference import halving_secular_point, threshold_secular_point
 
+# Every test here must pass on every OpenBLAS core type.
+pytestmark = pytest.mark.blas_portable
+
 SIZES = (1, 2, 3, 5, 8, 13, 21, 34, 55, 80)
 RNG = Rng(8817)
 
