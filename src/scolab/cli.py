@@ -24,7 +24,8 @@ import numpy as np
 
 from .core import Rng, _norm, project_ball
 from .experiments import excess_risk_study, optimization_study, tracking_study
-from .optimizer import _FLOAT_MAX, OUTPUT_MODES, OptimizerConfig, Variant, run, schedule_preset
+from .optimizer import _FLOAT_MAX, _PRESETS, OUTPUT_MODES, OptimizerConfig, Variant
+from .optimizer import run, schedule_preset
 from .oracle import erm_minimizer, fd_gradient_check, population_minimizer
 from .problems import _BENCHMARKS, benchmark_law, empirical_risk, sample_dataset
 from .reporting import emit_csv, emit_svg, format_value
@@ -189,9 +190,7 @@ def cmd_gradcheck(o) -> int:
 
 
 def cmd_schedule(o) -> int:
-    steps, eta, beta = schedule_preset(
-        Variant(o["variant"]), o["convexity"], o["n"], o["m"], t_max=o["t-max"]
-    )
+    steps, eta, beta = schedule_preset(o["variant"], o["convexity"], o["n"], o["m"], o["t-max"])
     print(f"T={steps} eta={format_value(eta)} beta={format_value(beta)}")
     return 0
 
@@ -200,7 +199,7 @@ def cmd_optimize(o) -> int:
     rng = Rng(o["seed"]).split("optimize")
     data = sample_dataset(benchmark_law(o["benchmark"]), o["n"], o["m"], rng.split("data"))
     cfg = OptimizerConfig(
-        variant=Variant(o["variant"]),
+        variant=o["variant"],
         steps=o["T"],
         eta=o["eta"],
         beta=o["beta"],
@@ -243,7 +242,7 @@ def cmd_oracle(o) -> int:
 
 def cmd_tracking(o) -> int:
     rows = tracking_study(
-        variant=Variant(o["variant"]), law=o["benchmark"], n=o["n"], m=o["m"], steps=o["T"],
+        variant=o["variant"], law=o["benchmark"], n=o["n"], m=o["m"], steps=o["T"],
         eta=o["eta"], beta=o["beta"], replicates=o["replicates"], seed=o["seed"],
         domain_radius=o["radius"], log_points=o["log-points"],
     )
@@ -257,7 +256,7 @@ def cmd_tracking(o) -> int:
 def cmd_stability(o) -> int:
     law = benchmark_law(o["benchmark"])
     opt_cfg = OptimizerConfig(
-        variant=Variant(o["variant"]),
+        variant=o["variant"],
         steps=o["T"],
         eta=o["eta"],
         beta=o["beta"],
@@ -285,7 +284,7 @@ def cmd_optimization(o) -> int:
         beta = o["beta"] if o["beta-exp"] is None else float(t) ** -o["beta-exp"]
         grid.append((t, eta, beta))
     rows = optimization_study(
-        step_grid=tuple(grid), variant=Variant(o["variant"]), law=o["benchmark"], n=o["n"],
+        step_grid=tuple(grid), variant=o["variant"], law=o["benchmark"], n=o["n"],
         m=o["m"], replicates=o["replicates"], seed=o["seed"], domain_radius=o["radius"],
         output_mode=o["output-mode"],
     )
@@ -297,7 +296,7 @@ def cmd_optimization(o) -> int:
 
 def cmd_excess_risk(o) -> int:
     result = excess_risk_study(
-        size_grid=tuple(o["sizes"]), variant=Variant(o["variant"]), convexity=o["convexity"],
+        size_grid=tuple(o["sizes"]), variant=o["variant"], convexity=o["convexity"],
         law=o["benchmark"], replicates=o["replicates"], seed=o["seed"],
         domain_radius=o["radius"], output_mode=o["output-mode"], t_max=o["t-max"],
     )
@@ -315,13 +314,12 @@ def cmd_excess_risk(o) -> int:
 # to names first.
 _COUNT = _number(int, 1)
 _POSITIVE = _number(float, 0.0, strict=True)
-_LAWS = tuple(_BENCHMARKS)  # each benchmark law is named for its convexity regime
 _STUDY_MODES = tuple(mode for mode in OUTPUT_MODES if mode != "uniform_random")
 _SEED = Flag(_number(int, 0), 0, "base random seed")
 _RADIUS = Flag(_POSITIVE, 10.0, "domain ball radius")
 _SEEDED = {"seed": _SEED, "radius": _RADIUS}
 _DATA = {
-    "benchmark": Flag(_choice(*_LAWS), "convex", "benchmark law"),
+    "benchmark": Flag(_choice(*_BENCHMARKS), "convex", "benchmark law"),
     "n": Flag(_COUNT, 40, "number of outer samples"),
     "m": Flag(_COUNT, 40, "number of inner samples"),
 }
@@ -352,7 +350,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
     }),
     "schedule": ("print the published (T, eta, beta) preset", cmd_schedule, {
         "variant": _VARIANT,
-        "convexity": Flag(_choice(*_LAWS), "convex", "convexity regime of the preset"),
+        "convexity": Flag(_choice(*_PRESETS), "convex", "convexity regime of the preset"),
         "n": _DATA["n"],
         "m": _DATA["m"],
         "t-max": _T_MAX,
@@ -407,7 +405,7 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "variant": _VARIANT,
         "benchmark": _DATA["benchmark"],
         "convexity": Flag(
-            _choice(*_LAWS), lambda v: v["benchmark"], "convexity label (default: the benchmark)"
+            _choice(*_PRESETS), lambda v: v["benchmark"], "convexity label (default: the benchmark)"
         ),
         "sizes": Flag(_integers, "20,40,80", "comma-separated n = m values"),
         "replicates": Flag(_number(int, 2), 200, "Monte Carlo replicates"),

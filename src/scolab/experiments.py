@@ -94,7 +94,7 @@ def _log_step_grid(max_t: int, points: int) -> np.ndarray:
 
 def tracking_study(
     *,
-    variant: Variant = Variant.SCGD,
+    variant: Variant | str = Variant.SCGD,
     law: PopulationLaw | str = "convex",
     n: int = 40,
     m: int = 40,
@@ -173,7 +173,7 @@ def tracking_study(
 def optimization_study(
     *,
     step_grid: tuple[tuple[int, float, float], ...],
-    variant: Variant = Variant.SCGD,
+    variant: Variant | str = Variant.SCGD,
     law: PopulationLaw | str = "convex",
     n: int = 40,
     m: int = 40,
@@ -240,7 +240,7 @@ def fit_loglog_slope(xs, ys) -> float:
 def excess_risk_study(
     *,
     size_grid: tuple[int, ...],
-    variant: Variant = Variant.SCGD,
+    variant: Variant | str = Variant.SCGD,
     convexity: str = "convex",
     law: PopulationLaw | str = "convex",
     replicates: int = 50,

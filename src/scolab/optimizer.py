@@ -67,7 +67,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Rng, _norm, as_vector, project_ball
-from .problems import _BENCHMARKS, Dataset
+from .problems import Dataset
 
 __all__ = [
     "Variant",
@@ -95,7 +95,8 @@ class OptimizerConfig:
 
     ``x0`` and ``y0`` default to the origin.  ``eta = 0`` is allowed as a
     degenerate no-movement run (the parameter vector never leaves ``x0``),
-    which is occasionally useful as a zero-iteration stand-in.
+    which is occasionally useful as a zero-iteration stand-in.  A ``variant``
+    given as its value (``"scsc"``) is stored as the enum; others raise ``ValueError``.
     """
 
     variant: Variant
@@ -110,6 +111,7 @@ class OptimizerConfig:
     record_tracking: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "variant", Variant(self.variant))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not (np.isfinite(self.eta) and self.eta >= 0):
@@ -380,35 +382,35 @@ def _run_with_indices(
     )
 
 
-# (iteration exponent, eta exponent, beta exponent) per variant and regime
+# preset regime -> variant -> (iteration exponent, eta exponent, beta exponent)
 _PRESETS = {
-    (Variant.SCGD, "convex"): (3.5, 6.0 / 7.0, 4.0 / 7.0),
-    (Variant.SCSC, "convex"): (2.5, 4.0 / 5.0, 4.0 / 5.0),
-    (Variant.SCGD, "strongly_convex"): (5.0 / 3.0, 9.0 / 10.0, 3.0 / 5.0),
-    (Variant.SCSC, "strongly_convex"): (7.0 / 6.0, 6.0 / 7.0, 6.0 / 7.0),
+    "convex": {Variant.SCGD: (3.5, 6.0 / 7.0, 4.0 / 7.0),
+               Variant.SCSC: (2.5, 4.0 / 5.0, 4.0 / 5.0)},
+    "strongly_convex": {Variant.SCGD: (5.0 / 3.0, 9.0 / 10.0, 3.0 / 5.0),
+                        Variant.SCSC: (7.0 / 6.0, 6.0 / 7.0, 6.0 / 7.0)},
 }
 
 
 def schedule_preset(
-    variant: Variant,
+    variant: Variant | str,
     convexity: str,
     n: int,
     m: int,
     t_max: int | None = None,
 ) -> tuple[int, float, float]:
-    """Published (T, eta, beta) rule for the requested regime.
+    """Published (T, eta, beta) rule for the requested regime, a key of ``_PRESETS``.
 
     T = ceil(max(n, m) ** exponent) with eta = T^-a and beta = T^-b; the
     optional ``t_max`` caps T (the step sizes then follow the capped T).
     Without a cap, a T beyond the float range raises ``ValueError``.
     """
-    if convexity not in _BENCHMARKS:  # each benchmark law is named for its regime
+    if convexity not in _PRESETS:
         raise ValueError(f"unknown convexity {convexity!r}")
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if t_max is not None and t_max < 1:
         raise ValueError("t_max must be >= 1")
-    exponent, a, b = _PRESETS[(variant, convexity)]
+    exponent, a, b = _PRESETS[convexity][Variant(variant)]
     try:
         # Guard against pow() landing an ulp above an exact integer.
         steps = int(math.ceil(float(max(n, m)) ** exponent - 1e-9))

@@ -57,12 +57,14 @@ def _kkt_residual(x, grad, radius) -> float:
     return _norm(x - project_ball(x - grad, radius))
 
 
-def _certify(gram, rhs, risk, radius) -> MinimizerCertificate:
-    """Certified argmin over the radius ball of ``risk``, the quadratic
-    0.5 x'gram x - rhs'x + const.  The value is ``risk(x)``, a sum of
-    squares, because the expanded form cancels and can read below zero."""
+def _certify(a, b, c, risk, radius) -> MinimizerCertificate:
+    """Certified argmin over the radius ball of ``risk``, 0.5 ||a x + b - c||^2
+    plus a constant, from its normal equations.  The value is ``risk(x)``, a sum
+    of squares, because the expanded quadratic cancels and can read below zero."""
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("invalid domain")
+    gram = a.T @ a
+    rhs = a.T @ (c - b)
     # The solve works in units of the radius, which overflow below about
     # 1e-308: name the radius instead of warning and certifying a point.
     try:
@@ -76,21 +78,17 @@ def _certify(gram, rhs, risk, radius) -> MinimizerCertificate:
 
 def erm_minimizer(dataset: Dataset, radius: float) -> MinimizerCertificate:
     """Certified minimizer of the nested empirical objective over the ball."""
-    a_bar = dataset.a_bar
-    gram = a_bar.T @ a_bar
-    rhs = a_bar.T @ (dataset.c_bar - dataset.b_bar)
-    return _certify(gram, rhs, partial(empirical_risk, dataset), radius)
+    risk = partial(empirical_risk, dataset)
+    return _certify(dataset.a_bar, dataset.b_bar, dataset.c_bar, risk, radius)
 
 
 def population_minimizer(law: PopulationLaw, radius: float) -> MinimizerCertificate:
     """Certified minimizer of the population objective over the ball."""
-    gram = law.a0.T @ law.a0
-    rhs = law.a0.T @ (law.c0 - law.b0)
-    return _certify(gram, rhs, partial(population_risk, law), radius)
+    return _certify(law.a0, law.b0, law.c0, partial(population_risk, law), radius)
 
 
 def tracking_bound(
-    variant: Variant,
+    variant: Variant | str,
     t: int,
     params: BoundParams,
     eta: float,
@@ -102,7 +100,7 @@ def tracking_bound(
     SCSC:  (c/e)^c (t beta)^-c d_y + lip_f^2 lip_g^3 eta^2 / beta   + 2 var_g beta
 
     Here c = 2; any c > 0 is valid, as (1 - beta)^t <= e^(-t beta) <= (c / (e t beta))^c.
-    Raises ``ValueError`` when the value is not finite.
+    Raises ``ValueError`` when the value is not finite or the variant is unknown.
     """
     if t < 1:
         raise ValueError("bound undefined at t=0")
@@ -112,7 +110,7 @@ def tracking_bound(
     try:
         decay = (c / np.e) ** c * (t * beta) ** (-c) * params.d_y
         drift = params.lip_f**2 * params.lip_g**3 * eta**2
-        drift /= beta**2 if variant is Variant.SCGD else beta
+        drift /= beta**2 if Variant(variant) is Variant.SCGD else beta
         noise = 2.0 * params.var_g * beta
         value = decay + drift + noise
     except (OverflowError, ZeroDivisionError):

@@ -84,7 +84,7 @@ def coupled_run(
     The two runs share one realized index sequence drawn from ``rng``;
     identical datasets then yield a distance of exactly zero.
     """
-    if (dataset.n, dataset.m) != (neighbor.n, neighbor.m):
+    if (dataset.n, dataset.inner_a.shape) != (neighbor.n, neighbor.inner_a.shape):
         raise ValueError("non-neighboring datasets")
     indices = _draw_indices(dataset, cfg, rng.split("indices"))
     out = _run_with_indices(dataset, cfg, *indices).final_output
@@ -151,11 +151,14 @@ def estimate_stability(
     Each replicate draws a fresh dataset, a fresh replacement sample and
     a uniform position on its own child stream, then runs one coupled
     pair per requested side.  Replicates run one after another through
-    ``_replicates`` and are aggregated in replicate order.
+    ``_replicates`` and are aggregated in replicate order.  ``kinds`` names
+    each requested side once, and at least one.
     """
     for kind in kinds:
         if kind not in ("nu", "omega"):
             raise ValueError(f"unknown neighbor kind {kind!r}")
+    if not kinds or len(set(kinds)) < len(kinds):
+        raise ValueError(f"kinds must name 'nu', 'omega' or both, each once, not {kinds!r}")
 
     def one(rep_rng: Rng) -> tuple[float, float]:
         data = sample_dataset(law, n, m, rep_rng.split("data"))

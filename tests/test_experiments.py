@@ -112,6 +112,15 @@ class TestTrackingStudy:
         assert all(row.mean_sq_error > 0 for row in rows)
         assert all(row.se <= 1e-14 * row.mean_sq_error for row in rows)
 
+    @pytest.mark.blas_portable
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_variant_by_value_is_the_enum(self, variant):
+        # Every row, the ceiling included, is the enum's: the value string
+        # must not run one variant and bound it with the other's ceiling.
+        settings = dict(n=6, m=6, steps=60, replicates=3, seed=5, log_points=6)
+        assert (tracking_study(variant=variant.value, **settings)
+                == tracking_study(variant=variant, **settings))
+
     def test_law_by_name_is_the_benchmark_law(self):
         settings = dict(n=6, m=6, steps=60, replicates=3, seed=4, log_points=6)
         by_name = tracking_study(law="strongly_convex", **settings)

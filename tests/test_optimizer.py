@@ -15,7 +15,7 @@ from scalar_reference import (
     param_step,
     tracking_step,
 )
-from scolab import optimizer
+from scolab import optimizer, problems
 from scolab.core import Rng
 from scolab.optimizer import (
     BLOCK_STEPS,
@@ -770,6 +770,44 @@ class TestSchedulePreset:
     def test_desk_scale_examples(self):
         assert schedule_preset(Variant.SCSC, "convex", 20, 20)[0] == 1789
         assert schedule_preset(Variant.SCGD, "convex", 20, 20)[0] == 35778
+
+
+@pytest.mark.blas_portable
+class TestVariantLabel:
+    """The enum is the one parser of a variant: its value string gives the
+    enum, and any other value is rejected wherever a variant is read."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_value_string_runs_the_enum_variant(self, variant):
+        data = sample_dataset(benchmark_law("convex"), 6, 6, RNG.split("label"))
+        by_enum, by_value = (
+            OptimizerConfig(variant=v, steps=40, eta=0.05, beta=0.3, record_tracking=True)
+            for v in (variant, variant.value)
+        )
+        assert by_value.variant is variant
+        assert by_value == by_enum
+        assert (trajectory_digest(run(data, by_value, RNG.split("labelrun")))
+                == trajectory_digest(run(data, by_enum, RNG.split("labelrun"))))
+
+    @pytest.mark.parametrize("bogus", ["bogus", "SCSC", None])
+    def test_unknown_variant_rejected(self, bogus):
+        with pytest.raises(ValueError, match="is not a valid Variant"):
+            OptimizerConfig(variant=bogus, steps=1, eta=0.1, beta=0.5)
+        with pytest.raises(ValueError, match="is not a valid Variant"):
+            schedule_preset(bogus, "convex", 4, 4)
+
+    @pytest.mark.parametrize("convexity", ["convex", "strongly_convex"])
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_schedule_preset_takes_the_value_string(self, variant, convexity):
+        assert (schedule_preset(variant.value, convexity, 20, 30, t_max=10**6)
+                == schedule_preset(variant, convexity, 20, 30, t_max=10**6))
+
+    def test_a_benchmark_law_is_not_a_preset_regime(self, monkeypatch):
+        # The presets name their own regimes; a new benchmark law named
+        # otherwise does not become one.
+        monkeypatch.setitem(problems._BENCHMARKS, "wavy", problems._BENCHMARKS["convex"])
+        with pytest.raises(ValueError, match="^unknown convexity 'wavy'$"):
+            schedule_preset(Variant.SCGD, "wavy", 4, 4)
 
 
 class TestConfigValidation:

@@ -295,6 +295,15 @@ class TestTrackingBound:
     def test_returns_a_float(self):
         assert type(tracking_bound(Variant.SCGD, 3, unit_params(), 0.01, 0.1)) is float
 
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_value_string_is_the_enum(self, variant):
+        assert (tracking_bound(variant.value, 10, unit_params(), 0.01, 0.1)
+                == tracking_bound(variant, 10, unit_params(), 0.01, 0.1))
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="^'SCGD' is not a valid Variant$"):
+            tracking_bound("SCGD", 10, unit_params(), 0.01, 0.1)
+
     @pytest.mark.parametrize("t, eta, beta", [
         (1, 1e300, 0.1),
         (1, 0.01, 1e-200),

@@ -121,6 +121,18 @@ class TestCoupledRun:
         with pytest.raises(ValueError, match="non-neighboring datasets"):
             coupled_run(a, b, small_cfg(), RNG.split("mm"))
 
+    def test_mismatched_dimensions_rejected_before_either_run(self, monkeypatch):
+        # Same (n, m), but p = 5, d = 4 against p = 4, d = 5.
+        a = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("mda"))
+        b = sample_dataset(benchmark_law("strongly_convex"), 4, 4, RNG.split("mdb"))
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started on datasets of different dimensions")
+
+        monkeypatch.setattr(stability, "_run_with_indices", no_run)
+        with pytest.raises(ValueError, match="^non-neighboring datasets$"):
+            coupled_run(a, b, small_cfg(), RNG.split("md"))
+
 
     def test_distance_past_the_square_range_is_exact(self):
         # Steps of 1e154 put the outputs near 1e307, where the squares of a
@@ -210,6 +222,15 @@ class TestEstimateStability:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="^unknown neighbor kind 'mu'$"):
             estimate_stability(benchmark_law("convex"), 4, 4, small_cfg(), 2, RNG, kinds=("mu",))
+
+    @pytest.mark.parametrize("kinds", [(), ("nu", "nu"), ("omega", "nu", "omega")])
+    def test_empty_or_repeated_kinds_rejected_before_any_draw(self, monkeypatch, kinds):
+        def no_data(*args, **kwargs):
+            raise AssertionError("a dataset was drawn before kinds was checked")
+
+        monkeypatch.setattr(stability, "sample_dataset", no_data)
+        with pytest.raises(ValueError, match="^kinds must name"):
+            estimate_stability(benchmark_law("convex"), 4, 4, small_cfg(), 2, RNG, kinds=kinds)
 
     def test_replicates_validated(self, monkeypatch):
         def no_step(*args, **kwargs):
