@@ -199,38 +199,37 @@ def optimization_study(
             "empirical modulus (the least eigenvalue of a_bar^T a_bar) is 0"
         )
     cert = erm_minimizer(data, domain_radius)
+    # Every point's config first, so a bad later point fails before any replicate runs.
+    configs = [
+        OptimizerConfig(variant=variant, steps=steps, eta=eta, beta=beta,
+                        domain_radius=domain_radius, output_mode=output_mode, sigma=sigma)
+        for steps, eta, beta in step_grid
+    ]
 
     rows = []
-    for gi, (steps, eta, beta) in enumerate(step_grid):
-        opt_cfg = OptimizerConfig(
-            variant=variant,
-            steps=steps,
-            eta=eta,
-            beta=beta,
-            domain_radius=domain_radius,
-            output_mode=output_mode,
-            sigma=sigma,
-        )
+    for gi, opt_cfg in enumerate(configs):
 
         def one(rep_rng: Rng) -> float:
             return empirical_risk(data, run(data, opt_cfg, rep_rng).final_output) - cert.value
 
         gaps = _replicates(one, root, f"grid-{gi}-rep-", replicates)
-        rows.append(OptimizationRow(steps, eta, beta, *_mean_se(gaps)))
+        rows.append(OptimizationRow(opt_cfg.steps, opt_cfg.eta, opt_cfg.beta, *_mean_se(gaps)))
     return rows
 
 
 def fit_loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x).
 
-    Needs at least two distinct x values and positive xs and ys.
+    Needs at least two distinct x values and finite positive xs and ys.
+    A non-finite value would reach LAPACK, which prints to the process's
+    standard output before numpy raises, so it is refused here.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if not all(np.isfinite(v).all() and (v > 0).all() for v in (xs, ys)):
+        raise ValueError("a log-log slope needs finite positive values")
     if len(set(xs.tolist())) < 2:
         raise ValueError("need at least two distinct x values to fit a slope")
-    if not (xs > 0).all() or not (ys > 0).all():
-        raise ValueError("a log-log slope needs positive values")
     lx, ly = np.log(xs), np.log(ys)
     design = np.stack([lx, np.ones_like(lx)], axis=1)
     coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
@@ -255,7 +254,8 @@ def excess_risk_study(
     and algorithm), runs the ``convexity`` preset schedule, capped at
     ``t_max``, for its n = m entry of ``size_grid``, and scores the
     output against the certified population minimum.  The fitted slope
-    is NaN unless the grid holds at least two distinct sizes.
+    is NaN unless the grid holds at least two distinct sizes and every mean
+    is finite.
     """
     if not size_grid:
         raise ValueError("excess_risk study needs a nonempty size_grid")
@@ -268,19 +268,16 @@ def excess_risk_study(
         )
     root = Rng(seed).split("excess-study")
     pop = population_minimizer(law, domain_radius)
+    # Every size's preset and config first, so a bad later size fails before any run.
+    presets = [schedule_preset(variant, convexity, size, size, t_max=t_max) for size in size_grid]
+    configs = [
+        OptimizerConfig(variant=variant, steps=steps, eta=eta, beta=beta,
+                        domain_radius=domain_radius, output_mode=output_mode, sigma=sigma)
+        for steps, eta, beta in presets
+    ]
 
     rows = []
-    for gi, size in enumerate(size_grid):
-        steps, eta, beta = schedule_preset(variant, convexity, size, size, t_max=t_max)
-        opt_cfg = OptimizerConfig(
-            variant=variant,
-            steps=steps,
-            eta=eta,
-            beta=beta,
-            domain_radius=domain_radius,
-            output_mode=output_mode,
-            sigma=sigma,
-        )
+    for gi, (size, opt_cfg) in enumerate(zip(size_grid, configs)):
 
         def one(rep_rng: Rng) -> float:
             data = sample_dataset(law, size, size, rep_rng.split("data"))
@@ -288,11 +285,11 @@ def excess_risk_study(
             return population_risk(law, out) - pop.value
 
         excess = _replicates(one, root, f"grid-{gi}-rep-", replicates)
-        rows.append(ExcessRow(size, size, steps, eta, beta, *_mean_se(excess)))
-    if len({r.n for r in rows}) >= 2:
-        slope = fit_loglog_slope(
-            [r.n for r in rows], [max(r.excess_mean, 1e-300) for r in rows]
-        )
+        rows.append(ExcessRow(size, size, opt_cfg.steps, opt_cfg.eta, opt_cfg.beta,
+                              *_mean_se(excess)))
+    means = [r.excess_mean for r in rows]
+    if len({r.n for r in rows}) >= 2 and all(math.isfinite(v) for v in means):
+        slope = fit_loglog_slope([r.n for r in rows], [max(v, 1e-300) for v in means])
     else:
         slope = float("nan")
     return ExcessRiskStudyResult(rows, slope)

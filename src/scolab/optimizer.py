@@ -66,7 +66,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Rng, _norm, as_vector, project_ball
+from .core import Rng, project_ball
 from .problems import Dataset
 
 __all__ = [
@@ -93,10 +93,10 @@ class Variant(Enum):
 class OptimizerConfig:
     """Run parameters for :func:`run`.
 
-    ``x0`` and ``y0`` default to the origin.  ``eta = 0`` is allowed as a
-    degenerate no-movement run (the parameter vector never leaves ``x0``),
-    which is occasionally useful as a zero-iteration stand-in.  A ``variant``
-    given as its value (``"scsc"``) is stored as the enum; others raise ``ValueError``.
+    Every run starts at ``x0 = 0``, ``y0 = 0``, the start the bound constants
+    assume.  ``eta = 0`` is allowed as a degenerate no-movement run (x never
+    leaves the origin), occasionally useful as a zero-iteration stand-in.  A
+    ``variant`` given as its value (``"scsc"``) is stored as the enum; others raise ``ValueError``.
     """
 
     variant: Variant
@@ -104,8 +104,6 @@ class OptimizerConfig:
     eta: float
     beta: float
     domain_radius: float = 10.0
-    x0: np.ndarray | None = None
-    y0: np.ndarray | None = None
     output_mode: str = "last"
     sigma: float | None = None
     record_tracking: bool = False
@@ -123,18 +121,11 @@ class OptimizerConfig:
         if self.output_mode not in OUTPUT_MODES:
             raise ValueError(f"unknown output mode {self.output_mode!r}")
         if self.output_mode == "sigma_weighted":
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError("sigma_weighted output needs sigma > 0")
+            # inf * eta is NaN at eta = 0, which the stability test below lets through.
+            if self.sigma is None or not (np.isfinite(self.sigma) and self.sigma > 0):
+                raise ValueError("sigma_weighted output needs a finite sigma > 0")
             if self.sigma * self.eta >= 2.0:
                 raise ValueError("unstable weights")
-        for name in ("x0", "y0"):
-            if getattr(self, name) is not None:
-                start = as_vector(getattr(self, name))
-                if not np.isfinite(start).all():
-                    raise ValueError(f"{name} must be finite")
-                object.__setattr__(self, name, start)
-        if self.x0 is not None and _norm(self.x0) > self.domain_radius * (1 + 1e-12):
-            raise ValueError("x0 lies outside the domain")
 
 
 @dataclass(frozen=True)
@@ -179,16 +170,6 @@ def run(dataset: Dataset, cfg: OptimizerConfig, rng: Rng) -> Trajectory:
     return _run_with_indices(dataset, cfg, *_draw_indices(dataset, cfg, rng))
 
 
-def _start_point(value: np.ndarray | None, dim: int, name: str, dim_name: str) -> np.ndarray:
-    if value is None:
-        return np.zeros(dim)
-    if value.shape != (dim,):
-        raise ValueError(
-            f"{name} has length {value.shape[0]}, but the dataset needs {dim_name} = {dim}"
-        )
-    return value.copy()
-
-
 def _tracking_sq_errors(dataset: Dataset, pre: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``||y_t - (a_bar x + b_bar)||^2`` for each row pair of ``ys`` and ``pre``.
 
@@ -220,8 +201,8 @@ def _run_with_indices(
 ) -> Trajectory:
     steps = cfg.steps
     p, d = dataset.p, dataset.d
-    x = _start_point(cfg.x0, p, "x0", "p")
-    y = _start_point(cfg.y0, d, "y0", "d")
+    x = np.zeros(p)
+    y = np.zeros(d)
     x_prev = x
     a_rows = list(dataset.inner_a)
     c_rows = list(dataset.outer_c)

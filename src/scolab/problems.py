@@ -227,7 +227,7 @@ class BoundParams:
     smooth_l     smoothness of the composed empirical objective
     sigma        strong-convexity modulus of the composed empirical objective
     var_g        sup over the domain of the inner-value empirical variance
-    d_y          bound on the squared initial tracking gap
+    d_y          bound on the squared initial tracking gap; every run starts at x0 = y0 = 0
     """
 
     lip_f: float
@@ -303,9 +303,9 @@ def compute_constants(dataset: Dataset, domain_radius: float) -> BoundParams:
                          "the bound constants overflow")
     var_g = float(sups[0])
 
-    # A-priori tracker deviation: with y0 = 0 the first tracker value is a
-    # convex combination of 0 and one inner value, so the gap to the inner
-    # mean never exceeds max(sup ||g_j - g_bar||, sup ||g_bar||).
+    # A-priori tracker deviation: every run starts at y0 = 0, so the first
+    # tracker value is a convex combination of 0 and one inner value, and the
+    # gap to the inner mean never exceeds max(sup ||g_j - g_bar||, sup ||g_bar||).
     d_y = float(np.max(sups[1 : m + 2]))
 
     # lip_f: largest gradient norm of an outer loss over the reachable set

@@ -60,13 +60,11 @@ def test_criterion_1_gradient_oracle():
 def test_criterion_2_algorithm_algebra():
     started = time.perf_counter()
     # (a) the corrected tracker reproduces the iterate exactly for an
-    # identity inner map started at y0 = x0
+    # identity inner map, as every run starts at y0 = g(x0) = 0
     law = PopulationLaw(a0=np.eye(4), b0=np.zeros(4), c0=np.ones(4), tau_c=0.5)
     data = sample_dataset(law, 10, 1, SEED.split("c2-data"))
-    x0 = np.full(4, 0.5)
     cfg = OptimizerConfig(
-        variant=Variant.SCSC, steps=10_000, eta=0.05, beta=0.4,
-        x0=x0, y0=x0, record_tracking=True,
+        variant=Variant.SCSC, steps=10_000, eta=0.05, beta=0.4, record_tracking=True,
     )
     traj = run(data, cfg, SEED.split("c2-run"))
     max_gap = float(np.sqrt(traj.tracking_sq_errors.max()))

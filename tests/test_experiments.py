@@ -41,6 +41,19 @@ class TestFitLoglogSlope:
         with pytest.raises(ValueError, match="positive"):
             fit_loglog_slope(xs, ys)
 
+    @pytest.mark.parametrize("xs, ys", [
+        ([1.0, 2.0, np.inf], [1.0, 2.0, 2.0]), ([1.0, 2.0, 4.0], [1.0, 2.0, np.inf]),
+        ([1.0, np.nan, 4.0], [1.0, 2.0, 2.0]), ([1.0, 2.0, 4.0], [np.nan, 2.0, 2.0]),
+    ])
+    def test_needs_finite_values(self, xs, ys, capfd):
+        # An infinite x reaches LAPACK, which prints "On entry to DLASCL ..."
+        # to file descriptor 1, where no warning filter sees it; an infinite
+        # y fits NaN.
+        with pytest.raises(ValueError, match="^a log-log slope needs finite positive values$"):
+            fit_loglog_slope(xs, ys)
+        captured = capfd.readouterr()
+        assert "DLASCL" not in captured.out + captured.err
+
 
 class TestLogStepGrid:
     @staticmethod
@@ -154,30 +167,6 @@ class TestOptimizationStudy:
         )
         assert rows[0].gap_mean < 1e-4
 
-    def test_warm_start_at_the_minimizer_stays_on_the_noise_floor(self):
-        from scolab.core import Rng
-        from scolab.optimizer import OptimizerConfig, run
-        from scolab.oracle import erm_minimizer
-        from scolab.problems import empirical_risk, sample_dataset
-
-        root = Rng(11).split("optimization-study")
-        data = sample_dataset(benchmark_law("strongly_convex"), 10, 10, root.split("data"))
-        cert = erm_minimizer(data, 10.0)
-        eta = 0.02
-        cfg = OptimizerConfig(
-            variant=Variant.SCSC, steps=512, eta=eta, beta=0.3, domain_radius=10.0,
-            x0=cert.x_star, output_mode="uniform_average",
-        )
-        gap_mean = np.mean([
-            empirical_risk(data, run(data, cfg, root.split(f"grid-0-rep-{rep}")).final_output)
-            - cert.value
-            for rep in range(10)
-        ])
-        assert gap_mean >= -1e-10
-        # the run never beats the certificate, and starting at the optimum
-        # leaves only the stochastic-gradient noise floor
-        assert gap_mean < 20.0 * eta
-
     def test_sigma_weighted_on_convex_law_rejected_before_any_solve(self, monkeypatch):
         # The convex law's a_bar^T a_bar is rank-deficient, so its modulus is
         # cut to 0: name it before the certificate or any replicate runs.
@@ -196,6 +185,15 @@ class TestOptimizationStudy:
     def test_requires_grid(self):
         with pytest.raises(ValueError, match="step_grid"):
             optimization_study(step_grid=(), replicates=5)
+
+    def test_every_grid_point_is_settled_before_any_replicate_runs(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replicate ran before every grid point was settled")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\]$"):
+            optimization_study(step_grid=((256, 0.01, 0.1), (256, 0.01, 0.0)),
+                               law="strongly_convex", replicates=50)
 
 
 class TestExcessRiskStudy:
@@ -243,6 +241,24 @@ class TestExcessRiskStudy:
         result = excess_risk_study(size_grid=(6, 6), replicates=3, seed=9)
         assert [row.n for row in result.rows] == [6, 6]
         assert np.isnan(result.fitted_slope)
+
+    @pytest.mark.parametrize("risk", [np.inf, np.nan])
+    def test_a_non_finite_mean_has_no_slope(self, monkeypatch, risk):
+        monkeypatch.setattr(experiments, "population_risk", lambda law, x: risk)
+        result = excess_risk_study(size_grid=(6, 8), replicates=2, seed=9, t_max=5)
+        assert [row.n for row in result.rows] == [6, 8]
+        assert all(np.isnan(row.excess_mean) == np.isnan(risk) for row in result.rows)
+        assert np.isnan(result.fitted_slope)
+
+    def test_every_size_is_settled_before_any_replicate_runs(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a replicate ran before every size was settled")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        with pytest.raises(ValueError, match="is beyond the float range"):
+            excess_risk_study(size_grid=(20, 10**400), variant="scsc",
+                              convexity="strongly_convex", law="strongly_convex",
+                              replicates=50)
 
     def test_sigma_weighted_rejects_rounding_noise_modulus(self):
         # a0^T a0 has rank 1, but eigvalsh returns a least eigenvalue of

@@ -86,11 +86,10 @@ class TestParamStep:
 
 class TestRun:
     def test_identity_inner_scsc_tracks_exactly(self):
+        # The run starts at y0 = g(x0) = 0, so the corrected tracker is exact.
         data = sample_dataset(identity_law(), 10, 1, RNG.split("ii"))
-        x0 = np.full(3, 0.5)
         cfg = OptimizerConfig(
-            variant=Variant.SCSC, steps=1000, eta=0.05, beta=0.4,
-            x0=x0, y0=x0, record_tracking=True,
+            variant=Variant.SCSC, steps=1000, eta=0.05, beta=0.4, record_tracking=True,
         )
         traj = run(data, cfg, RNG.split("iirun"))
         assert np.sqrt(traj.tracking_sq_errors.max()) <= 1e-12
@@ -189,10 +188,9 @@ class TestRun:
         data = sample_dataset(benchmark_law("strongly_convex"), 20, 20, RNG.split("desc"))
         params = compute_constants(data, 10.0)
         eta = 1.0 / (2.0 * params.smooth_l)
-        x0 = np.full(data.p, 1.5)
         cfg = OptimizerConfig(variant=Variant.SCSC, steps=400, eta=eta, beta=0.5,
-                              x0=x0, output_mode="uniform_average")
-        f0 = empirical_risk(data, x0)
+                              output_mode="uniform_average")
+        f0 = empirical_risk(data, np.zeros(data.p))
         values = []
         for rep in range(50):
             traj = run(data, cfg, RNG.split(f"desc-{rep}"))
@@ -204,9 +202,9 @@ class TestSelectOutput:
     """Each output mode as ``run`` returns it in ``final_output``."""
 
     @staticmethod
-    def _run(mode, steps, eta=0.01, sigma=1.0, x0=None, label="out"):
+    def _run(mode, steps, eta=0.01, sigma=1.0, label="out"):
         data = sample_dataset(benchmark_law("strongly_convex"), 5, 5, RNG.split(label))
-        cfg = OptimizerConfig(variant=Variant.SCSC, steps=steps, eta=eta, beta=0.5, x0=x0,
+        cfg = OptimizerConfig(variant=Variant.SCSC, steps=steps, eta=eta, beta=0.5,
                               output_mode=mode, sigma=sigma)
         return run(data, cfg, RNG.split(label + "run"))
 
@@ -216,11 +214,10 @@ class TestSelectOutput:
             np.testing.assert_array_equal(out, outs[0])
 
     def test_constant_trajectory(self):
-        # eta = 0 never moves the parameter, so every output is x0.
-        x0 = np.array([0.1, -0.7, 0.3, 1.0])
+        # eta = 0 never moves the parameter, so every output is the origin.
         for mode in OUTPUT_MODES:
-            out = self._run(mode, steps=7, eta=0.0, sigma=0.5, x0=x0).final_output
-            np.testing.assert_allclose(out, x0, rtol=1e-15)
+            out = self._run(mode, steps=7, eta=0.0, sigma=0.5).final_output
+            np.testing.assert_allclose(out, np.zeros(4), rtol=1e-15)
 
     def test_sigma_weights_hand_value(self):
         # sigma * eta = 1 gives rho = 1/2: weight 0.5 on x_1 and 1.0 on x_2.
@@ -291,9 +288,9 @@ def trajectory_digest(traj):
 # step 7980, inside the 32nd block.  The R = 0.3 rows project on every
 # step, so their first block is replayed and every later step runs the
 # per-step test.
-# Rows may add (beta, start) to the default (0.3, "origin"): those rows
-# pin a given x0 and y0 (START_X0, START_Y0), SCSC at beta = 1 (which runs
-# the SCGD recurrence) and eta = 0.
+# Every run starts at the origin.  A row may add beta to the default 0.3:
+# that row pins SCSC at beta = 1, which runs the SCGD recurrence.  Another
+# pins eta = 0.
 # A kernel change that moves any bit of any field shows here.
 KERNEL_PINS = [
     (Variant.SCGD, "last", False, 33, 0.05, 10.0, "96c989082a723c6d"),
@@ -325,44 +322,31 @@ KERNEL_PINS = [
     (Variant.SCSC, "uniform_random", True, 12000, 0.05, 10.0, "7b8458180f76de3c"),
     (Variant.SCGD, "sigma_weighted", True, 8193, 0.5, 0.3, "298722f78156da75"),
     (Variant.SCSC, "last", False, 8193, 0.5, 0.3, "6952a1144374408e"),
-    (Variant.SCGD, "last", False, 33, 0.05, 10.0, "394e16d945c9ff76", 0.3, "given"),
-    (Variant.SCGD, "uniform_average", True, 33, 0.05, 10.0, "1285abfd1d45048b", 0.3, "given"),
-    (Variant.SCGD, "last", False, 4097, 0.05, 10.0, "7816fafde29ef84e", 0.3, "given"),
-    (Variant.SCSC, "sigma_weighted", False, 33, 0.05, 10.0, "f4715ad9c418822e", 0.3, "given"),
-    (Variant.SCSC, "uniform_random", True, 33, 0.05, 10.0, "9f0b105107b6e1e7", 0.3, "given"),
-    (Variant.SCSC, "last", False, 33, 0.05, 10.0, "08cba03816ce69ba", 1.0, "origin"),
-    (Variant.SCSC, "uniform_average", True, 4097, 0.05, 10.0, "418f3c1997eb63e6", 1.0, "given"),
-    (Variant.SCGD, "uniform_average", False, 33, 0.0, 10.0, "87a36bf377517618", 0.3, "given"),
-    (Variant.SCSC, "sigma_weighted", True, 33, 0.0, 10.0, "ec559bf5e2a76474", 0.3, "origin"),
+    (Variant.SCSC, "last", False, 33, 0.05, 10.0, "08cba03816ce69ba", 1.0),
+    (Variant.SCSC, "sigma_weighted", True, 33, 0.0, 10.0, "ec559bf5e2a76474"),
 ]
-PIN_DEFAULTS = (0.3, "origin")
-FULL_PINS = [row + PIN_DEFAULTS[len(row) - 7:] for row in KERNEL_PINS]
-START_X0 = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
-START_Y0 = np.array([1.0, -0.5, 0.25, 2.0])
+PIN_BETA = 0.3
+FULL_PINS = [row if len(row) == 8 else row + (PIN_BETA,) for row in KERNEL_PINS]
 
 
-def _pin_id(variant, mode, tracking, steps, eta, radius, beta, start):
+def _pin_id(variant, mode, tracking, steps, eta, radius, beta):
     base = f"{variant.value}-{mode}-{'track' if tracking else 'notrack'}-T{steps}-R{radius}"
     extra = [f"eta{eta}"] if eta == 0 else []
-    extra += [f"beta{beta}"] if beta != PIN_DEFAULTS[0] else []
-    extra += [start] if start != PIN_DEFAULTS[1] else []
+    extra += [f"beta{beta}"] if beta != PIN_BETA else []
     return "-".join([base, *extra])
 
 
 class TestKernelBytes:
     @pytest.mark.parametrize(
-        "variant, mode, tracking, steps, eta, radius, digest, beta, start",
+        "variant, mode, tracking, steps, eta, radius, digest, beta",
         FULL_PINS,
-        ids=[_pin_id(*row[:6], *row[7:]) for row in FULL_PINS],
+        ids=[_pin_id(*row[:6], row[7]) for row in FULL_PINS],
     )
-    def test_trajectory_bytes_pinned(
-        self, variant, mode, tracking, steps, eta, radius, digest, beta, start
-    ):
+    def test_trajectory_bytes_pinned(self, variant, mode, tracking, steps, eta, radius, digest,
+                                     beta):
         data = sample_dataset(benchmark_law("convex"), 6, 7, RNG.split("pin"))
-        given = start == "given"
         cfg = OptimizerConfig(
             variant=variant, steps=steps, eta=eta, beta=beta, domain_radius=radius,
-            x0=START_X0 if given else None, y0=START_Y0 if given else None,
             output_mode=mode, sigma=1.0, record_tracking=tracking,
         )
         traj = run(data, cfg, RNG.split(f"pinrun-{steps}"))
@@ -532,40 +516,51 @@ class TestSegmentReplay:
         if tracking:
             assert traj.tracking_sq_errors.tobytes() == gaps.tobytes()
 
-    def test_invalid_operation_warns_once_as_a_per_step_loop_would(self):
-        # x0 = (1, 1) puts g = a @ x past the float range, and SCSC's first
-        # tracker correction g - g_prev is inf - inf.  A per-step loop warns
-        # there once; the unchecked pass must neither hide nor repeat it.
-        data = Dataset(inner_a=np.full((1, 1, 2), 1e308), inner_b=np.zeros((1, 1)),
-                       outer_c=np.zeros((1, 1)))
-        cfg = OptimizerConfig(variant=Variant.SCSC, steps=300, eta=1e-300, beta=0.5,
-                              x0=np.ones(2))
-        with pytest.warns(RuntimeWarning, match="invalid value encountered in subtract") as caught:
-            traj = run(data, cfg, RNG.split("invalid"))
-        assert len(caught) == 1
-        assert np.isnan(traj.last).all()
+    @staticmethod
+    def _invalid_at(variant, first, steps):
+        """A dataset, eta and inner indices whose run, from the origin, makes
+        its first invalid operation at step ``first``.
 
-    @pytest.mark.parametrize("variant, op", [(Variant.SCGD, "multiply"), (Variant.SCSC, "subtract")])
-    @pytest.mark.parametrize("first", [300, BLOCK_STEPS, 2 * BLOCK_STEPS],
-                             ids=["step-300", "block-1-last", "block-2-last"])
-    def test_late_invalid_operation_warns_once_at_its_step(self, first, variant, op):
-        # From x0 = (1, 1) with eta = 0, inner sample 0 (a = 0) leaves x where
-        # it is, and sample 1 (a = 1e308) makes g = a @ x overflow at step
-        # `first`.  There SCGD's eta * (r @ a) is 0 * inf and SCSC's tracker
-        # correction g - g_prev is inf - inf: the run's first invalid
-        # operation, past the run's first steps.  Every later step is NaN.
-        data = Dataset(inner_a=np.array([[[0.0, 0.0]], [[1e308, 1e308]]]),
-                       inner_b=np.zeros((2, 1)), outer_c=np.zeros((1, 1)))
-        steps = 2 * BLOCK_STEPS + 88
-        cfg = OptimizerConfig(variant=variant, steps=steps, eta=0.0, beta=0.5, x0=np.ones(2),
-                              output_mode="uniform_average")
+        SCGD (eta = 0, so x stays at 0): inner sample 0 (a = 0) and sample 1
+        (a = 1e308) both have b = 10, so y > 1 and r = y - c > 1 from step 1
+        on; at step ``first`` sample 1 makes eta * (r @ a) the product 0 * inf.
+        SCSC (eta = 1, c = -1): step 1 draws sample 2 (a = (1, 1)), which
+        moves x to (-1, -1); sample 0 (a = 0) then holds x and y still.  At
+        step ``first`` sample 1 overflows both g = a @ x and g_prev = a @ x_prev
+        to -inf, and the tracker correction g - g_prev is inf - inf.  That
+        needs first >= 3: at step 2, x_prev is still the origin."""
         j_idx = np.zeros(steps, dtype=np.int64)
+        if variant is Variant.SCGD:
+            data = Dataset(inner_a=np.array([[[0.0, 0.0]], [[1e308, 1e308]]]),
+                           inner_b=np.full((2, 1), 10.0), outer_c=np.zeros((1, 1)))
+            eta = 0.0
+        else:
+            data = Dataset(inner_a=np.array([[[0.0, 0.0]], [[1e308, 1e308]], [[1.0, 1.0]]]),
+                           inner_b=np.zeros((3, 1)), outer_c=np.full((1, 1), -1.0))
+            eta = 1.0
+            j_idx[0] = 2
         j_idx[first - 1] = 1
+        return data, eta, j_idx
+
+    @pytest.mark.parametrize("variant, op, earliest",
+                             [(Variant.SCGD, "multiply", 1), (Variant.SCSC, "subtract", 3)])
+    @pytest.mark.parametrize("first", [None, 300, BLOCK_STEPS, 2 * BLOCK_STEPS],
+                             ids=["earliest", "step-300", "block-1-last", "block-2-last"])
+    def test_invalid_operation_warns_once_at_its_step(self, first, variant, op, earliest):
+        # The run's first invalid operation, at the earliest step its recipe
+        # allows or past the run's first steps; every later step is NaN.  A
+        # per-step loop warns there once; the unchecked pass must neither
+        # hide nor repeat it.
+        first = first or earliest
+        steps = 2 * BLOCK_STEPS + 88
+        data, eta, j_idx = self._invalid_at(variant, first, steps)
+        cfg = OptimizerConfig(variant=variant, steps=steps, eta=eta, beta=0.5,
+                              output_mode="uniform_average")
         i_idx = np.zeros(steps, dtype=np.int64)
 
         # The scalar reference, one step at a time, noting where it warns.
         # Like the kernel, it ignores overflow; the ball never binds.
-        x = x_prev = cfg.x0
+        x = x_prev = np.zeros(2)
         y = np.zeros(1)
         xs, warned_at = [], []
         total = np.zeros(2)
@@ -838,40 +833,20 @@ class TestConfigValidation:
                 output_mode="sigma_weighted", sigma=2.0,
             )
 
-    def test_x0_outside_domain(self):
-        with pytest.raises(ValueError, match="x0"):
-            OptimizerConfig(
-                variant=Variant.SCGD, steps=1, eta=0.1, beta=0.5,
-                domain_radius=1.0, x0=np.array([2.0, 0.0]),
-            )
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_infinite_sigma_rejected(self, eta):
+        # inf * 0 is NaN, which passes the stability test; the run's
+        # sigma_weighted output would then be NaN throughout.
+        with pytest.raises(ValueError, match=r"^sigma_weighted output needs a finite sigma > 0$"):
+            OptimizerConfig(variant=Variant.SCGD, steps=1, eta=eta, beta=0.5,
+                            output_mode="sigma_weighted", sigma=np.inf)
 
-    @pytest.mark.parametrize("name, start", [
-        ("x0", [np.nan, 0.0]), ("x0", [np.inf, 0.0]), ("y0", [0.0, np.inf]), ("y0", [np.nan, 1.0]),
-    ])
-    def test_non_finite_start_rejected(self, name, start):
-        # nan > R is false, so the domain check alone lets a NaN x0 through.
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+    @pytest.mark.parametrize("name", ["x0", "y0"])
+    def test_start_points_are_not_settings(self, name):
+        # Every run starts at the origin, the start the bound constants assume.
+        with pytest.raises(TypeError, match=name):
             OptimizerConfig(variant=Variant.SCGD, steps=1, eta=0.1, beta=0.5,
-                            **{name: np.array(start)})
-
-    def test_huge_x0_is_outside_the_domain_without_warning(self):
-        # ||x0||^2 overflows, which the domain check must not report as a warning
-        with pytest.raises(ValueError, match="x0 lies outside the domain"):
-            OptimizerConfig(variant=Variant.SCGD, steps=1, eta=0.1, beta=0.5,
-                            x0=np.array([1e200, 1e200]))
-
-    def test_x0_of_wrong_length_rejected(self):
-        data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("dim"))
-        cfg = OptimizerConfig(variant=Variant.SCGD, steps=3, eta=0.1, beta=0.5, x0=[0.7])
-        with pytest.raises(ValueError, match=f"x0 .* p = {data.p}"):
-            run(data, cfg, RNG.split("dimrun"))
-
-    def test_y0_of_wrong_length_rejected(self):
-        # A length-1 y0 would broadcast through the whole run.
-        data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("dim"))
-        cfg = OptimizerConfig(variant=Variant.SCGD, steps=3, eta=0.1, beta=0.5, y0=[0.7])
-        with pytest.raises(ValueError, match=f"y0 .* d = {data.d}"):
-            run(data, cfg, RNG.split("dimrun"))
+                            **{name: np.zeros(2)})
 
     def test_uniform_random_mode_records_draw(self):
         data = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("ur"))
