@@ -197,6 +197,23 @@ class TestRun:
             values.append(empirical_risk(data, traj.final_output))
         assert np.mean(values) < f0
 
+    @pytest.mark.blas_portable
+    @pytest.mark.parametrize("beta", [0.1, 1.0])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_first_tracking_gap_is_within_d_y(self, variant, beta):
+        # From x0 = y0 = 0 both variants' first tracker is beta * b_j, and
+        # beta * b_j - b_bar = beta (b_j - b_bar) - (1 - beta) b_bar is no
+        # longer than max(||g_j - g_bar||, ||g_bar||) at x = 0, which d_y
+        # bounds.  A start of y0 = 10 * 1 would read 324 here at beta = 0.1,
+        # past this d_y of 146.4; at beta = 1 the first tracker drops y0.
+        data = sample_dataset(benchmark_law("convex"), 40, 40, RNG.split("dy"))
+        d_y = compute_constants(data, 10.0).d_y
+        cfg = OptimizerConfig(variant=variant, steps=1, eta=0.1, beta=beta,
+                              record_tracking=True)
+        gaps = [run(data, cfg, RNG.split(f"dyrun-{rep}")).tracking_sq_errors[0]
+                for rep in range(20)]
+        assert 0.0 < max(gaps) <= d_y
+
 
 class TestSelectOutput:
     """Each output mode as ``run`` returns it in ``final_output``."""
@@ -289,8 +306,8 @@ def trajectory_digest(traj):
 # step, so their first block is replayed and every later step runs the
 # per-step test.
 # Every run starts at the origin.  A row may add beta to the default 0.3:
-# that row pins SCSC at beta = 1, which runs the SCGD recurrence.  Another
-# pins eta = 0.
+# those rows pin SCSC at beta = 1, which runs the SCGD recurrence, in one
+# block and across 17.  Two rows pin eta = 0.
 # A kernel change that moves any bit of any field shows here.
 KERNEL_PINS = [
     (Variant.SCGD, "last", False, 33, 0.05, 10.0, "96c989082a723c6d"),
@@ -323,7 +340,9 @@ KERNEL_PINS = [
     (Variant.SCGD, "sigma_weighted", True, 8193, 0.5, 0.3, "298722f78156da75"),
     (Variant.SCSC, "last", False, 8193, 0.5, 0.3, "6952a1144374408e"),
     (Variant.SCSC, "last", False, 33, 0.05, 10.0, "08cba03816ce69ba", 1.0),
+    (Variant.SCSC, "uniform_average", True, 4097, 0.05, 10.0, "33e9e86c309f00b0", 1.0),
     (Variant.SCSC, "sigma_weighted", True, 33, 0.0, 10.0, "ec559bf5e2a76474"),
+    (Variant.SCGD, "uniform_average", False, 33, 0.0, 10.0, "ea6ce18df86c5664"),
 ]
 PIN_BETA = 0.3
 FULL_PINS = [row if len(row) == 8 else row + (PIN_BETA,) for row in KERNEL_PINS]
