@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .core import Rng, _norm, project_ball
-from .experiments import excess_risk_study, optimization_study, tracking_study
+from .experiments import _sigma, excess_risk_study, optimization_study, tracking_study
 from .optimizer import _FLOAT_MAX, _PRESETS, OUTPUT_MODES, OptimizerConfig, Variant
 from .optimizer import run, schedule_preset
 from .oracle import erm_minimizer, fd_gradient_check, population_minimizer
@@ -198,16 +198,10 @@ def cmd_schedule(o) -> int:
 def cmd_optimize(o) -> int:
     rng = Rng(o["seed"]).split("optimize")
     data = sample_dataset(benchmark_law(o["benchmark"]), o["n"], o["m"], rng.split("data"))
-    cfg = OptimizerConfig(
-        variant=o["variant"],
-        steps=o["T"],
-        eta=o["eta"],
-        beta=o["beta"],
-        domain_radius=o["radius"],
-        output_mode=o["output-mode"],
-        sigma=o["sigma"],
-        record_tracking=True,
-    )
+    sigma = _sigma(o["output-mode"], data.a_bar)
+    cfg = OptimizerConfig(variant=o["variant"], steps=o["T"], eta=o["eta"], beta=o["beta"],
+                          domain_radius=o["radius"], output_mode=o["output-mode"], sigma=sigma,
+                          record_tracking=True)
     traj = run(data, cfg, rng.split("run"))
     rows = [
         (int(t), empirical_risk(data, x), float(traj.tracking_sq_errors[t - 1]), _norm(x))
@@ -215,13 +209,10 @@ def cmd_optimize(o) -> int:
     ]
     _emit(o, ["t", "f_empirical", "tracking_sq_error", "x_norm"], rows, "empirical objective",
           [r[0] for r in rows], {"f_empirical": [r[1] for r in rows]}, log_axes=False)
-    record = {
-        "mode": o["output-mode"],
-        "T": o["T"],
-        "eta": o["eta"],
-        "beta": o["beta"],
-        "x": [float(v) for v in traj.final_output],
-    }
+    record = {"mode": o["output-mode"], "T": o["T"], "eta": o["eta"], "beta": o["beta"]}
+    if sigma is not None:  # derived from the data, so no flag shows it
+        record["sigma"] = sigma
+    record["x"] = [float(v) for v in traj.final_output]
     print(json.dumps(record))
     return 0
 
@@ -362,8 +353,8 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         **_DATA,
         "T": Flag(_COUNT, 1000, "number of steps"),
         **_STEPS,
-        "output-mode": Flag(_choice(*OUTPUT_MODES), "last", "which iterate to report"),
-        "sigma": Flag(_POSITIVE, None, "weight curvature for sigma_weighted"),
+        "output-mode": Flag(_choice(*OUTPUT_MODES), "last",
+                            "which iterate to report; sigma_weighted uses the empirical modulus"),
     }),
     "tracking": ("tracking-gap study against its ceiling", cmd_tracking, {
         **_SEEDED,
@@ -412,9 +403,10 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         "t-max": _T_MAX,
         "output-mode": Flag(
             _choice(*_STUDY_MODES),
-            lambda v: ("sigma_weighted" if v["convexity"] == "strongly_convex"
+            lambda v: ("sigma_weighted" if v["benchmark"] == v["convexity"] == "strongly_convex"
                        else "uniform_average"),
-            "which iterate to report (default: sigma_weighted when strongly convex)",
+            "which iterate to report (default: sigma_weighted when the benchmark and the "
+            "convexity are both strongly_convex)",
         ),
     }),
     "oracle": ("print certified empirical and population minimizers", cmd_oracle, {

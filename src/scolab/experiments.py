@@ -50,6 +50,23 @@ def _resolve_law(law: PopulationLaw | str) -> PopulationLaw:
     return law if isinstance(law, PopulationLaw) else benchmark_law(law)
 
 
+def _sigma(output_mode: str, a: np.ndarray, objective: str = "objective",
+           modulus: str = "this dataset's empirical modulus (the least eigenvalue "
+                          "of a_bar^T a_bar)") -> float | None:
+    """The modulus of ``a^T a`` that sigma_weighted output weights by, else None.
+
+    ``a`` is a dataset's ``a_bar``, or a law's ``a0`` with the law's wording.
+    A zero modulus means the objective is not strongly convex: it is refused.
+    """
+    if output_mode != "sigma_weighted":
+        return None
+    sigma = _gram_modulus(a)[0]
+    if sigma == 0.0:
+        raise ValueError(f"sigma_weighted output needs a strongly convex {objective}, "
+                         f"but {modulus} is 0")
+    return sigma
+
+
 class TrackingRow(NamedTuple):
     t: int
     mean_sq_error: float
@@ -192,12 +209,7 @@ def optimization_study(
         raise ValueError("optimization study needs a nonempty step_grid")
     root = Rng(seed).split("optimization-study")
     data = sample_dataset(_resolve_law(law), n, m, root.split("data"))
-    sigma = _gram_modulus(data.a_bar)[0] if output_mode == "sigma_weighted" else None
-    if sigma == 0.0:
-        raise ValueError(
-            "sigma_weighted output needs a strongly convex objective, but this dataset's "
-            "empirical modulus (the least eigenvalue of a_bar^T a_bar) is 0"
-        )
+    sigma = _sigma(output_mode, data.a_bar)
     cert = erm_minimizer(data, domain_radius)
     # Every point's config first, so a bad later point fails before any replicate runs.
     configs = [
@@ -260,12 +272,8 @@ def excess_risk_study(
     if not size_grid:
         raise ValueError("excess_risk study needs a nonempty size_grid")
     law = _resolve_law(law)
-    sigma = _gram_modulus(law.a0)[0] if output_mode == "sigma_weighted" else None
-    if sigma == 0.0:
-        raise ValueError(
-            "sigma_weighted output needs a strongly convex law, but this law's "
-            "population modulus (the least eigenvalue of a0^T a0) is 0"
-        )
+    sigma = _sigma(output_mode, law.a0, "law",
+                   "this law's population modulus (the least eigenvalue of a0^T a0)")
     root = Rng(seed).split("excess-study")
     pop = population_minimizer(law, domain_radius)
     # Every size's preset and config first, so a bad later size fails before any run.

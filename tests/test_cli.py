@@ -239,12 +239,20 @@ class TestUsageErrors:
             assert err == "tracking study needs steps <= 2**63: its step indices are int64\n"
         assert not out_path.exists()
 
-    def test_module_precondition_maps_to_usage_error(self, capsys):
-        code, _, err = dispatch(
-            capsys, "optimize", "--T", "5", "--output-mode", "sigma_weighted"
+    def test_module_precondition_maps_to_usage_error(self, capsys, tmp_path):
+        # optimize takes sigma from the sampled data, as the optimization
+        # study does, and refuses the convex law's zero modulus in its words.
+        out_path = tmp_path / "t.csv"
+        code, out, err = dispatch(
+            capsys, "optimize", "--T", "5", "--output-mode", "sigma_weighted",
+            "--out", str(out_path),
         )
-        assert code == 2
-        assert "sigma" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "sigma_weighted output needs a strongly convex objective, but this dataset's "
+            "empirical modulus (the least eigenvalue of a_bar^T a_bar) is 0\n"
+        )
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("extra", [
         ("--eta", "1e300"),  # eta**2 overflows
@@ -487,6 +495,7 @@ class TestOptimize:
         )
         assert code == 0
         record = json.loads(out)
+        assert list(record) == ["mode", "T", "eta", "beta", "x"]  # sigma only when weighted
         assert record["mode"] == "last"
         assert record["T"] == 50
         assert len(record["x"]) == 5
@@ -500,8 +509,8 @@ class TestOptimize:
         (("--T", "300", "--svg"), ("eedecac6cd4f2fd5", "e18da690c9159ef2")),
         (("--T", "9000", "--output-mode", "uniform_random", "--radius", "0.3", "--eta", "0.5",
           "--variant", "scsc", "--svg"), ("2bf15cb27959b632", "3fbe6c9abf27efbb")),
-        (("--T", "50", "--output-mode", "sigma_weighted", "--sigma", "0.5"),
-         ("839989b3cb73ec0a",)),
+        (("--T", "50", "--output-mode", "sigma_weighted", "--benchmark", "strongly_convex"),
+         ("32bca8b094d69db5",)),
         (("--T", "5000", "--output-mode", "uniform_average", "--variant", "scsc"),
          ("55e6f8443e519d5e",)),
     ], ids=["last-svg", "uniform-random-projected-thinned", "sigma-weighted", "uniform-average"])
@@ -511,6 +520,21 @@ class TestOptimize:
         assert code == 0
         written = [out_path, tmp_path / "trajectory.svg"][: len(digests)]
         assert [hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in written] == list(digests)
+
+    def test_sigma_weighted_output_weights_by_the_empirical_modulus(self, capsys, tmp_path):
+        # sigma is the least eigenvalue of a_bar^T a_bar for seed 0 and
+        # n = m = 40; x is the output of the same run given that sigma explicitly.
+        code, out, _ = dispatch(
+            capsys, "optimize", "--T", "50", "--output-mode", "sigma_weighted",
+            "--benchmark", "strongly_convex", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "mode": "sigma_weighted", "T": 50, "eta": 0.001, "beta": 0.1,
+            "sigma": 1.588665638653878,
+            "x": [0.003053531424733248, 0.035317058102478247, 0.002210115028515464,
+                  -0.0033880448226512485],
+        }
 
     def test_huge_step_lands_on_sphere(self, capsys, tmp_path):
         # ||x||^2 of the unprojected step overflows; the projection must
@@ -756,6 +780,20 @@ class TestStudyCommands:
         assert len(rows) == 3
         assert rows[-1][-1] is not None
         assert all(row[-1] is None for row in rows[:-1])
+
+    def test_excess_risk_strongly_convex_preset_on_convex_law_averages_uniformly(
+        self, capsys, tmp_path
+    ):
+        # The default output mode is sigma_weighted only when the law is
+        # strongly convex too; on the convex law it would refuse itself.
+        argv = ("excess-risk", "--benchmark", "convex", "--convexity", "strongly_convex",
+                "--sizes", "4,8", "--replicates", "2")
+        paths = [tmp_path / "default.csv", tmp_path / "explicit.csv"]
+        assert dispatch(capsys, *argv, "--out", str(paths[0]))[0] == 0
+        code, _, _ = dispatch(capsys, *argv, "--output-mode", "uniform_average",
+                              "--out", str(paths[1]))
+        assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_excess_risk_repeated_size_has_no_slope(self, capsys, tmp_path):
         # rows at one n leave the slope undefined

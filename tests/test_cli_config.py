@@ -21,7 +21,7 @@ SURFACE = {
     "gradcheck": SEEDED | {"benchmark", "n", "m", "points", "h", "assert"},
     "schedule": {"config", "variant", "convexity", "n", "m", "t-max"},
     "optimize": SEEDED | OUTPUT | {
-        "variant", "benchmark", "n", "m", "T", "eta", "beta", "output-mode", "sigma",
+        "variant", "benchmark", "n", "m", "T", "eta", "beta", "output-mode",
     },
     "tracking": SEEDED | OUTPUT | {
         "variant", "benchmark", "n", "m", "T", "eta", "beta", "replicates", "log-points",
@@ -64,7 +64,7 @@ PROBE = {
     "optimize": {
         "seed": "2", "radius": "0.5", "out": "run.csv", "svg": "true",
         "variant": "scsc", "benchmark": "strongly_convex", "n": "6", "m": "7", "T": "25",
-        "eta": "0.01", "beta": "0.5", "output-mode": "uniform_average", "sigma": "0.5",
+        "eta": "0.01", "beta": "0.5", "output-mode": "uniform_average",
     },
     "tracking": {
         "seed": "2", "radius": "0.5", "out": "gap.csv", "svg": "true",
@@ -148,9 +148,10 @@ class TestFlagSurface:
         ["stability", "--convexity", "convex"], ["tracking", "--threads", "2"],
         ["optimization", "--threads", "2"], ["excess-risk", "--threads", "2"],
         ["stability", "--uncoupled"], ["tracking", "--tracking-c", "2"],
+        ["optimize", "--sigma", "0.5"],
     ], ids=["schedule-seed", "oracle-threads", "stability-convexity", "tracking-threads",
             "optimization-threads", "excess-risk-threads", "stability-uncoupled",
-            "tracking-tracking-c"])
+            "tracking-tracking-c", "optimize-sigma"])
     def test_flags_a_command_does_not_read_are_usage_errors(self, argv, capsys):
         assert parse_and_dispatch(argv) == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
@@ -190,7 +191,7 @@ class TestConfigKeys:
         [("stability", "replicats"), ("optimize", "steps"),
          ("optimization", "t_grid"), ("gradcheck", "assert_tol"), ("schedule", "out"),
          ("tracking", "threads"), ("optimization", "threads"), ("excess-risk", "threads"),
-         ("stability", "uncoupled"), ("tracking", "tracking_c")],
+         ("stability", "uncoupled"), ("tracking", "tracking_c"), ("optimize", "sigma")],
     )
     def test_unknown_key_is_a_usage_error(self, command, key, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
