@@ -23,7 +23,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .core import Rng, _norm, project_ball
-from .experiments import _sigma, excess_risk_study, optimization_study, tracking_study
+from .experiments import _sigma, excess_risk_study, fit_loglog_slope, optimization_study
+from .experiments import tracking_study
 from .optimizer import _FLOAT_MAX, _PRESETS, OUTPUT_MODES, OptimizerConfig, Variant
 from .optimizer import run, schedule_preset
 from .oracle import erm_minimizer, fd_gradient_check, population_minimizer
@@ -95,11 +96,7 @@ def _boolean(name, value):
 
 
 class Flag(NamedTuple):
-    """One flag: its parser, its default and its help line.
-
-    A callable default is computed from the values of the flags listed
-    before it in the same subcommand.
-    """
+    """One flag: its parser, its default and its help line."""
 
     parse: Callable[[str, Any], Any]
     default: Any
@@ -137,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
             options = {"dest": name, "help": flag.help}
             if flag.parse is _boolean:
                 options.update(action="store_const", const="true")
-            elif flag.default is not None and not callable(flag.default):
+            elif flag.default is not None:
                 options["help"] += f" (default {flag.default})"
             p.add_argument(f"--{name}", **options)
     return parser
@@ -153,9 +150,7 @@ def _resolve(flags, args, config) -> dict[str, Any]:
     for name, flag in flags.items():
         raw = vars(args)[name]
         if raw is None:
-            raw = given.get(name)
-        if raw is None:
-            raw = flag.default(values) if callable(flag.default) else flag.default
+            raw = given.get(name, flag.default)
         values[name] = None if raw is None else flag.parse(name, raw)
     return values
 
@@ -286,16 +281,22 @@ def cmd_optimization(o) -> int:
 
 
 def cmd_excess_risk(o) -> int:
-    result = excess_risk_study(
-        size_grid=tuple(o["sizes"]), variant=o["variant"], convexity=o["convexity"],
+    convexity = o["convexity"] or o["benchmark"]
+    strongly_convex = o["benchmark"] == convexity == "strongly_convex"
+    mode = o["output-mode"] or ("sigma_weighted" if strongly_convex else "uniform_average")
+    rows = excess_risk_study(
+        size_grid=tuple(o["sizes"]), variant=o["variant"], convexity=convexity,
         law=o["benchmark"], replicates=o["replicates"], seed=o["seed"],
-        domain_radius=o["radius"], output_mode=o["output-mode"], t_max=o["t-max"],
+        domain_radius=o["radius"], output_mode=mode, t_max=o["t-max"],
     )
+    sizes, means = [r.n for r in rows], [r.excess_mean for r in rows]
+    try:
+        slope = fit_loglog_slope(sizes, means)
+    except ValueError:  # one distinct size, or a mean that is not finite and positive
+        slope = float("nan")
     header = ["n", "m", "T", "eta", "beta", "excess_mean", "excess_se", "fitted_slope"]
-    rows = [list(row) + [None] for row in result.rows]
-    rows.append([None] * 7 + [result.fitted_slope])
-    _emit(o, header, rows, "population excess risk", [r.n for r in result.rows],
-          {"excess_mean": [r.excess_mean for r in result.rows]})
+    _emit(o, header, [list(r) + [None] for r in rows] + [[None] * 7 + [slope]],
+          "population excess risk", sizes, {"excess_mean": means})
     print(f"wrote {o['out']}", file=sys.stderr)
     return 0
 
@@ -395,19 +396,13 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, Flag]]] = {
         **_csv("excess.csv"),
         "variant": _VARIANT,
         "benchmark": _DATA["benchmark"],
-        "convexity": Flag(
-            _choice(*_PRESETS), lambda v: v["benchmark"], "convexity label (default: the benchmark)"
-        ),
+        "convexity": Flag(_choice(*_PRESETS), None, "convexity label (default: the benchmark)"),
         "sizes": Flag(_integers, "20,40,80", "comma-separated n = m values"),
         "replicates": Flag(_number(int, 2), 200, "Monte Carlo replicates"),
         "t-max": _T_MAX,
-        "output-mode": Flag(
-            _choice(*_STUDY_MODES),
-            lambda v: ("sigma_weighted" if v["benchmark"] == v["convexity"] == "strongly_convex"
-                       else "uniform_average"),
-            "which iterate to report (default: sigma_weighted when the benchmark and the "
-            "convexity are both strongly_convex)",
-        ),
+        "output-mode": Flag(_choice(*_STUDY_MODES), None,
+                            "which iterate to report (default: sigma_weighted when the "
+                            "benchmark and the convexity are both strongly_convex)"),
     }),
     "oracle": ("print certified empirical and population minimizers", cmd_oracle, {
         **_SEEDED,

@@ -6,15 +6,13 @@ study's ``law`` is a :class:`PopulationLaw` or the name of a
 :func:`benchmark_law`.  Replicates run one after another through
 ``stability._replicates``, on child random streams keyed by (grid index,
 replicate index), and aggregate in replicate order, so results are
-bit-identical across reruns.  A study returns its rows, and has a result
-type only when it also returns a study-level value (the fitted slope).
+bit-identical across reruns.  Each study returns its list of rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +35,6 @@ __all__ = [
     "TrackingRow",
     "OptimizationRow",
     "ExcessRow",
-    "ExcessRiskStudyResult",
     "tracking_study",
     "optimization_study",
     "excess_risk_study",
@@ -90,12 +87,6 @@ class ExcessRow(NamedTuple):
     beta: float
     excess_mean: float
     excess_se: float
-
-
-@dataclass(frozen=True)
-class ExcessRiskStudyResult:
-    rows: list[ExcessRow]
-    fitted_slope: float
 
 
 def _log_step_grid(max_t: int, points: int) -> np.ndarray:
@@ -259,15 +250,13 @@ def excess_risk_study(
     domain_radius: float = 10.0,
     output_mode: str = "uniform_average",
     t_max: int | None = None,
-) -> ExcessRiskStudyResult:
+) -> list[ExcessRow]:
     """Mean population excess risk under the published step presets.
 
     Each replicate draws a fresh dataset (expectation jointly over data
     and algorithm), runs the ``convexity`` preset schedule, capped at
     ``t_max``, for its n = m entry of ``size_grid``, and scores the
-    output against the certified population minimum.  The fitted slope
-    is NaN unless the grid holds at least two distinct sizes and every mean
-    is finite.
+    output against the certified population minimum.
     """
     if not size_grid:
         raise ValueError("excess_risk study needs a nonempty size_grid")
@@ -295,9 +284,4 @@ def excess_risk_study(
         excess = _replicates(one, root, f"grid-{gi}-rep-", replicates)
         rows.append(ExcessRow(size, size, opt_cfg.steps, opt_cfg.eta, opt_cfg.beta,
                               *_mean_se(excess)))
-    means = [r.excess_mean for r in rows]
-    if len({r.n for r in rows}) >= 2 and all(math.isfinite(v) for v in means):
-        slope = fit_loglog_slope([r.n for r in rows], [max(v, 1e-300) for v in means])
-    else:
-        slope = float("nan")
-    return ExcessRiskStudyResult(rows, slope)
+    return rows

@@ -125,7 +125,9 @@ class OptimizerConfig:
             if self.sigma is None or not (np.isfinite(self.sigma) and self.sigma > 0):
                 raise ValueError("sigma_weighted output needs a finite sigma > 0")
             if self.sigma * self.eta >= 2.0:
-                raise ValueError("unstable weights")
+                sigma = float(self.sigma)
+                raise ValueError(f"unstable weights: sigma * eta must stay below 2, and sigma is "
+                                 f"{sigma!r}, so eta must be below 2 / sigma = {2.0 / sigma!r}")
 
 
 @dataclass(frozen=True)

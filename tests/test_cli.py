@@ -350,6 +350,25 @@ class TestUsageErrors:
         assert "is 0" in err
         assert not out_path.exists()
 
+    # sigma is the sampled dataset's empirical modulus: optimization's study
+    # draws its own dataset, so its sigma differs from optimize's.
+    @pytest.mark.parametrize("argv, sigma, eta_bound", [
+        (("optimize", "--T", "5"), "1.588665638653878", "1.2589181457305625"),
+        (("optimization", "--T-grid", "4"), "1.5473065993870352", "1.2925686485098036"),
+    ], ids=["optimize", "optimization"])
+    def test_unstable_sigma_weights_name_sigma_and_the_eta_bound(
+        self, capsys, tmp_path, argv, sigma, eta_bound
+    ):
+        out_path = tmp_path / "x.csv"
+        code, out, err = dispatch(
+            capsys, *argv, "--benchmark", "strongly_convex", "--output-mode", "sigma_weighted",
+            "--eta", "1.3", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("unstable weights")
+        assert sigma in err and eta_bound in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("radius", ["9e307", "1.7e308"])
     def test_gradcheck_radius_whose_draw_width_overflows_is_usage_error(self, capsys, radius):
         # Points come from uniform(-radius, radius), which needs 2 * radius finite.
@@ -378,6 +397,29 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         code, out, _ = dispatch(capsys, "--help")
         assert code == 0
+
+
+class TestFlagTable:
+    def test_every_default_is_a_value(self):
+        # a default that depends on other flags is set in the command's handler
+        for command, (_, _, flags) in COMMANDS.items():
+            for name, flag in flags.items():
+                assert not callable(flag.default), f"{command} --{name}"
+
+    def test_excess_risk_help_describes_the_handler_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = dispatch(capsys, "excess-risk", "--help")
+        assert code == 0
+        assert (
+            "  --convexity CONVEXITY\n"
+            "                        convexity label (default: the benchmark)\n"
+        ) in out
+        assert (
+            "  --output-mode OUTPUT-MODE\n"
+            "                        which iterate to report (default: sigma_weighted when\n"
+            "                        the benchmark and the convexity are both\n"
+            "                        strongly_convex)\n"
+        ) in out
 
 
 class TestFuzz:
@@ -802,6 +844,24 @@ class TestStudyCommands:
             capsys, "excess-risk", "--sizes", "6,6", "--replicates", "3", "--out", str(out_path),
         )
         assert code == 0
+        assert out_path.read_text().splitlines()[-1] == ",,,,,,,nan"
+
+    # A slope through a mean that is not finite and positive would fit no
+    # data: clamping a nonpositive mean to 1e-300 read -4.2810525568891809e-14.
+    @pytest.mark.parametrize("risk", [np.inf, np.nan, 0.0], ids=["inf", "nan", "nonpositive"])
+    def test_excess_risk_mean_off_the_log_domain_has_no_slope(
+        self, capsys, monkeypatch, tmp_path, risk
+    ):
+        monkeypatch.setattr(experiments, "population_risk", lambda law, x: risk)
+        out_path = tmp_path / "excess.csv"
+        code, _, _ = dispatch(
+            capsys, "excess-risk", "--sizes", "4,8", "--replicates", "2", "--t-max", "5",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        _, rows = read_csv(out_path)
+        means = [row[5] for row in rows[:-1]]
+        assert len(means) == 2 and not any(np.isfinite(v) and v > 0 for v in means)
         assert out_path.read_text().splitlines()[-1] == ",,,,,,,nan"
 
     # Steps of 1e154 on a ball of radius 1.7e308 reach iterates near 1e307,

@@ -22,8 +22,7 @@ MODULE_ALL = {
     "cli": ["main", "parse_and_dispatch"],
     "core": ["Rng", "as_vector", "as_matrix", "project_ball"],
     "experiments": [
-        "TrackingRow", "OptimizationRow", "ExcessRow", "ExcessRiskStudyResult",
-        "tracking_study", "optimization_study", "excess_risk_study", "fit_loglog_slope",
+        "TrackingRow", "OptimizationRow", "ExcessRow", "tracking_study", "optimization_study", "excess_risk_study", "fit_loglog_slope",
     ],
     "optimizer": ["Variant", "OptimizerConfig", "Trajectory", "run", "schedule_preset"],
     "oracle": [
@@ -63,7 +62,6 @@ RESULT_FIELDS = {
     ],
     "problems.BoundParams": ["lip_f", "lip_g", "smooth_l", "sigma", "var_g", "d_y"],
     "oracle.MinimizerCertificate": ["x_star", "value", "method", "kkt_residual"],
-    "experiments.ExcessRiskStudyResult": ["rows", "fitted_slope"],
     "experiments.TrackingRow": ["t", "mean_sq_error", "se", "bound"],
     "experiments.OptimizationRow": ["steps", "eta", "beta", "gap_mean", "gap_se"],
     "experiments.ExcessRow": ["n", "m", "steps", "eta", "beta", "excess_mean", "excess_se"],
@@ -107,8 +105,9 @@ def test_studies_return_the_exported_row_types():
     excess = scolab.excess_risk_study(size_grid=(3,), replicates=2, t_max=4)
     assert all(isinstance(row, scolab.TrackingRow) for row in tracking)
     assert all(isinstance(row, scolab.OptimizationRow) for row in optimization)
-    assert all(isinstance(row, scolab.ExcessRow) for row in excess.rows)
-    assert tracking and optimization and excess.rows
+    assert all(isinstance(row, scolab.ExcessRow) for row in excess)
+    assert all(isinstance(rows, list) for rows in (tracking, optimization, excess))
+    assert tracking and optimization and excess
 
 
 @pytest.mark.parametrize("name", sorted(RESULT_FIELDS))
