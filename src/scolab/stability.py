@@ -4,7 +4,8 @@ A neighboring dataset differs from the original in exactly one inner or
 one outer sample; :func:`make_neighbor` builds it by copying one row of
 a donor dataset into place.  Stability is estimated by running the
 optimizer on both datasets with the *same* realized index sequence (a
-coupled pair) and measuring the distance between the two outputs.  The
+coupled pair): :func:`coupled_run` returns the two outputs, and
+:func:`estimate_stability` measures the distance between them.  The
 pair is always coupled: uniform stability compares A(S) and A(S') under
 one realization of the algorithm's randomness (as in Hardt, Recht and
 Singer, 2016), so a second, independent index draw would add the
@@ -37,7 +38,6 @@ from .problems import (
 )
 
 __all__ = [
-    "CoupledResult",
     "StabilityEstimate",
     "GapReport",
     "make_neighbor",
@@ -68,30 +68,23 @@ def make_neighbor(dataset: Dataset, kind: str, index: int, donor: Dataset) -> Da
     return dataclasses.replace(dataset, **rows)
 
 
-@dataclass(frozen=True)
-class CoupledResult:
-    distance: float
-
-
 def coupled_run(
     dataset: Dataset,
     neighbor: Dataset,
     cfg: OptimizerConfig,
     rng: Rng,
-) -> CoupledResult:
-    """Run the optimizer on both datasets and measure output displacement.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs ``(output, neighbor_output)`` of the optimizer on both datasets.
 
-    The two runs share one realized index sequence drawn from ``rng``;
-    identical datasets then yield a distance of exactly zero.
+    The two runs share one realized index sequence drawn from ``rng``, so
+    identical datasets give equal outputs bit for bit; the caller measures
+    their distance.
     """
     if (dataset.n, dataset.inner_a.shape) != (neighbor.n, neighbor.inner_a.shape):
         raise ValueError("non-neighboring datasets")
     indices = _draw_indices(dataset, cfg, rng.split("indices"))
-    out = _run_with_indices(dataset, cfg, *indices).final_output
-    out_nb = _run_with_indices(neighbor, cfg, *indices).final_output
-    with np.errstate(over="ignore"):  # a difference beyond the float range is inf
-        diff = out - out_nb
-    return CoupledResult(_norm(diff))
+    return (_run_with_indices(dataset, cfg, *indices).final_output,
+            _run_with_indices(neighbor, cfg, *indices).final_output)
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,10 @@ def estimate_stability(
     """Monte Carlo estimate of the two replacement sensitivities.
 
     Each replicate draws a fresh dataset, a fresh replacement sample and
-    a uniform position on its own child stream, then runs one coupled
-    pair per requested side.  Replicates run one after another through
-    ``_replicates`` and are aggregated in replicate order.  ``kinds`` names
-    each requested side once, and at least one.
+    a uniform position on its own child stream, then takes the output
+    distance of one coupled pair per requested side.  Replicates run one
+    after another through ``_replicates`` and are aggregated in replicate
+    order.  ``kinds`` names each requested side once, and at least one.
     """
     for kind in kinds:
         if kind not in ("nu", "omega"):
@@ -168,8 +161,9 @@ def estimate_stability(
             size = n if kind == "nu" else m
             index = int(rep_rng.split(f"index-{kind}").generator().integers(0, size))
             neighbor = make_neighbor(data, kind, index, donor)
-            run_rng = rep_rng.split(f"run-{kind}")
-            distance[kind] = coupled_run(data, neighbor, cfg, run_rng).distance
+            out, out_nb = coupled_run(data, neighbor, cfg, rep_rng.split(f"run-{kind}"))
+            with np.errstate(over="ignore"):  # a difference beyond the float range is inf
+                distance[kind] = _norm(out - out_nb)
         return distance["nu"], distance["omega"]
 
     # An unrequested side is an all-NaN column, whose mean and SE are NaN.

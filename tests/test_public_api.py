@@ -36,8 +36,8 @@ MODULE_ALL = {
     ],
     "reporting": ["format_value", "emit_csv", "read_csv", "emit_svg"],
     "stability": [
-        "CoupledResult", "StabilityEstimate", "GapReport", "make_neighbor", "coupled_run",
-        "estimate_stability", "check_generalization_inequality",
+        "StabilityEstimate", "GapReport", "make_neighbor", "coupled_run", "estimate_stability",
+        "check_generalization_inequality",
     ],
     "trust_region": [],
 }
@@ -54,7 +54,6 @@ RESULT_FIELDS = {
         "stored_steps", "iterates", "last", "uniform_avg", "final_output",
         "tracking_sq_errors",
     ],
-    "stability.CoupledResult": ["distance"],
     "stability.StabilityEstimate": ["eps_nu", "eps_nu_se", "eps_omega", "eps_omega_se"],
     "stability.GapReport": [
         "gap_mean", "gap_se", "eps_nu", "eps_nu_se", "eps_omega", "eps_omega_se", "lip_f",

@@ -6,12 +6,13 @@ import pytest
 
 from scalar_reference import drawn_indices
 from scolab import optimizer, stability
-from scolab.core import Rng
-from scolab.optimizer import OptimizerConfig, Variant, run
+from scolab.core import Rng, _norm
+from scolab.optimizer import OUTPUT_MODES, OptimizerConfig, Variant, run
 from scolab.problems import (
     Dataset,
     PopulationLaw,
     benchmark_law,
+    empirical_inner,
     sample_dataset,
 )
 from scolab.stability import (
@@ -96,8 +97,9 @@ class TestCoupledRun:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_identical_datasets_give_zero_distance(self, variant, seed):
         data = sample_dataset(benchmark_law("convex"), 8, 8, RNG.split(f"z{seed}"))
-        result = coupled_run(data, data, small_cfg(variant), RNG.split(f"zr{seed}"))
-        assert result.distance == 0.0
+        cfg = small_cfg(variant)
+        output, neighbor_output = coupled_run(data, data, cfg, RNG.split(f"zr{seed}"))
+        np.testing.assert_array_equal(output, neighbor_output)
 
     def test_unsampled_inner_replacement_is_invisible(self):
         data = sample_dataset(benchmark_law("convex"), 5, 64, RNG.split("uns"))
@@ -105,15 +107,15 @@ class TestCoupledRun:
         j_idx, _ = drawn_indices(data, cfg.steps, RNG.split("unsrun").split("indices"))
         unseen = next(j for j in range(data.m) if j not in set(j_idx.tolist()))
         neighbor = make_neighbor(data, "omega", unseen, donor(data, b=1.0))
-        result = coupled_run(data, neighbor, cfg, RNG.split("unsrun"))
-        assert result.distance == 0.0
+        output, neighbor_output = coupled_run(data, neighbor, cfg, RNG.split("unsrun"))
+        np.testing.assert_array_equal(output, neighbor_output)
 
     def test_distance_bounded_by_diameter(self):
         data = sample_dataset(benchmark_law("convex"), 5, 5, RNG.split("diam"))
         neighbor = make_neighbor(data, "nu", 0, donor(data, c=50.0))
         cfg = small_cfg(eta=0.9, steps=300, domain_radius=2.0)
-        result = coupled_run(data, neighbor, cfg, RNG.split("diamrun"))
-        assert result.distance <= 2 * 2.0
+        output, neighbor_output = coupled_run(data, neighbor, cfg, RNG.split("diamrun"))
+        assert _norm(output - neighbor_output) <= 2 * 2.0
 
     def test_mismatched_sizes_rejected(self):
         a = sample_dataset(benchmark_law("convex"), 4, 4, RNG.split("mma"))
@@ -136,15 +138,40 @@ class TestCoupledRun:
 
     def test_distance_past_the_square_range_is_exact(self):
         # Steps of 1e154 put the outputs near 1e307, where the squares of a
-        # plain norm overflow; the distance is the exact norm of the difference.
+        # plain norm overflow; the distance estimate_stability takes, _norm
+        # of the difference, is its exact norm.
         data = sample_dataset(benchmark_law("convex"), 2, 2, RNG.split("huge"))
         neighbor = make_neighbor(data, "nu", 0, donor(data, c=1.0))
         cfg = small_cfg(steps=2, eta=1e154, beta=0.1, domain_radius=1.7e308)
-        result = coupled_run(data, neighbor, cfg, RNG.split("hugerun"))
+        output, neighbor_output = coupled_run(data, neighbor, cfg, RNG.split("hugerun"))
         out, out_nb = (run(d, cfg, RNG.split("hugerun").split("indices")).final_output
                        for d in (data, neighbor))
-        assert 1e300 < result.distance < np.inf
-        assert result.distance == pytest.approx(math.hypot(*(out - out_nb)), rel=1e-15)
+        np.testing.assert_array_equal(output, out)
+        np.testing.assert_array_equal(neighbor_output, out_nb)
+        distance = _norm(output - neighbor_output)
+        assert 1e300 < distance < np.inf
+        assert distance == pytest.approx(math.hypot(*(out - out_nb)), rel=1e-15)
+
+    @pytest.mark.blas_portable
+    @pytest.mark.parametrize("variant", [Variant.SCGD, Variant.SCSC])
+    @pytest.mark.parametrize("output_mode", OUTPUT_MODES)
+    def test_outputs_are_the_two_runs_on_one_draw(self, variant, output_mode):
+        data = sample_dataset(benchmark_law("convex"), 6, 6, RNG.split("pair"))
+        neighbor = make_neighbor(data, "nu", 2, donor(data, c=3.0))
+        sigma = 1.0 if output_mode == "sigma_weighted" else None
+        cfg = small_cfg(variant, output_mode=output_mode, sigma=sigma)
+        pair = coupled_run(data, neighbor, cfg, RNG.split("pairrun"))
+        solo = [run(d, cfg, RNG.split("pairrun").split("indices")) for d in (data, neighbor)]
+        assert len(pair) == 2
+        for output, trajectory in zip(pair, solo):
+            np.testing.assert_array_equal(output, trajectory.final_output)
+        assert not np.shares_memory(*pair)
+        assert not np.array_equal(*pair)
+        if output_mode == "uniform_random":
+            # Both outputs are the iterate of the one drawn step; T = 200 stores every step.
+            step = optimizer._draw_indices(data, cfg, RNG.split("pairrun").split("indices"))[2]
+            for output, trajectory in zip(pair, solo):
+                np.testing.assert_array_equal(output, trajectory.iterates[step - 1])
 
 
 class TestMeanSe:
@@ -243,6 +270,27 @@ class TestEstimateStability:
                 with pytest.raises(ValueError, match="^replicates must be >= 2$"):
                     estimate(benchmark_law("convex"), 4, 4, small_cfg(), replicates, RNG)
 
+    @pytest.mark.blas_portable
+    def test_mean_of_the_coupled_distances_on_the_documented_streams(self):
+        law = benchmark_law("convex")
+        n, m, replicates = 6, 5, 5
+        cfg = small_cfg(Variant.SCSC, steps=300)
+        rng = RNG.split("streams")
+        est = estimate_stability(law, n, m, cfg, replicates, rng)
+        for kind, size, reading in (("nu", n, (est.eps_nu, est.eps_nu_se)),
+                                    ("omega", m, (est.eps_omega, est.eps_omega_se))):
+            distances = []
+            for r in range(replicates):
+                rep = rng.split(f"rep-{r}")
+                data = sample_dataset(law, n, m, rep.split("data"))
+                swap = sample_dataset(law, 1, 1, rep.split(f"swap-{kind}"))
+                index = int(rep.split(f"index-{kind}").generator().integers(0, size))
+                neighbor = make_neighbor(data, kind, index, swap)
+                output, neighbor_output = coupled_run(data, neighbor, cfg,
+                                                      rep.split(f"run-{kind}"))
+                distances.append(_norm(output - neighbor_output))
+            assert reading == _mean_se(np.array(distances))
+
     def test_convex_sensitivity_grows_with_horizon(self):
         # without strong convexity the coupled displacement accumulates,
         # so longer runs are no less sensitive (up to 2 standard errors)
@@ -256,6 +304,41 @@ class TestEstimateStability:
             readings.append((est.eps_nu, est.eps_nu_se))
         for (lo, lo_se), (hi, hi_se) in zip(readings, readings[1:]):
             assert hi >= lo - 2.0 * np.hypot(lo_se, hi_se)
+
+
+@pytest.mark.blas_portable
+class TestReplaceOneIdentity:
+    """The outer part of the gap, h(g_S(A)) - h_S(g_S(A)), has the expectation
+    of f_i(g_S(A(S^(i)))) - f_i(g_S(A(S))), where S^(i) swaps outer sample i
+    for a fresh one and f_i(y) = 0.5 ||y - c_i||^2: an outer swap leaves g_S
+    unchanged, so the swapped pair is exchangeable with (S, fresh sample).
+    Here h(y) = E f(y) and h_S is its mean over the outer samples."""
+
+    @pytest.mark.parametrize("variant", [Variant.SCGD, Variant.SCSC])
+    @pytest.mark.parametrize("kind, eta", [("convex", 1e-2), ("strongly_convex", 5e-2)])
+    def test_direct_and_identity_outer_parts_agree(self, kind, eta, variant):
+        law = benchmark_law(kind)
+        n = m = 10
+        cfg = OptimizerConfig(variant=variant, steps=256, eta=eta, beta=0.1)
+        rng = RNG.split(f"replace-one-{kind}-{variant.value}")
+        direct, identity = [], []
+        for r in range(200):
+            rep = rng.split(f"rep-{r}")
+            data = sample_dataset(law, n, m, rep.split("data"))
+            swap = sample_dataset(law, 1, 1, rep.split("swap"))
+            i = int(rep.split("index").generator().integers(0, n))
+            output, neighbor_output = coupled_run(data, make_neighbor(data, "nu", i, swap), cfg,
+                                                  rep.split("run"))
+            y, y_nb = empirical_inner(data, output), empirical_inner(data, neighbor_output)
+            h = 0.5 * np.sum((y - law.c0) ** 2) + 0.5 * law.outer_variance
+            h_s = 0.5 * np.sum((y - data.c_bar) ** 2) + 0.5 * data.outer_spread
+            c = data.outer_c[i]
+            direct.append(h - h_s)
+            identity.append(0.5 * np.sum((y_nb - c) ** 2) - 0.5 * np.sum((y - c) ** 2))
+        (mean_d, se_d), (mean_i, se_i) = _mean_se(np.array(direct)), _mean_se(np.array(identity))
+        z = (mean_d - mean_i) / math.hypot(se_d, se_i)
+        assert abs(z) <= 3.0, (
+            f"direct {mean_d:.3e} +- {se_d:.1e}, identity {mean_i:.3e} +- {se_i:.1e}")
 
 
 class TestGeneralizationInequality:
